@@ -12,87 +12,205 @@ vectors c = (c_1, ..., c_k) claimed to satisfy three conditions:
 
 check_clique tests exactly these; search_clique looks for large sets
 satisfying them.
+
+Internally every label is one int64 row, layer after layer, with one
+column per (layer, particle).  The graph action s -> s.Gamma is one
+matrix product with the block-diagonal adjacency, reduced mod the
+column moduli, and a label's key is its row read as a mixed-radix
+number, first column most significant, so key order is the
+lexicographic order of the flattened entries.  ModVec appears only at
+the API boundary.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm, prod
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .algebra import PHASE_ONE, ModVec, Phase, dot_mod, omega, phase_mul
-from .errors import MixedSystem, enumerate_errors
-from .graphs import WeightedGraph, graph_action
+from .errors import MixedSystem
+from .graphs import WeightedGraph
 
 LayerVecs = tuple[ModVec, ...]
+
+# purity labels x scanned labels per block when a scan walks the whole
+# label space
+_CHUNK = 1 << 16
 
 
 def _layer_system(graphs: Sequence[WeightedGraph]) -> MixedSystem:
     return MixedSystem.layered([(g.m, g.n) for g in graphs])
 
 
-def _zero(graphs: Sequence[WeightedGraph]) -> LayerVecs:
-    return tuple(ModVec.zeros(g.m, g.n) for g in graphs)
+class _Space:
+    """The label rows and keys of one layout [(modulus, length), ...]."""
+
+    def __init__(self, layout: tuple[tuple[int, int], ...]) -> None:
+        self.layout = layout
+        self.starts = tuple(itertools.accumulate((n for _, n in layout), initial=0))[:-1]
+        self.width = sum(n for _, n in layout)
+        self.size = prod(m ** n for m, n in layout)
+        if self.size >= 2 ** 63:
+            raise ValueError(f"label space of {self.size} labels exceeds int64 keys")
+        self.mods = np.repeat([m for m, _ in layout], [n for _, n in layout]).astype(np.int64)
+        weights = np.ones(self.width, dtype=np.int64)
+        for j in range(self.width - 2, -1, -1):
+            weights[j] = weights[j + 1] * self.mods[j + 1]
+        self.weights = weights
+        self.modulus = lcm(*(m for m, _ in layout))
+        for arr in (self.mods, self.weights):
+            arr.flags.writeable = False
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        return rows @ self.weights
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        return keys[:, None] // self.weights % self.mods
+
+    def encode(self, vecs: Sequence[LayerVecs]) -> np.ndarray:
+        flat = []
+        for v in vecs:
+            if len(v) != len(self.layout) or any(
+                    part.m != m or len(part) != n for part, (m, n) in zip(v, self.layout)):
+                raise ValueError("vector does not match the label layout")
+            flat.append([a for part in v for a in part.entries])
+        return np.array(flat, dtype=np.int64).reshape(len(flat), self.width)
+
+    def split(self, row: np.ndarray) -> list[list[int]]:
+        return [row[a:a + n].tolist() for (_, n), a in zip(self.layout, self.starts)]
+
+    def decode(self, rows: np.ndarray) -> tuple[LayerVecs, ...]:
+        return tuple(tuple(ModVec(m, tuple(part)) for (m, _), part in zip(self.layout, self.split(row)))
+                     for row in rows)
 
 
-def _word_weight(graphs: Sequence[WeightedGraph], xs: LayerVecs, zs: LayerVecs) -> int:
-    n = graphs[0].n
-    hit = [False] * n
-    for g, x, z in zip(graphs, xs, zs):
-        for i in range(g.n):
-            if x[i] or z[i]:
-                hit[i] = True
-    return sum(hit)
+@lru_cache(maxsize=64)
+def _space(layout: tuple[tuple[int, int], ...]) -> _Space:
+    return _Space(layout)
 
 
-def all_vectors(graphs: Sequence[WeightedGraph]) -> Iterator[LayerVecs]:
-    """Every per-layer phase vector, in lexicographic order."""
-    spaces = [
-        [ModVec(g.m, entries) for entries in itertools.product(range(g.m), repeat=g.n)]
-        for g in graphs
-    ]
-    return itertools.product(*spaces)
+def _graph_space(graphs: tuple[WeightedGraph, ...]) -> _Space:
+    _layer_system(graphs)  # rejects layers that do not nest
+    return _space(tuple((g.m, g.n) for g in graphs))
+
+
+@lru_cache(maxsize=64)
+def _gamma(graphs: tuple[WeightedGraph, ...]) -> np.ndarray:
+    """Block-diagonal adjacency: rows @ gamma % mods is s.Gamma on every
+    layer at once."""
+    sp = _graph_space(graphs)
+    out = np.zeros((sp.width, sp.width), dtype=np.int64)
+    for g, a in zip(graphs, sp.starts):
+        out[a:a + g.n, a:a + g.n] = g.adj
+    out.flags.writeable = False
+    return out
+
+
+def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    if not len(sorted_keys):
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
+def _ball(cols: list[list[int]], mods: list[list[int]], w_max: int,
+          width: int) -> Iterator[np.ndarray]:
+    """Every row that is nonzero on exactly k particles, 1 <= k <= w_max,
+    one block per support; particle i owns the row columns cols[i], with
+    moduli mods[i]."""
+    opts = [np.array(list(itertools.product(*map(range, ms)))[1:], dtype=np.int64)
+            for ms in mods]
+    for k in range(1, w_max + 1):
+        for supp in itertools.combinations(range(len(cols)), k):
+            idx = np.indices([len(opts[i]) for i in supp]).reshape(k, -1)
+            block = np.zeros((idx.shape[1], width), dtype=np.int64)
+            for i, ix in zip(supp, idx):
+                block[:, cols[i]] = opts[i][ix]
+            yield block
+
+
+def _particle_columns(sp: _Space) -> tuple[list[list[int]], list[list[int]]]:
+    """Per particle, its label columns and their moduli."""
+    n = sp.layout[0][1]
+    cols = [[a + i for (_, nl), a in zip(sp.layout, sp.starts) if i < nl] for i in range(n)]
+    mods = [[m for m, nl in sp.layout if i < nl] for i in range(n)]
+    return cols, mods
+
+
+def _word_weights(sp: _Space, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Particles hit by each word X^x Z^z, one word per row pair."""
+    nz = (X != 0) | (Z != 0)
+    hit = nz[:, :sp.layout[0][1]].copy()
+    for (_, n), a in zip(sp.layout[1:], sp.starts[1:]):
+        hit[:, :n] |= nz[:, a:a + n]
+    return hit.sum(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _purity_rows(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
+    """The purity set as rows in key order.  Only labels whose own
+    support spans fewer than d particles can qualify, because the shift
+    support is part of the word's support."""
+    sp = _graph_space(graphs)
+    cols, mods = _particle_columns(sp)
+    X = np.concatenate([np.zeros((1, sp.width), dtype=np.int64),
+                        *_ball(cols, mods, min(d - 1, len(cols)), sp.width)])
+    X = X[_word_weights(sp, X, X @ _gamma(graphs) % sp.mods) < d]
+    X = X[np.argsort(sp.keys(X))]
+    X.flags.writeable = False
+    return X
+
+
+@lru_cache(maxsize=64)
+def _covered_keys(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
+    """Sorted keys of t - s.Gamma over every error word X^s Z^t of
+    weight in (0, d)."""
+    sp = _graph_space(graphs)
+    cols, mods = _particle_columns(sp)
+    if d - 1 > len(cols):
+        raise ValueError(f"w_max must be in [0, {len(cols)}]")
+    gamma = _gamma(graphs)
+    # one error block at a time: the ball has 2 * width columns per row,
+    # a key only one
+    found = [np.zeros(0, dtype=np.int64)]
+    for E in _ball([c + [sp.width + a for a in c] for c in cols], [m + m for m in mods],
+                   d - 1, 2 * sp.width):
+        X, Z = E[:, :sp.width], E[:, sp.width:]
+        found.append(np.unique(sp.keys((Z - X @ gamma) % sp.mods)))
+    keys = np.unique(np.concatenate(found))
+    keys.flags.writeable = False
+    return keys
+
+
+def _phase_exponents(sp: _Space, S: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """E[a, b] with prod_l w_{m_l}^{S_a,l . V_b,l} = w_M^E[a, b], M the
+    lcm of the layer moduli."""
+    return (S * (sp.modulus // sp.mods)) @ V.T % sp.modulus
 
 
 def purity_set(graphs: Sequence[WeightedGraph], d: int) -> tuple[LayerVecs, ...]:
     """All shift labels s whose stabilizer word X^s Z^{s.Gamma} acts on
-    fewer than d particles.  Always contains the zero label."""
+    fewer than d particles, in lexicographic order.  Always contains the
+    zero label."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = []
-    for ss in all_vectors(graphs):
-        ts = tuple(graph_action(s, g) for s, g in zip(ss, graphs))
-        if _word_weight(graphs, ss, ts) < d:
-            out.append(ss)
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _covered_cached(graphs: tuple[WeightedGraph, ...], d: int) -> frozenset[LayerVecs]:
-    sys = _layer_system(graphs)
-    out = set()
-    for e in enumerate_errors(sys, d - 1):
-        deltas = tuple(
-            e.z_layer(sys, l) - graph_action(e.x_layer(sys, l), g)
-            for l, g in enumerate(graphs)
-        )
-        out.add(deltas)
-    return frozenset(out)
+    graphs = tuple(graphs)
+    return _graph_space(graphs).decode(_purity_rows(graphs, d))
 
 
 def covered_differences(graphs: Sequence[WeightedGraph], d: int) -> frozenset[LayerVecs]:
     """The complement of the d-uncoverable set: every per-layer value of
     t - s.Gamma produced by an error word of weight strictly between 0
-    and d.  Memoized: membership tests repeat heavily during search."""
+    and d."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return _covered_cached(tuple(graphs), d)
-
-
-def in_uncoverable(deltas: LayerVecs, graphs: Sequence[WeightedGraph], d: int) -> bool:
-    """True iff no error of weight in (0, d) reduces to the phase label
-    deltas."""
-    return tuple(deltas) not in covered_differences(graphs, d)
+    graphs = tuple(graphs)
+    sp = _graph_space(graphs)
+    return frozenset(sp.decode(sp.rows(_covered_keys(graphs, d))))
 
 
 def condition_ii_phase(ss: LayerVecs, cs: LayerVecs) -> Phase:
@@ -165,77 +283,84 @@ class CliqueReport:
         return out
 
 
-def _vec_json(v: LayerVecs) -> list[list[int]]:
-    return [list(part.entries) for part in v]
+def _first_covered_pair(sp: _Space, V: np.ndarray,
+                        covered: np.ndarray) -> tuple[int, int] | None:
+    """First (i, j), i != j, in row-major order with V[i] - V[j] covered."""
+    K = len(V)
+    step = max(1, (1 << 20) // max(1, K * sp.width))
+    for a in range(0, K, step):
+        block = V[a:a + step]
+        hit = _member(sp.keys((block[:, None, :] - V[None, :, :]) % sp.mods), covered)
+        hit[np.arange(len(block)), np.arange(a, a + len(block))] = False
+        rows = hit.any(axis=1)
+        if rows.any():
+            i = int(rows.argmax())
+            return a + i, int(hit[i].argmax())
+    return None
 
 
 def check_clique(C: CodingClique) -> CliqueReport:
     """Test conditions (i)-(iii); on failure the witness identifies the
-    first offending object in deterministic enumeration order."""
-    zero = _zero(C.graphs)
-    zero_ok = zero in set(C.vectors)
+    first offending object in deterministic enumeration order: purity
+    labels in lexicographic order, then clique vectors in the order
+    given, and ordered pairs of vectors row by row."""
+    sp = _graph_space(C.graphs)
+    V = sp.encode(C.vectors)
+    zero_ok = bool((~V.any(axis=1)).any())
     witness = None
     if not zero_ok:
-        witness = {"condition": "i", "missing": _vec_json(zero)}
+        witness = {"condition": "i", "missing": sp.split(np.zeros(sp.width, dtype=np.int64))}
 
-    pure = purity_set(C.graphs, C.d)
-    phases_ok = True
-    for ss in pure:
-        for c in C.vectors:
-            if condition_ii_phase(ss, c) != PHASE_ONE:
-                phases_ok = False
-                if witness is None:
-                    witness = {
-                        "condition": "ii",
-                        "purity_label": _vec_json(ss),
-                        "vector": _vec_json(c),
-                    }
-                break
-        if not phases_ok:
-            break
+    pure = _purity_rows(C.graphs, C.d)
+    bad = _phase_exponents(sp, pure, V) != 0
+    phases_ok = not bad.any()
+    if not phases_ok and witness is None:
+        a = int(bad.any(axis=1).argmax())
+        witness = {
+            "condition": "ii",
+            "purity_label": sp.split(pure[a]),
+            "vector": sp.split(V[int(bad[a].argmax())]),
+        }
 
-    covered = covered_differences(C.graphs, C.d)
-    diffs_ok = True
-    for i, ci in enumerate(C.vectors):
-        for j, cj in enumerate(C.vectors):
-            if i == j:
-                continue
-            delta = tuple(a - b for a, b in zip(ci, cj))
-            if delta in covered:
-                diffs_ok = False
-                if witness is None:
-                    witness = {
-                        "condition": "iii",
-                        "pair": [_vec_json(ci), _vec_json(cj)],
-                        "difference": _vec_json(delta),
-                    }
-                break
-        if not diffs_ok:
-            break
+    pair = _first_covered_pair(sp, V, _covered_keys(C.graphs, C.d))
+    diffs_ok = pair is None
+    if not diffs_ok and witness is None:
+        i, j = pair
+        witness = {
+            "condition": "iii",
+            "pair": [sp.split(V[i]), sp.split(V[j])],
+            "difference": sp.split((V[i] - V[j]) % sp.mods),
+        }
 
     ok = zero_ok and phases_ok and diffs_ok
     return CliqueReport(ok, zero_ok, phases_ok, diffs_ok, len(pure), witness)
+
+
+def _join(sp: _Space, rows: np.ndarray, keys: set[int],
+          g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The subgroup generated by the subgroup `rows` (key set `keys`)
+    and g, grown by cosets G + k.g up to the first k with k.g in G.
+    Returns the grown rows, G's own rows first, and the added keys."""
+    cosets = [rows]
+    step = g
+    while int(step @ sp.weights) not in keys:
+        cosets.append((rows + step) % sp.mods)
+        step = (step + g) % sp.mods
+    grown = np.concatenate(cosets)
+    return grown, sp.keys(grown[len(rows):])
 
 
 def closure(generators: Sequence[LayerVecs]) -> tuple[LayerVecs, ...]:
     """The additive group generated, sorted lexicographically."""
     if not generators:
         raise ValueError("need at least one generator")
-    zero = tuple(ModVec.zeros(part.m, len(part)) for part in generators[0])
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in generators:
-            nxt = tuple(a + b for a, b in zip(cur, g))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen, key=_lex_key))
-
-
-def _lex_key(v: LayerVecs) -> tuple[int, ...]:
-    return tuple(a for part in v for a in part.entries)
+    sp = _space(tuple((part.m, len(part)) for part in generators[0]))
+    rows = np.zeros((1, sp.width), dtype=np.int64)
+    keys = {0}
+    for g in sp.encode(generators):
+        rows, added = _join(sp, rows, keys, g)
+        keys.update(added.tolist())
+    return sp.decode(rows[np.argsort(sp.keys(rows))])
 
 
 @dataclass(frozen=True)
@@ -245,15 +370,17 @@ class SearchResult:
     flag: str  # "ok" | "target" | "budget" | "trivial"
 
 
-def _condition_ii_candidates(graphs: Sequence[WeightedGraph], d: int) -> list[LayerVecs]:
-    """Vectors compatible with condition (ii) over the full purity set.
-    The constraint is additive in the vector, so this is a subgroup."""
-    pure = purity_set(graphs, d)
-    out = []
-    for v in all_vectors(graphs):
-        if all(condition_ii_phase(ss, v) == PHASE_ONE for ss in pure):
-            out.append(v)
-    return out
+def _candidates(sp: _Space, pure: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Nonzero labels satisfying condition (ii) over the purity set and
+    outside the covered set, as rows in key order."""
+    out = [np.zeros((0, sp.width), dtype=np.int64)]
+    step = max(1, _CHUNK // len(pure))
+    for a in range(1, sp.size, step):
+        keys = np.arange(a, min(a + step, sp.size), dtype=np.int64)
+        rows = sp.rows(keys)
+        ok = ~_phase_exponents(sp, pure, rows).any(axis=0) & ~_member(keys, covered)
+        out.append(rows[ok])
+    return np.concatenate(out)
 
 
 def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
@@ -271,23 +398,21 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
         raise ValueError(f"unknown mode {mode!r}")
     if target_K < 1:
         raise ValueError("target_K must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     graphs = tuple(graphs)
-    zero = _zero(graphs)
-    covered = covered_differences(graphs, d)
-    cands = [v for v in _condition_ii_candidates(graphs, d)
-             if v != zero and v not in covered]
-    cands.sort(key=_lex_key)
+    sp = _graph_space(graphs)
+    covered = _covered_keys(graphs, d)
+    cands = _candidates(sp, _purity_rows(graphs, d), covered)
+    zero = np.zeros(sp.width, dtype=np.int64)
 
-    best: list[LayerVecs] = [zero]
+    best: list[np.ndarray] | np.ndarray = [zero]
     nodes = 0
     hit_budget = False
     hit_target = False
 
-    def diff_ok(u: LayerVecs, v: LayerVecs) -> bool:
-        return tuple(a - b for a, b in zip(u, v)) not in covered
-
     if mode == "set":
-        def extend(current: list[LayerVecs], pool: list[LayerVecs]) -> None:
+        def extend(current: list[np.ndarray], pool: np.ndarray) -> None:
             nonlocal best, nodes, hit_budget, hit_target
             if hit_target or hit_budget:
                 return
@@ -296,27 +421,27 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                 if len(best) >= target_K:
                     hit_target = True
                     return
-            for idx, v in enumerate(pool):
+            for idx in range(len(pool)):
                 if nodes >= budget:
                     hit_budget = True
                     return
                 nodes += 1
                 if len(current) + len(pool) - idx <= len(best):
                     return
-                nxt_pool = [u for u in pool[idx + 1:] if diff_ok(u, v)]
-                extend(current + [v], nxt_pool)
+                v, rest = pool[idx], pool[idx + 1:]
+                apart = ~_member(sp.keys((rest - v) % sp.mods), covered)
+                extend(current + [v], rest[apart])
 
         extend([zero], cands)
     else:
-        def group_ok(members: set[LayerVecs]) -> bool:
-            return all(m == zero or m not in covered for m in members)
+        cand_keys = sp.keys(cands).tolist()
 
-        def extend_group(group: set[LayerVecs], start: int) -> None:
+        def extend_group(group: np.ndarray, keys: set[int], start: int) -> None:
             nonlocal best, nodes, hit_budget, hit_target
             if hit_target or hit_budget:
                 return
             if len(group) > len(best):
-                best = sorted(group, key=_lex_key)
+                best = group
                 if len(best) >= target_K:
                     hit_target = True
                     return
@@ -324,27 +449,17 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                 if nodes >= budget:
                     hit_budget = True
                     return
-                g = cands[idx]
-                if g in group:
+                if cand_keys[idx] in keys:
                     continue
                 nodes += 1
-                new_group = set(group)
-                frontier = [g]
-                while frontier:
-                    cur = frontier.pop()
-                    if cur in new_group:
-                        continue
-                    new_group.add(cur)
-                    for h in list(new_group):
-                        s = tuple(a + b for a, b in zip(cur, h))
-                        if s not in new_group:
-                            frontier.append(s)
-                if group_ok(new_group):
-                    extend_group(new_group, idx + 1)
+                grown, added = _join(sp, group, keys, cands[idx])
+                if not _member(added, covered).any():
+                    extend_group(grown, keys | set(added.tolist()), idx + 1)
 
-        extend_group({zero}, 0)
+        extend_group(zero[None, :], {0}, 0)
 
-    vectors = tuple(sorted(best, key=_lex_key))
+    best = np.asarray(best).reshape(-1, sp.width)
+    vectors = sp.decode(best[np.argsort(sp.keys(best))])
     clique = CodingClique(graphs, d, vectors)
     if len(vectors) == 1 and target_K > 1:
         flag = "budget" if hit_budget else "trivial"

@@ -40,11 +40,16 @@ def dim_cap() -> int:
 class DimensionCapError(Exception):
     """Raised when a numeric routine would exceed the dimension cap."""
 
+    def __init__(self, total: int, cap: int) -> None:
+        super().__init__(f"total dimension {total} exceeds cap {cap}")
+        self.total = total
+        self.cap = cap
+
 
 def _check_cap(total: int, cap: int | None) -> None:
     limit = dim_cap() if cap is None else cap
     if total > limit:
-        raise DimensionCapError(f"total dimension {total} exceeds cap {limit}")
+        raise DimensionCapError(total, limit)
 
 
 @dataclass(frozen=True)

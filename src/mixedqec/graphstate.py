@@ -125,11 +125,6 @@ def codeword_state(cs: Sequence[ModVec], graphs: Sequence[WeightedGraph],
     return StateVector(tuple(sysdims), full.reshape(-1))
 
 
-def layered_system(graphs: Sequence[WeightedGraph]) -> MixedSystem:
-    """The mixed system whose layer l is (G_l.m, G_l.n)."""
-    return MixedSystem.layered([(g.m, g.n) for g in graphs])
-
-
 def stabilizer_error_word(sys: MixedSystem, graphs: Sequence[WeightedGraph],
                           ss: Sequence[ModVec]) -> ErrorWord:
     """The exact joint stabilizer element for per-layer labels ss, as an

@@ -222,6 +222,19 @@ class TestRunFixtures:
                          str(tmp_path / "nowhere"))
         assert rc == 2 and "fixture" in err
 
+    def test_dim_cap_skips_fixtures_and_carries_on(self, capsys):
+        rc, out, err = run(capsys, "run-fixtures", "--dim-cap", "100")
+        lines = out.splitlines()
+        fixtures = sorted(FIXTURES.glob("*.json")) + sorted(FIXTURES.glob("negatives/*.json"))
+        assert rc == 0 and "Traceback" not in out + err
+        assert len(lines) == len(fixtures) + 1
+        skips = [line for line in lines if line.startswith("SKIP ")]
+        assert "SKIP 6_16_3_stab.json: dimension 4096 exceeds cap 100" in skips
+        assert all(line.startswith(("PASS ", "SKIP ")) for line in lines[:-1])
+        checked = len(fixtures) - len(skips)
+        assert lines[-1] == (f"{checked}/{checked} fixtures behaved as expected, "
+                             f"{len(skips)} skipped over the dimension cap")
+
 
 class TestHarness:
     def test_threads_flag_validated(self):

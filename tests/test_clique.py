@@ -1,21 +1,26 @@
 """Purity set, uncoverable differences, clique checking, closure, search.
 
 The oracles here recompute the defining sets by brute force through the
-error-word layer (weight of an explicit word), independent of the set
-arithmetic inside the clique module.
+error-word layer (weight of an explicit word), independent of the label
+arithmetic inside the clique module, and keep the loop form of the
+clique conditions as the reference for check_clique's reports.
 """
 import itertools
+import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedqec.algebra import ModVec, PHASE_ONE
-from mixedqec.errors import ErrorWord, enumerate_errors, weight
+from mixedqec.bounds import singleton_bound
+from mixedqec.errors import MixedSystem, enumerate_errors, weight
 from mixedqec.graphs import WeightedGraph, loop_graph, graph_action
-from mixedqec.graphstate import layered_system, stabilizer_error_word
+from mixedqec.graphstate import stabilizer_error_word
 from mixedqec.clique import (
-    CodingClique, all_vectors, check_clique, closure, condition_ii_phase,
-    covered_differences, in_uncoverable, purity_set, search_clique,
+    CliqueReport, CodingClique, check_clique, closure, condition_ii_phase,
+    covered_differences, purity_set, search_clique,
 )
 
 L3 = loop_graph(3, 2)
@@ -27,9 +32,26 @@ def vec(m, *entries):
     return ModVec.of(m, entries)
 
 
+def layer_system(graphs):
+    return MixedSystem.layered([(g.m, g.n) for g in graphs])
+
+
+def all_vectors(graphs):
+    """Every per-layer phase vector, in lexicographic order."""
+    spaces = [
+        [ModVec(g.m, entries) for entries in itertools.product(range(g.m), repeat=g.n)]
+        for g in graphs
+    ]
+    return itertools.product(*spaces)
+
+
+def flat(v):
+    return tuple(a for part in v for a in part.entries)
+
+
 def brute_purity(graphs, d):
     """Filter every exponent tuple by the weight of its stabilizer word."""
-    sys = layered_system(graphs)
+    sys = layer_system(graphs)
     out = []
     for ss in all_vectors(graphs):
         w = stabilizer_error_word(sys, graphs, ss)
@@ -40,7 +62,7 @@ def brute_purity(graphs, d):
 
 def brute_covered(graphs, d):
     """Differences t_l - s_l G_l over every error word of weight in (0, d)."""
-    sys = layered_system(graphs)
+    sys = layer_system(graphs)
     out = set()
     for e in enumerate_errors(sys, d - 1):
         if e.label_is_identity():
@@ -49,6 +71,46 @@ def brute_covered(graphs, d):
                        for l, g in enumerate(graphs))
         out.add(deltas)
     return out
+
+
+def reference_report(C, pure, covered):
+    """check_clique as a loop over ModVec labels: pure is the purity set
+    in lexicographic order, covered the covered differences."""
+    def js(v):
+        return [list(part.entries) for part in v]
+
+    zero = tuple(ModVec.zeros(g.m, g.n) for g in C.graphs)
+    zero_ok = zero in set(C.vectors)
+    witness = None if zero_ok else {"condition": "i", "missing": js(zero)}
+
+    phases_ok = True
+    for ss in pure:
+        for c in C.vectors:
+            if condition_ii_phase(ss, c) != PHASE_ONE:
+                phases_ok = False
+                if witness is None:
+                    witness = {"condition": "ii", "purity_label": js(ss), "vector": js(c)}
+                break
+        if not phases_ok:
+            break
+
+    diffs_ok = True
+    for i, ci in enumerate(C.vectors):
+        for j, cj in enumerate(C.vectors):
+            if i == j:
+                continue
+            delta = tuple(a - b for a, b in zip(ci, cj))
+            if delta in covered:
+                diffs_ok = False
+                if witness is None:
+                    witness = {"condition": "iii", "pair": [js(ci), js(cj)],
+                               "difference": js(delta)}
+                break
+        if not diffs_ok:
+            break
+
+    ok = zero_ok and phases_ok and diffs_ok
+    return CliqueReport(ok, zero_ok, phases_ok, diffs_ok, len(pure), witness)
 
 
 class TestPuritySet:
@@ -77,29 +139,30 @@ class TestPuritySet:
 
 class TestUncoverable:
     def test_l3_pair_matches_brute_force(self):
-        covered = brute_covered((L3, L3), 2)
-        for deltas in all_vectors((L3, L3)):
-            assert in_uncoverable(deltas, (L3, L3), 2) == (deltas not in covered)
+        assert covered_differences((L3, L3), 2) == brute_covered((L3, L3), 2)
 
     def test_l6_pair_matches_brute_force(self):
-        covered = brute_covered((L6, L6), 3)
-        for deltas in all_vectors((L6, L6)):
-            assert in_uncoverable(deltas, (L6, L6), 3) == (deltas not in covered)
+        assert covered_differences((L6, L6), 3) == brute_covered((L6, L6), 3)
 
     def test_zero_difference_membership_matches_scan(self):
         # the definition bounds error weight strictly above 0, and on a
         # loop graph no weight-1 word reduces to the zero label, so the
         # zero difference is uncoverable at d=2 (the scan decides this)
         zero = (ModVec.zeros(2, 3), ModVec.zeros(2, 3))
-        assert in_uncoverable(zero, (L3, L3), 2) == (
-            zero not in brute_covered((L3, L3), 2))
-        assert in_uncoverable(zero, (L3, L3), 2)
+        covered = covered_differences((L3, L3), 2)
+        assert (zero in covered) == (zero in brute_covered((L3, L3), 2))
+        assert zero not in covered
 
     def test_wide_support_difference_uncoverable(self):
         # a weight-2 error reaches at most 2 own positions plus 4 loop
         # neighbours per layer, and this split defeats every such reach
         deltas = (vec(2, 0, 0, 0, 0, 1, 1), vec(2, 1, 1, 1, 1, 0, 0))
-        assert in_uncoverable(deltas, (L6, L6), 3)
+        assert deltas not in covered_differences((L6, L6), 3)
+
+    def test_mixed_moduli_match_brute_force(self):
+        graphs = (loop_graph(4, 3), loop_graph(3, 2))
+        for d in (1, 2, 3):
+            assert covered_differences(graphs, d) == brute_covered(graphs, d)
 
 
 EX1_GENS = [
@@ -260,3 +323,151 @@ class TestConditionIIPhase:
         s = (vec(2, 1, 1, 0),)
         c = (ModVec.zeros(2, 3),)
         assert condition_ii_phase(s, c) == PHASE_ONE
+
+
+def random_graph(rng, n, m):
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i][j] = adj[j][i] = rng.randrange(m)
+    return WeightedGraph(n, m, tuple(tuple(row) for row in adj))
+
+
+def oracle_cases():
+    """(graphs, d) over mixed moduli and unequal layer widths."""
+    rng = random.Random(4242)
+    cases = [((loop_graph(4, 3), loop_graph(3, 2)), 2),
+             ((loop_graph(4, 3), loop_graph(3, 2)), 3),
+             ((L6, loop_graph(4, 2)), 3)]
+    for shape in (((4, 3), (3, 2)), ((5, 2), (2, 3)), ((3, 4), (2, 2)), ((4, 2), (4, 2), (1, 3))):
+        graphs = tuple(random_graph(rng, n, m) for n, m in shape)
+        cases += [(graphs, 2), (graphs, 3)]
+    return cases
+
+
+class TestCheckCliqueOracle:
+    def test_reports_match_loop_reference(self):
+        rng = random.Random(20261017)
+        seen = set()
+        for graphs, d in oracle_cases():
+            pure = sorted(brute_purity(graphs, d), key=flat)
+            covered = brute_covered(graphs, d)
+            assert list(purity_set(graphs, d)) == pure
+            labels = list(all_vectors(graphs))
+            for trial in range(24):
+                if trial % 2:
+                    gens = rng.sample(labels[1:], rng.randint(1, 2))
+                    vecs = list(closure(gens))
+                    if trial % 4 == 1:
+                        vecs.remove(labels[0])
+                        vecs = vecs or [labels[1]]
+                    rng.shuffle(vecs)
+                else:
+                    vecs = rng.sample(labels, rng.randint(1, 5))
+                C = CodingClique(graphs=graphs, d=d, vectors=tuple(vecs))
+                want = reference_report(C, pure, covered).to_json()
+                assert check_clique(C).to_json() == want, (graphs, d, vecs)
+                seen.add(want.get("witness", {}).get("condition", "pass"))
+        assert seen == {"i", "ii", "iii", "pass"}
+
+    def test_n12_pair_d3_checks_fast(self):
+        # the label space has 4^12 elements; purity and covered sets only
+        # need the labels and errors on fewer than d particles
+        L12 = loop_graph(12, 2)
+        gens = [(vec(2, *([1] + [0] * 11)), vec(2, *([0, 1] + [0] * 9 + [1])))]
+        C = CodingClique(graphs=(L12, L12), d=3, vectors=closure(gens))
+        start = time.perf_counter()
+        rep = check_clique(C)
+        assert time.perf_counter() - start < 10.0
+        assert rep.purity_size == len(brute_purity_ball((L12, L12), 3))
+
+    def test_covered_set_memory_stays_small(self):
+        # the weight < 4 error ball of two loop_graph(8, 2) layers has
+        # about 195000 words, 50 MB as rows of 32 int64 columns; the
+        # covered set needs only their keys
+        L8 = loop_graph(8, 2)
+        C = CodingClique(graphs=(L8, L8), d=4, vectors=((ModVec.zeros(2, 8),) * 2,))
+        tracemalloc.start()
+        try:
+            assert check_clique(C).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
+def brute_purity_ball(graphs, d):
+    """Purity labels of two qubit layers of equal width, searched among
+    the labels whose own support has fewer than d particles and judged
+    by the weight of the explicit stabilizer word."""
+    sys = layer_system(graphs)
+    n = graphs[0].n
+    out = set()
+    for k in range(d):
+        for supp in itertools.combinations(range(n), k):
+            for digits in itertools.product(range(1, 4), repeat=k):
+                xs = [[0] * g.n for g in graphs]
+                for i, dg in zip(supp, digits):
+                    xs[0][i], xs[1][i] = dg & 1, dg >> 1
+                ss = tuple(ModVec(2, tuple(x)) for x in xs)
+                if weight(stabilizer_error_word(sys, graphs, ss), sys) < d:
+                    out.add(ss)
+    return out
+
+
+# search_clique trajectories recorded with the ModVec implementation:
+# (mode, d, graphs as (n, m) loop graphs, budget, K, nodes_used, flag,
+# vectors with layers joined by "|")
+PINNED_SEARCHES = [
+    ("group", 3, ((6, 2), (6, 2)), 1000, 8, 1000, "budget",
+     "000000|000000 000001|010110 000010|101001 000011|111111 011000|000011 "
+     "011001|010101 011010|101010 011011|111100"),
+    ("group", 3, ((7, 2), (7, 2)), 1000, 8, 1000, "budget",
+     "0000000|0000000 0000000|0011111 0000001|0100100 0000001|0111011 "
+     "0000010|1001001 0000010|1010110 0000011|1101101 0000011|1110010"),
+    ("set", 3, ((7, 2), (7, 2)), 1000, 32, 1000, "budget",
+     "0000000|0000000 0000000|0011111 0000001|0100100 0000001|0111011 "
+     "0000010|1001001 0000010|1010110 0000011|1101101 0000011|1110010 "
+     "0010100|1100011 0010100|1111100 0010101|1000111 0010101|1011000 "
+     "0010110|0101010 0010110|0110101 0010111|0001110 0010111|0010001 "
+     "1001100|0000010 1001100|0011101 1001101|0100110 1001101|0111001 "
+     "1001110|1001011 1001110|1010100 1001111|1101111 1001111|1110000 "
+     "1011000|1100001 1011000|1111110 1011001|1000101 1011001|1011010 "
+     "1011010|0101000 1011010|0110111 1011011|0001100 1011011|0010011"),
+    ("group", 2, ((4, 2), (4, 2)), 500, 16, 500, "budget",
+     "0000|0000 0000|0011 0000|1100 0000|1111 0011|0000 0011|0011 0011|1100 "
+     "0011|1111 1100|0000 1100|0011 1100|1100 1100|1111 1111|0000 1111|0011 "
+     "1111|1100 1111|1111"),
+    ("group", 2, ((5, 3),), 300, 27, 300, "budget",
+     "00000 00011 00022 01100 01111 01122 02200 02211 02222 10101 10112 10120 "
+     "11201 11212 11220 12001 12012 12020 20202 20210 20221 21002 21010 21021 "
+     "22102 22110 22121"),
+    ("set", 2, ((5, 3),), 300, 27, 300, "budget",
+     "00000 00011 00022 01100 01111 01122 02200 02211 02222 10101 10112 10120 "
+     "11201 11212 11220 12001 12012 12020 20202 20210 20221 21002 21010 21021 "
+     "22102 22110 22121"),
+    ("group", 2, ((4, 3), (3, 2)), 300, 9, 300, "budget",
+     "0000|000 0011|000 0022|000 1100|000 1111|000 1122|000 2200|000 2211|000 "
+     "2222|000"),
+    ("set", 2, ((4, 3), (3, 2)), 300, 14, 300, "budget",
+     "0000|000 0001|001 0002|010 0010|010 0011|011 0012|000 1000|001 1001|000 "
+     "1002|011 1010|011 1011|101 1022|001 2012|010 2122|001"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,d,shape,budget,K,nodes,flag,vectors", PINNED_SEARCHES,
+    ids=[f"{mode}-d{d}-" + "-".join(f"loop{n}mod{m}" for n, m in shape)
+         for mode, d, shape, *_ in PINNED_SEARCHES])
+def test_search_trajectory_pinned(mode, d, shape, budget, K, nodes, flag, vectors):
+    graphs = tuple(loop_graph(n, m) for n, m in shape)
+    dims = [1] * shape[0][0]
+    for n, m in shape:
+        for i in range(n):
+            dims[i] *= m
+    res = search_clique(graphs, d, target_K=singleton_bound(tuple(dims), d) + 1,
+                        budget=budget, mode=mode)
+    got = " ".join("|".join("".join(map(str, p.entries)) for p in v)
+                   for v in res.clique.vectors)
+    assert (res.clique.K, res.nodes_used, res.flag) == (K, nodes, flag)
+    assert got == vectors

@@ -10,7 +10,6 @@ from mixedqec.graphstate import (
     StateVector,
     codeword_state,
     graph_state_vector,
-    layered_system,
     reduce_to_phase_op,
     stabilizer_error_word,
     stabilizer_word,
@@ -166,7 +165,7 @@ class TestCodewordState:
 def test_joint_stabilizer_eigenvalue_on_codewords():
     # Z^c|G> is an eigenvector of the exact stabilizer with eigenvalue w^{-s.c}
     Gp, Gr = loop_graph(3, 2, 1), loop_graph(3, 2, 1)
-    sys = layered_system([Gp, Gr])
+    sys = MixedSystem.layered([(Gp.m, Gp.n), (Gr.m, Gr.n)])
     cp, cr = ModVec(2, (1, 0, 0)), ModVec(2, (0, 1, 0))
     state = codeword_state([cp, cr], [Gp, Gr]).amplitudes
     for sp_ent in itertools.product(range(2), repeat=3):

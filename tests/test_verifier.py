@@ -3,6 +3,7 @@
 The fixture codes are built from their published generator groups; the
 numeric verifier is the oracle the symbolic one must agree with.
 """
+import itertools
 import random
 
 import numpy as np
@@ -22,6 +23,12 @@ L3 = loop_graph(3, 2)
 L4 = loop_graph(4, 2)
 L5 = loop_graph(5, 2)
 L6 = loop_graph(6, 2)
+
+
+def l3_pair_labels():
+    """Every label pair on (L3, L3), in lexicographic order."""
+    space = [ModVec(2, e) for e in itertools.product(range(2), repeat=3)]
+    return list(itertools.product(space, space))
 
 
 def vec(m, *entries):
@@ -164,8 +171,7 @@ class TestAgreement:
         # random distinct vector sets (any such set spans an orthonormal
         # basis) must get the same verdict from both verifiers
         rnd = random.Random(20250819)
-        from mixedqec.clique import all_vectors
-        pool = list(all_vectors((L3, L3)))
+        pool = l3_pair_labels()
         disagreements = []
         for trial in range(25):
             picks = rnd.sample(pool[1:], 3)
@@ -181,8 +187,7 @@ class TestAgreement:
     def test_check_clique_implies_symbolic_pass(self):
         # the clique conditions are exactly the KL conditions
         rnd = random.Random(99)
-        from mixedqec.clique import all_vectors
-        pool = list(all_vectors((L3, L3)))
+        pool = l3_pair_labels()
         seen_pass = 0
         for _ in range(40):
             picks = rnd.sample(pool[1:], 3)
