@@ -43,14 +43,6 @@ def phase_mul(a: Phase, b: Phase) -> Phase:
     return Phase(a.k * (M // a.L) + b.k * (M // b.L), M)
 
 
-def phase_pow(a: Phase, e: int) -> Phase:
-    return Phase(a.k * e, a.L)
-
-
-def phase_inv(a: Phase) -> Phase:
-    return Phase(-a.k, a.L)
-
-
 def phase_as_complex(a: Phase) -> complex:
     return cmath.exp(2j * cmath.pi * a.k / a.L)
 

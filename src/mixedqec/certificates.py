@@ -105,7 +105,10 @@ class Certificate:
         claimed = obj["claimed"]
         if not isinstance(claimed, dict) or "K" not in claimed or "d" not in claimed:
             raise CertificateError("claimed block needs K and d")
-        K, d = int(claimed["K"]), int(claimed["d"])
+        try:
+            K, d = int(claimed["K"]), int(claimed["d"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CertificateError(f"claimed K and d must be integers: {exc}") from exc
         if K < 1 or d < 1:
             raise CertificateError("claimed K and d must be positive")
         cons = obj["construction"]
@@ -193,13 +196,7 @@ def build_code(cert: Certificate, base_dir: str | Path = ".",
         B = stabilizer_eigenbasis(cert.system, rows, phases=phases, cap=cap)
         return Code.from_basis(cert.system, B, cert.d)
     if kind == "projection":
-        anc_cert, anc_dir, mark = _load_ref(cons, "ancilla", base_dir, _seen)
-        ancilla = build_code(anc_cert, anc_dir, cap=cap, _seen=_seen | {mark})
-        try:
-            spec = ProjectorSpec.from_json(ancilla.system, cons["projector"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CertificateError(f"bad projector block: {exc}") from exc
-        return project_code(ancilla, spec)
+        return project_code(*_projection_parts(cert, base_dir, cap, _seen))
     if kind == "product":
         refs = cons.get("refs")
         if not isinstance(refs, list) or len(refs) != 2:
@@ -242,15 +239,26 @@ def base_stabilizer_rows(cert: Certificate, code: Code) -> tuple[StabilizerRow, 
     raise CertificateError("pasting base must be clique or stabilizer form")
 
 
-def _load_ref(cons: dict, key: str, base_dir: Path, seen: frozenset):
-    ref = cons.get(key)
+def _projection_parts(cert: Certificate, base_dir: Path, cap: int | None,
+                      seen: frozenset = frozenset()) -> tuple[Code, ProjectorSpec]:
+    """The built ancilla code and the projector of a projection certificate."""
+    cons = cert.construction
+    ref = cons.get("ancilla")
     if not isinstance(ref, str):
-        raise CertificateError(f"{cons['type']} construction needs a {key!r} ref")
-    return _load_path(ref, base_dir, seen)
+        raise CertificateError("projection construction needs a 'ancilla' ref")
+    anc_cert, anc_dir, mark = _load_path(ref, base_dir, seen)
+    ancilla = build_code(anc_cert, anc_dir, cap=cap, _seen=seen | {mark})
+    try:
+        spec = ProjectorSpec.from_json(ancilla.system, cons["projector"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(f"bad projector block: {exc}") from exc
+    return ancilla, spec
 
 
 def _load_path(ref: str, base_dir: Path, seen: frozenset):
     """Load a referenced certificate; returns (cert, its dir, cycle marker)."""
+    if not isinstance(ref, str):
+        raise CertificateError(f"certificate reference must be a path string, got {ref!r}")
     path = _resolve(ref, base_dir)
     marker = path.resolve()
     if marker in seen:
@@ -280,8 +288,13 @@ def verify_certificate(cert: Certificate, base_dir: str | Path = ".",
     failures: list[str] = []
     record: dict = {"tol": _fmt(tol)}
 
+    projection = None
     try:
-        code = build_code(cert, base_dir, cap=cap)
+        if cert.construction["type"] == "projection":
+            projection = _projection_parts(cert, Path(base_dir), cap)
+            code = project_code(*projection)
+        else:
+            code = build_code(cert, base_dir, cap=cap)
     except ValueError as exc:
         report = {"name": cert.name, "verdict": "fail",
                   "error": f"construction failed: {exc}", "checks": checks}
@@ -308,13 +321,9 @@ def verify_certificate(cert: Certificate, base_dir: str | Path = ".",
         checks["symbolic"] = {"skipped": "no clique form"}
         record["symbolic"] = "skipped"
 
-    if cert.construction["type"] == "projection":
+    if projection is not None:
+        ancilla, spec = projection
         try:
-            anc_cert, anc_dir, _ = _load_ref(cert.construction, "ancilla",
-                                             Path(base_dir), frozenset())
-            ancilla = build_code(anc_cert, anc_dir, cap=cap)
-            spec = ProjectorSpec.from_json(ancilla.system,
-                                           cert.construction["projector"])
             words = required_detectable_set(spec, d=cert.d)
             wrep = kl_verify_words(ancilla, words, tol=tol, cap=cap)
             checks["ancilla_detection"] = wrep.to_json()

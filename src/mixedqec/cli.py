@@ -7,13 +7,15 @@ error, 3 search found only the trivial clique.
 Commands that create a code (search, project, product, paste) print the
 new certificate as JSON on stdout after verifying it; diagnostics go to
 stderr.  Reference paths inside a certificate resolve relative to the
-certificate's own directory, so keep related certificates together.
+certificate's own directory; the commands store them relative to the
+directory of --out, so emitted certificates re-verify from any directory.
 """
 from __future__ import annotations
 
 import argparse
 import importlib.resources
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from .clique import search_clique
 from .compose import paste_distance2
 from .errors import DIM_CAP_ENV, DimensionCapError, MixedSystem
 from .graphs import WeightedGraph
-from .projection import ProjectorSpec
+from .projection import ProjectorSpec, project_code
 
 
 def _positive_int(text: str) -> int:
@@ -165,7 +167,21 @@ def _emit_certificate(cert: Certificate, out: str | None) -> None:
         Path(out).write_text(text + "\n")
 
 
-def _verify_and_emit(cert: Certificate, args, base_dir: str = ".",
+def _out_dir(args) -> Path:
+    out_dir = Path(args.out).parent if args.out else Path(".")
+    if not out_dir.is_dir():
+        raise CertificateError(f"output directory not found: {out_dir}")
+    return out_dir
+
+
+def _ref(path: str, out_dir: Path) -> str:
+    """A command-line certificate path as a reference from ``out_dir``."""
+    if Path(path).is_absolute() or out_dir == Path("."):
+        return path
+    return os.path.relpath(path, out_dir)
+
+
+def _verify_and_emit(cert: Certificate, args, base_dir: str | Path = ".",
                      extra: dict | None = None) -> int:
     report = verify_certificate(cert, base_dir, tol=args.tol, cap=args.dim_cap)
     if report["verdict"] != "pass":
@@ -201,6 +217,7 @@ def _load_graph(path: str) -> WeightedGraph:
 
 
 def cmd_search(args) -> int:
+    _out_dir(args)  # reject a missing --out directory before searching
     graphs = [_load_graph(args.graph_p)]
     if args.graph_r is not None:
         graphs.append(_load_graph(args.graph_r))
@@ -243,27 +260,29 @@ def cmd_project(args) -> int:
         spec = ProjectorSpec.from_json(ancilla.system, {"keep": keep})
     except (TypeError, ValueError) as exc:
         raise CertificateError(f"bad --keep value: {exc}") from exc
+    out_dir = _out_dir(args)
     cons = {
         "type": "projection",
-        "ancilla": args.ancilla,
+        "ancilla": _ref(args.ancilla, out_dir),
         "projector": spec.to_json(),
     }
-    tmp = Certificate("_", MixedSystem(((2,),)), 1, anc_cert.d, cons)
-    code = build_code(tmp, ".", cap=args.dim_cap)
+    code = project_code(ancilla, spec)
     name = args.name or f"{anc_cert.name}_projected"
     cert = Certificate(name, code.system, code.K, anc_cert.d, cons)
-    return _verify_and_emit(cert, args)
+    return _verify_and_emit(cert, args, out_dir)
 
 
 def cmd_product(args) -> int:
     a = load_certificate(args.cert_a)
     b = load_certificate(args.cert_b)
-    cons = {"type": "product", "refs": [args.cert_a, args.cert_b]}
+    out_dir = _out_dir(args)
+    cons = {"type": "product",
+            "refs": [_ref(args.cert_a, out_dir), _ref(args.cert_b, out_dir)]}
     tmp = Certificate("_", MixedSystem(((2,),)), 1, a.d, cons)
-    code = build_code(tmp, ".", cap=args.dim_cap)
+    code = build_code(tmp, out_dir, cap=args.dim_cap)
     name = args.name or f"{a.name}_x_{b.name}"
     cert = Certificate(name, code.system, code.K, a.d, cons)
-    return _verify_and_emit(cert, args)
+    return _verify_and_emit(cert, args, out_dir)
 
 
 def cmd_paste(args) -> int:
@@ -272,15 +291,16 @@ def cmd_paste(args) -> int:
     rows = base_stabilizer_rows(base, base_code)
     res = paste_distance2(rows, base_code, args.blocks, args.block_dim,
                           tol=args.tol, cap=args.dim_cap)
+    out_dir = _out_dir(args)
     cons = {
         "type": "pasting",
-        "refs": [args.base],
+        "refs": [_ref(args.base, out_dir)],
         "blocks": args.blocks,
         "block_dim": args.block_dim,
     }
     name = args.name or f"{base.name}_pasted"
     cert = Certificate(name, res.system, res.K, 2, cons)
-    return _verify_and_emit(cert, args,
+    return _verify_and_emit(cert, args, out_dir,
                             extra={"rows": [list(r.text) for r in res.rows]})
 
 

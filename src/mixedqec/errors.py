@@ -92,19 +92,6 @@ class MixedSystem:
             facs.append(tuple(m for m, nl in layers if i < nl))
         return MixedSystem(tuple(facs))
 
-    @staticmethod
-    def qupit_qurit(n: int, p: int, r: int = 1, n1: int = 0) -> "MixedSystem":
-        """The two-layer shape: n p-level particles, the first n1 of
-        which carry an extra r-level factor (dimension q = r*p there)."""
-        if r <= 1 or n1 == 0:
-            return MixedSystem.layered([(p, n)])
-        return MixedSystem.layered([(p, n), (r, n1)])
-
-    @staticmethod
-    def general(dims: Sequence[int]) -> "MixedSystem":
-        """One opaque factor per particle; no layer view."""
-        return MixedSystem(tuple((int(d),) for d in dims))
-
     @property
     def n(self) -> int:
         return len(self.factors)
@@ -148,42 +135,10 @@ class MixedSystem:
             return None
         return tuple(out)
 
-    @property
-    def p(self) -> int:
-        """Base modulus of the full layer (layered systems only)."""
-        layers = self.layers
-        if layers is None:
-            raise ValueError("system is not layered")
-        return layers[0][0]
-
-    @property
-    def r(self) -> int:
-        """Modulus of the second layer, or 1 when absent."""
-        layers = self._two_layers()
-        return layers[1][0] if len(layers) == 2 else 1
-
-    @property
-    def n1(self) -> int:
-        """Coverage of the second layer, or 0 when absent."""
-        layers = self._two_layers()
-        return layers[1][1] if len(layers) == 2 else 0
-
-    def _two_layers(self) -> tuple[tuple[int, int], ...]:
-        layers = self.layers
-        if layers is None:
-            raise ValueError("system is not layered")
-        if len(layers) > 2:
-            raise ValueError("system has more than two layers; use .layers")
-        return layers
-
     def flat_dims(self) -> tuple[int, ...]:
         """All factor dimensions in particle-major order; the tensor
         axis layout every numeric routine in this package uses."""
         return tuple(m for f in self.factors for m in f)
-
-    def axis_of(self, particle: int, layer: int) -> int:
-        """Flat axis index of the given factor."""
-        return sum(len(f) for f in self.factors[:particle]) + layer
 
     def to_json(self) -> dict:
         return {"n": self.n, "factors": [list(f) for f in self.factors]}

@@ -6,10 +6,18 @@ an exact phase times a pure phase word, so the KL inner products are
 roots of unity that either cancel or match exactly.  The numeric one
 builds the basis and measures max |<i|E|j> - f delta_ij| directly.  They
 must agree; tests enforce that.
+
+The numeric side is one engine: ``_SupportScan`` yields the K x K
+matrices of every error on a support, one shift at a time, for
+``kl_verify_numeric`` and ``code_distance``; ``kl_verify_words`` applies
+each listed word instead.  ``_KLReducer`` is the only place f, the
+deviation, their summaries and the witness are computed, and the
+scalar-row test of ``verify_stabilizer`` uses it too.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,94 +171,111 @@ def kl_verify_symbolic(code: Code, d: int | None = None) -> KLReport:
                     {"diagonal_errors": diagonal, "vanishing_errors": vanishing})
 
 
-# T tensors larger than this many entries fall back to per-error matrices
-_GROUP_TENSOR_LIMIT = 1 << 24
+class _KLReducer:
+    """``fit`` takes a stack of K x K matrices M = <i|E|j> to f = tr(M)/K
+    and the deviation max |M - f I|; ``add`` folds fitted errors, in
+    enumeration order, into the summary, whose witness is the first error
+    with a deviation above tol."""
+
+    def __init__(self, sys: MixedSystem, tol: float):
+        self.sys = sys
+        self.tol = tol
+        self.checked = 0
+        self.max_deviation = 0.0
+        self.nonzero_f = 0
+        self.max_abs_f = 0.0
+        self.witness: dict | None = None
+
+    @staticmethod
+    def fit(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        K = M.shape[-1]
+        f = np.trace(M, axis1=-2, axis2=-1) / K
+        dev = np.abs(M - f[..., None, None] * np.eye(K)).max(axis=(-2, -1))
+        return f, dev
+
+    def add(self, f: np.ndarray, dev: np.ndarray, word_at) -> None:
+        """Fold in one batch; ``word_at(j)`` is the error word of entry j."""
+        self.checked += len(dev)
+        abs_f = np.abs(f)
+        nonzero = abs_f > self.tol
+        if nonzero.any():
+            self.nonzero_f += int(nonzero.sum())
+            self.max_abs_f = max(self.max_abs_f, float(abs_f[nonzero].max()))
+        self.max_deviation = max(self.max_deviation, float(dev.max()))
+        if self.witness is None:
+            failing = np.flatnonzero(dev > self.tol)
+            if failing.size:
+                j = int(failing[0])
+                self.witness = {"error": _word_json(self.sys, word_at(j)),
+                                "deviation": float(dev[j])}
+
+    def report(self, mode: str) -> KLReport:
+        return KLReport(self.witness is None, mode, self.checked,
+                        self.max_deviation,
+                        {"nonzero_f": self.nonzero_f, "max_abs_f": self.max_abs_f},
+                        self.witness)
 
 
-class _SupportScanner:
-    """Shared numeric engine: scans errors grouped by support, computing
-    M_ij = <i|E|j> via one contraction per support set."""
+class _SupportScan:
+    """Every error word of a code, one support S at a time.
+
+    With the basis gathered as A[u, r, k] (u the digits on S, r the rest)
+    an error X^x Z^z on S maps |u> to chi_z(u) |u + x>, so
+    <i|E|j> = sum_u chi_z(u) G_x[u]_ij with G_x[u] = A[u + x]^dag A[u].
+    One G_x per shift and one product with the character table of S
+    give every phase z at once; the errors of weight exactly |S| are
+    picked out with index arrays built in ``enumerate_errors`` order.
+    """
 
     def __init__(self, sys: MixedSystem, B: np.ndarray):
         self.sys = sys
-        self.B = B
         self.K = B.shape[1]
         self.flat = sys.flat_dims()
-        self.axes_of = []
-        a = 0
-        for f in sys.factors:
-            self.axes_of.append(list(range(a, a + len(f))))
-            a += len(f)
+        self.Bt = B.reshape(self.flat + (self.K,))
+        self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
+        self.ops = [_particle_ops(f) for f in sys.factors]
+        # per particle: flat x and z index of each operator, in _particle_ops order
+        self.local = [tuple(np.ravel_multi_index(np.array(digits).T, f)
+                            for digits in zip(*o))
+                      for f, o in zip(sys.factors, self.ops)]
 
-    def _tensor_for(self, supp: tuple[int, ...]):
-        axes = [a for i in supp for a in self.axes_of[i]]
-        dimsS = [self.flat[a] for a in axes]
-        dS = int(np.prod(dimsS))
-        if (dS * self.K) ** 2 > _GROUP_TENSOR_LIMIT:
-            return None
-        Bt = self.B.reshape(self.flat + (self.K,))
-        Bt = np.moveaxis(Bt, axes, range(len(axes)))
-        A = Bt.reshape(dS, -1, self.K)
-        T = np.einsum("urk,vrl->ukvl", A.conj(), A, optimize=True)
+    def fits(self, supp: tuple[int, ...]):
+        """Yield (positions, f, deviation) for the errors of weight |S|
+        on S, one shift at a time; positions index enumeration order."""
+        K = self.K
+        axes = [a for i in supp
+                for a in range(self.first_axis[i], self.first_axis[i + 1])]
+        dimsS = tuple(self.flat[a] for a in axes)
+        dS = math.prod(dimsS)
+        A = np.moveaxis(self.Bt, axes, range(len(axes))).reshape(dS, -1, K)
+        Ah = np.ascontiguousarray(A.conj().transpose(0, 2, 1))
         U = np.indices(dimsS).reshape(len(axes), dS)
-        return axes, dimsS, dS, T, U
-
-    def matrix(self, e: ErrorWord, supp: tuple[int, ...], tensor) -> np.ndarray:
-        if tensor is None:
-            EB = apply_error(e, self.sys, self.B)
-            return self.B.conj().T @ EB
-        axes, dimsS, dS, T, U = tensor
-        phases = np.full(dS, phase_as_complex(e.phase), dtype=complex)
-        shifted = np.zeros(len(axes), dtype=np.int64)
-        k = 0
+        moduli = np.array(dimsS)[:, None]
+        # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod L
+        L = math.lcm(*dimsS)
+        chi = np.exp(2j * np.pi / L * ((U.T * (L // moduli.T)) @ U % L))
+        xs = np.zeros(1, dtype=np.int64)
+        zs = np.zeros(1, dtype=np.int64)
         for i in supp:
-            for l, m in enumerate(self.sys.factors[i]):
-                b = e.z[i][l] % m
-                if b:
-                    phases = phases * np.exp(2j * np.pi * b * U[k] / m)
-                shifted[k] = e.x[i][l] % m
-                k += 1
-        idx = np.ravel_multi_index(
-            [(U[k] + shifted[k]) % dimsS[k] for k in range(len(axes))], dimsS)
-        rows = T[idx, :, np.arange(dS), :]
-        return np.tensordot(phases, rows, axes=1)
+            d = self.sys.dims[i]
+            xs = (xs[:, None] * d + self.local[i][0]).ravel()
+            zs = (zs[:, None] * d + self.local[i][1]).ravel()
+        order = np.argsort(xs, kind="stable")
+        shifts, starts = np.unique(xs[order], return_index=True)
+        for x, pos in zip(shifts, np.split(order, starts[1:])):
+            plus_x = np.ravel_multi_index((U + U[:, x:x + 1]) % moduli, dimsS)
+            G = Ah[plus_x] @ A
+            M = chi[zs[pos]] @ G.reshape(dS, K * K)
+            yield (pos, *_KLReducer.fit(M.reshape(-1, K, K)))
 
-
-def _numeric_scan(sys: MixedSystem, B: np.ndarray, w_min: int, w_max: int,
-                  tol: float) -> KLReport:
-    scanner = _SupportScanner(sys, B)
-    K = B.shape[1]
-    eye = np.eye(K)
-    checked = 0
-    maxdev = 0.0
-    max_abs_f = 0.0
-    nonzero_f = 0
-    witness = None
-    ops = [_particle_ops(f) for f in sys.factors]
-    for k in range(max(1, w_min), w_max + 1):
-        for supp in itertools.combinations(range(sys.n), k):
-            tensor = scanner._tensor_for(supp)
-            for choice in itertools.product(*(ops[i] for i in supp)):
-                x = [tuple(0 for _ in f) for f in sys.factors]
-                z = [tuple(0 for _ in f) for f in sys.factors]
-                for i, (xd, zd) in zip(supp, choice):
-                    x[i] = xd
-                    z[i] = zd
-                e = ErrorWord(tuple(x), tuple(z))
-                checked += 1
-                M = scanner.matrix(e, supp, tensor)
-                f = np.trace(M) / K
-                dev = float(np.abs(M - f * eye).max())
-                if abs(f) > tol:
-                    nonzero_f += 1
-                    max_abs_f = max(max_abs_f, abs(f))
-                if dev > maxdev:
-                    maxdev = dev
-                    if dev > tol and witness is None:
-                        witness = {"error": _word_json(sys, e), "deviation": dev}
-    ok = witness is None
-    return KLReport(ok, "numeric", checked, maxdev,
-                    {"nonzero_f": nonzero_f, "max_abs_f": max_abs_f}, witness)
+    def word(self, supp: tuple[int, ...], j: int) -> ErrorWord:
+        """The j-th error of weight |S| on S, in enumerate_errors order."""
+        x = [tuple(0 for _ in f) for f in self.sys.factors]
+        z = list(x)
+        radices = [len(self.ops[i]) for i in supp]
+        for i, c in zip(supp, np.unravel_index(j, radices)):
+            x[i], z[i] = self.ops[i][c]
+        return ErrorWord(tuple(x), tuple(z))
 
 
 def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
@@ -258,33 +283,25 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
     """Direct KL check: for every error of weight below d, the K x K
     matrix of inner products must be f times the identity within tol."""
     d = code.d if d is None else d
-    B = code.basis(cap=cap)
-    return _numeric_scan(code.system, B, 1, d - 1, tol)
+    scan = _SupportScan(code.system, code.basis(cap=cap))
+    reducer = _KLReducer(code.system, tol)
+    for supp in itertools.chain.from_iterable(
+            itertools.combinations(range(code.n), k) for k in range(1, d)):
+        pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
+        order = np.argsort(pos)  # back to enumeration order
+        reducer.add(f[order], dev[order], lambda j: scan.word(supp, j))
+    return reducer.report("numeric")
 
 
 def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9,
                     cap: int | None = None) -> KLReport:
     """KL check for an explicit word list instead of a weight ball."""
     B = code.basis(cap=cap)
-    K = code.K
-    eye = np.eye(K)
-    maxdev = 0.0
-    max_abs_f = 0.0
-    nonzero_f = 0
-    witness = None
+    reducer = _KLReducer(code.system, tol)
     for e in words:
         M = B.conj().T @ apply_error(e, code.system, B)
-        f = np.trace(M) / K
-        dev = float(np.abs(M - f * eye).max())
-        if abs(f) > tol:
-            nonzero_f += 1
-            max_abs_f = max(max_abs_f, abs(f))
-        if dev > maxdev:
-            maxdev = dev
-            if dev > tol and witness is None:
-                witness = {"error": _word_json(code.system, e), "deviation": dev}
-    return KLReport(witness is None, "words", len(words), maxdev,
-                    {"nonzero_f": nonzero_f, "max_abs_f": max_abs_f}, witness)
+        reducer.add(*_KLReducer.fit(M[None]), lambda j: e)
+    return reducer.report("words")
 
 
 def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
@@ -292,11 +309,12 @@ def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
     """Smallest error weight at which KL fails; w_cap + 1 if none found
     up to w_cap."""
     w_cap = code.n if w_cap is None else w_cap
-    B = code.basis(cap=cap)
+    scan = _SupportScan(code.system, code.basis(cap=cap))
     for w in range(1, w_cap + 1):
-        rep = _numeric_scan(code.system, B, w, w, tol)
-        if not rep.ok:
-            return w
+        for supp in itertools.combinations(range(code.n), w):
+            # the first failing shift settles the weight
+            if any((dev > tol).any() for _, _, dev in scan.fits(supp)):
+                return w
     return w_cap + 1
 
 
@@ -355,14 +373,17 @@ def rows_commute(sys: MixedSystem, a: ErrorWord, b: ErrorWord) -> bool:
 
 
 def _row_power(sys: MixedSystem, w: ErrorWord, k: int) -> ErrorWord:
-    out = ErrorWord.identity(sys)
-    for _ in range(k):
-        out = compose(sys, out, w)
-    return out
-
-
-def _label_key(e: ErrorWord) -> tuple:
-    return (e.x, e.z)
+    """w^k for k >= 0 in closed form: the digits scale by k, and each
+    factor adds w_m^{x z k(k-1)/2} from moving its Z^z past the X^x of
+    the later copies."""
+    ph = Phase(w.phase.k * k, w.phase.L)
+    x, z = [], []
+    for xi, zi, f in zip(w.x, w.z, sys.factors):
+        x.append(tuple(k * a % m for a, m in zip(xi, f)))
+        z.append(tuple(k * b % m for b, m in zip(zi, f)))
+        for a, b, m in zip(xi, zi, f):
+            ph = phase_mul(ph, Phase(a * b * (k * (k - 1) // 2), m))
+    return ErrorWord(tuple(x), tuple(z), ph)
 
 
 def _word_from_exponents(sys: MixedSystem, adjusted: Sequence[ErrorWord],
@@ -388,7 +409,7 @@ def _exact_dim(sys: MixedSystem, adjusted: Sequence[ErrorWord]) -> float:
     orders = [word_order(sys, w) for w in adjusted]
     ident = ErrorWord.identity(sys)
     zero = tuple(0 for _ in adjusted)
-    reps: dict[tuple, tuple] = {_label_key(ident): zero}
+    reps: dict[tuple, tuple] = {ident.label(): zero}
     frontier: list[tuple[tuple, ErrorWord]] = [(zero, ident)]
     kernel_gens: set[tuple] = set()
     while frontier:
@@ -398,7 +419,7 @@ def _exact_dim(sys: MixedSystem, adjusted: Sequence[ErrorWord]) -> float:
                 nks = tuple((k + 1) % orders[i] if i == r else k
                             for i, k in enumerate(ks))
                 nxt = compose(sys, base, w)
-                lab = _label_key(nxt)
+                lab = nxt.label()
                 if lab in reps:
                     diff = tuple((a - b) % o
                                  for a, b, o in zip(nks, reps[lab], orders))
@@ -487,10 +508,9 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
     chosen: list[Phase] = []
     adjusted: list[ErrorWord] = []
     for idx, w in enumerate(words):
-        RB = apply_error(w, sys, B)
-        M = B.conj().T @ RB
-        c = np.trace(M) / code.K
-        if np.abs(M - c * np.eye(code.K)).max() > tol or abs(abs(c) - 1) > tol:
+        f, dev = _KLReducer.fit((B.conj().T @ apply_error(w, sys, B))[None])
+        c = f[0]
+        if dev[0] > tol or abs(abs(c) - 1) > tol:
             if witness is None:
                 witness = {"row_not_scalar_on_code": idx}
         cands = _phase_candidates(sys, w)

@@ -202,6 +202,73 @@ class TestCompositions:
         assert rc == 1 and "absorbed" in err
 
 
+class TestMalformedCertificates:
+    @pytest.mark.parametrize("case", ["refs_not_strings", "claimed_K_not_int"])
+    def test_exit_2_without_traceback(self, case, tmp_path, capsys):
+        target = tmp_path / "bad.json"
+        if case == "refs_not_strings":
+            # the content hash is recomputed, so only the refs are wrong
+            Certificate("bad", MixedSystem(((4,),) * 3), 4, 2,
+                        {"type": "product", "refs": [1, 2]}).save(target)
+        else:
+            obj = json.loads((FIXTURES / "3_4_2_q4.json").read_text())
+            obj["claimed"]["K"] = "x"
+            target.write_text(json.dumps(obj))
+        rc, _, err = run(capsys, "verify", str(target))
+        assert rc == 2 and "Traceback" not in err and err.startswith("error:")
+
+
+class TestEmittedReferences:
+    @pytest.mark.parametrize("argv", [
+        ["product", "certs/3_4_2_q4.json", "certs/3_4_2_q4.json"],
+        ["paste", "certs/3_4_2_q4.json"],
+        ["project", "certs/5_9_2_q3.json", "--keep", '{"5": [0, 1]}'],
+    ])
+    def test_out_in_other_dir_reverifies_from_any_cwd(self, argv, tmp_path,
+                                                       monkeypatch, capsys):
+        (tmp_path / "certs").mkdir()
+        (tmp_path / "out").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        for name in ("3_4_2_q4.json", "5_9_2_q3.json"):
+            (tmp_path / "certs" / name).write_text((FIXTURES / name).read_text())
+        monkeypatch.chdir(tmp_path)
+        rc, out, _ = run(capsys, *argv, "--out", "out/new.json")
+        assert rc == 0
+        cons = json.loads(out)["construction"]
+        refs = cons.get("refs") or [cons["ancilla"]]
+        assert all(ref.startswith("../certs/") for ref in refs)
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        rc, out, _ = run(capsys, "verify", "../out/new.json")
+        assert rc == 0 and json.loads(out)["verdict"] == "pass"
+        rc, _, _ = run(capsys, "verify", str(tmp_path / "out" / "new.json"))
+        assert rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["paste", str(FIXTURES / "3_4_2_q4.json")],
+        ["search", "--graph-p", "unused.json"],
+    ])
+    def test_missing_out_dir_exit_2(self, argv, tmp_path, capsys):
+        rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "nowhere" / "x.json"))
+        assert rc == 2 and "output directory not found" in err
+
+    def test_out_in_cwd_with_plain_names_is_unchanged(self, tmp_path,
+                                                      monkeypatch, capsys):
+        (tmp_path / "3_4_2_q4.json").write_text(
+            (FIXTURES / "3_4_2_q4.json").read_text())
+        monkeypatch.chdir(tmp_path)
+        rc, out, _ = run(capsys, "product", "3_4_2_q4.json", "3_4_2_q4.json",
+                         "--out", "x.json")
+        assert rc == 0
+        written = (tmp_path / "x.json").read_text()
+        assert written == out
+        cert = json.loads(written)
+        assert cert["construction"]["refs"] == ["3_4_2_q4.json", "3_4_2_q4.json"]
+        # the hash of the certificate this command emitted before refs
+        # were made relative to the output directory
+        assert cert["content_hash"] == (
+            "sha256:8beab3464b1b716dcb3d8b131c4494917087d37207aa50ae4dfc68ef3ed53430")
+
+
 class TestRunFixtures:
     def test_packaged_set_passes(self, capsys):
         rc, out, _ = run(capsys, "run-fixtures")

@@ -22,7 +22,8 @@ from mixedqec.errors import (
 
 
 def two_layer(n, p, r, n1):
-    return MixedSystem.qupit_qurit(n, p, r, n1)
+    """n p-level particles, the first n1 of which carry an r-level factor."""
+    return MixedSystem.layered([(p, n)] + ([(r, n1)] if r > 1 and n1 else []))
 
 
 class TestMixedSystem:
@@ -32,26 +33,26 @@ class TestMixedSystem:
         assert s.dims == (4, 4, 4, 4, 4, 2)
         assert s.total_dim == 2048
         assert s.layers == ((2, 6), (2, 5))
-        assert (s.p, s.r, s.n1) == (2, 2, 5)
+        assert s.flat_dims() == (2,) * 11
 
     def test_single_layer(self):
         s = two_layer(3, 5, 1, 0)
         assert s.dims == (5, 5, 5)
-        assert (s.p, s.r, s.n1) == (5, 1, 0)
+        assert s.layers == ((5, 3),)
+        assert s.factors == ((5,), (5,), (5,))
 
     def test_three_layers(self):
         s = MixedSystem.layered([(2, 3), (2, 3), (2, 3)])
         assert s.dims == (8, 8, 8)
         assert s.layers == ((2, 3), (2, 3), (2, 3))
-        with pytest.raises(ValueError):
-            s.r  # two-layer accessor refuses deeper systems
+        assert s.factors == ((2, 2, 2),) * 3
 
     def test_general_dims_have_no_layer_view(self):
-        s = MixedSystem.general((3, 3, 3, 3, 2))
+        s = MixedSystem(((3,), (3,), (3,), (3,), (2,)))
         assert s.dims == (3, 3, 3, 3, 2)
         assert s.layers is None
         with pytest.raises(ValueError):
-            s.p
+            format_word(s, ErrorWord.identity(s))
 
     def test_layer_nesting_enforced(self):
         with pytest.raises(ValueError):
@@ -61,9 +62,9 @@ class TestMixedSystem:
 
     def test_axis_layout(self):
         s = two_layer(3, 2, 3, 2)
+        assert s.factors == ((2, 3), (2, 3), (2,))
+        # particle-major: particle 0 layer 1 is axis 1, particle 2 layer 0 axis 4
         assert s.flat_dims() == (2, 3, 2, 3, 2)
-        assert s.axis_of(0, 1) == 1
-        assert s.axis_of(2, 0) == 4
 
     def test_json_round_trip(self):
         s = two_layer(4, 2, 2, 2)

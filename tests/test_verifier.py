@@ -4,18 +4,25 @@ The fixture codes are built from their published generator groups; the
 numeric verifier is the oracle the symbolic one must agree with.
 """
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mixedqec.algebra import ModVec, PHASE_MINUS_ONE, PHASE_ONE
-from mixedqec.errors import MixedSystem
+from mixedqec.algebra import ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase
+from mixedqec.certificates import build_code, load_certificate
+from mixedqec.cli import _default_fixture_dir
+from mixedqec.errors import (
+    ErrorWord, MixedSystem, compose, enumerate_errors, error_matrix,
+    format_word, weight,
+)
 from mixedqec.graphs import loop_graph
 from mixedqec.clique import CodingClique, check_clique, closure
 from mixedqec.verifier import (
-    Code, code_distance, kl_verify_numeric, kl_verify_symbolic,
-    parse_stabilizer_row, rows_commute, stabilizer_eigenbasis,
+    Code, _row_power, code_distance, kl_verify_numeric, kl_verify_symbolic,
+    kl_verify_words, parse_stabilizer_row, rows_commute, stabilizer_eigenbasis,
     verify_stabilizer,
 )
 
@@ -277,3 +284,155 @@ class TestStabilizer:
         js = rep.to_json()
         assert set(js) >= {"verdict", "commuting", "row_orders",
                            "chosen_phases", "eigenspace_dim"}
+
+
+# --- oracle for the numeric scan ------------------------------------------
+
+
+def oracle_report(code, words, mode, tol=1e-9):
+    """The KL report computed directly: the dense matrix of every word,
+    f = tr(M)/K and max |M - f I| per word, the first failure as witness."""
+    B = code.basis()
+    sys = code.system
+    K = code.K
+    maxdev, nonzero_f, max_abs_f, witness = 0.0, 0, 0.0, None
+    for e in words:
+        M = B.conj().T @ error_matrix(e, sys) @ B
+        f = np.trace(M) / K
+        dev = float(np.abs(M - f * np.eye(K)).max())
+        if abs(f) > tol:
+            nonzero_f += 1
+            max_abs_f = max(max_abs_f, float(abs(f)))
+        maxdev = max(maxdev, dev)
+        if dev > tol and witness is None:
+            err = {"x": [list(xi) for xi in e.x], "z": [list(zi) for zi in e.z]}
+            if sys.layers is not None and sys.n <= 9:
+                err["notation"] = format_word(sys, e)
+            witness = {"error": err, "deviation": dev}
+    out = {"verdict": "fail" if witness else "pass", "mode": mode,
+           "checked_errors": len(words), "max_deviation": maxdev,
+           "f_values_summary": {"nonzero_f": nonzero_f, "max_abs_f": max_abs_f}}
+    if witness:
+        out["witness"] = witness
+    return out
+
+
+def assert_same_report(got, want):
+    """Floats agree within 1e-12, everything else exactly."""
+    got, want = json.loads(json.dumps(got)), json.loads(json.dumps(want))
+    floats = [("max_deviation",), ("f_values_summary", "max_abs_f"),
+              ("witness", "deviation")]
+    for path in floats:
+        g, w = got, want
+        for key in path[:-1]:
+            g, w = g.get(key, {}), w.get(key, {})
+        assert abs(g.pop(path[-1], 0.0) - w.pop(path[-1], 0.0)) <= 1e-12
+    assert got == want
+
+
+# particle layouts: a two-factor particle, composite and prime moduli
+ORACLE_SYSTEMS = [
+    MixedSystem(((2, 2), (3,), (2,))),
+    MixedSystem.layered([(2, 3), (2, 2)]),
+    MixedSystem(((2,), (3,), (4,))),
+]
+
+
+def random_basis(rng, sys, K, sparse):
+    """Orthonormal columns: Haar-like, or K standard basis vectors with
+    random phases that share their digits on every particle but the last
+    two, so errors on the first particle pass and the witness lies
+    further into the enumeration."""
+    D = sys.total_dim
+    if sparse:
+        tail = sys.dims[-2] * sys.dims[-1]
+        rows = rng.integers(D // tail) * tail + rng.choice(tail, size=K, replace=False)
+        B = np.zeros((D, K), dtype=complex)
+        B[rows, np.arange(K)] = np.exp(2j * np.pi * rng.random(K))
+        return B
+    g = rng.normal(size=(D, K)) + 1j * rng.normal(size=(D, K))
+    return np.linalg.qr(g)[0]
+
+
+class TestNumericOracle:
+    @pytest.mark.parametrize("sys_index", range(len(ORACLE_SYSTEMS)))
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_reports_match_dense_oracle(self, sys_index, sparse):
+        sys = ORACLE_SYSTEMS[sys_index]
+        rng = np.random.default_rng(100 + 10 * sys_index + sparse)
+        for K in (1, 2, 3):
+            code = Code.from_basis(sys, random_basis(rng, sys, K, sparse), d=2)
+            for d in (1, 2, 3, sys.n + 1):
+                words = list(enumerate_errors(sys, d - 1))
+                got = kl_verify_numeric(code, d).to_json()
+                assert_same_report(got, oracle_report(code, words, "numeric"))
+
+    def test_failing_cases_carry_witnesses(self):
+        sys = ORACLE_SYSTEMS[0]
+        rng = np.random.default_rng(5)
+        code = Code.from_basis(sys, random_basis(rng, sys, 2, True), d=3)
+        rep = kl_verify_numeric(code)
+        assert not rep.ok and rep.witness["deviation"] > 1e-9
+
+    def test_word_list_matches_dense_oracle(self):
+        rng = np.random.default_rng(11)
+        sys = ORACLE_SYSTEMS[0]
+        pool = list(enumerate_errors(sys, 3))
+        for K in (1, 2, 3):
+            code = Code.from_basis(sys, random_basis(rng, sys, K, True), d=2)
+            picks = rng.choice(len(pool), size=40, replace=False)
+            words = [ErrorWord(pool[i].x, pool[i].z, Phase(int(i), 6)) for i in picks]
+            got = kl_verify_words(code, words).to_json()
+            assert_same_report(got, oracle_report(code, words, "words"))
+
+    def test_empty_word_list_passes(self):
+        code = Code.from_clique(clique_342())
+        rep = kl_verify_words(code, [])
+        assert rep.ok and rep.checked_errors == 0 and rep.max_deviation == 0.0
+
+    @pytest.mark.parametrize("name", ["3_4_2_q4", "5_9_2_q3", "5_9_2_proj",
+                                      "5_16_2_paste"])
+    def test_fixtures_match_dense_oracle(self, name):
+        # at d + 1 the witness is a mixed X/Z word on a two-particle support
+        root = _default_fixture_dir()
+        code = build_code(load_certificate(root / f"{name}.json"), root)
+        for d in (code.d, code.d + 1):
+            words = list(enumerate_errors(code.system, d - 1))
+            got = kl_verify_numeric(code, d).to_json()
+            assert_same_report(got, oracle_report(code, words, "numeric"))
+        want = next((weight(e, code.system) for e in enumerate_errors(code.system, code.n)
+                     if oracle_report(code, [e], "words")["verdict"] == "fail"),
+                    code.n + 1)
+        assert code_distance(code) == want == code.d
+
+    def test_witness_on_unequal_particles_matches_dense_oracle(self):
+        # the projected code with its qubit moved first: the first failing
+        # word acts on a qubit and a qutrit, whose operator counts differ
+        root = _default_fixture_dir()
+        code = build_code(load_certificate(root / "5_9_2_proj.json"), root)
+        perm = (4, 0, 1, 2, 3)
+        B = code.basis().reshape(code.system.dims + (code.K,))
+        B = B.transpose(perm + (5,)).reshape(-1, code.K)
+        sys = MixedSystem(tuple(code.system.factors[i] for i in perm))
+        moved = Code.from_basis(sys, B, d=2)
+        got = kl_verify_numeric(moved, 3).to_json()
+        assert got["witness"]["error"]["x"][0] == [1]
+        assert_same_report(got, oracle_report(moved, list(enumerate_errors(sys, 2)),
+                                              "numeric"))
+
+
+systems = st.lists(st.lists(st.integers(2, 5), min_size=1, max_size=2),
+                   min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems, st.data(), st.integers(0, 12))
+def test_row_power_matches_repeated_compose(factors, data, k):
+    sys = MixedSystem(tuple(tuple(f) for f in factors))
+    digits = lambda: tuple(tuple(data.draw(st.integers(0, m - 1)) for m in f)
+                           for f in sys.factors)
+    w = ErrorWord(digits(), digits(), Phase(data.draw(st.integers(0, 11)), 12))
+    want = ErrorWord.identity(sys)
+    for _ in range(k):
+        want = compose(sys, want, w)
+    assert _row_power(sys, w, k) == want
