@@ -111,6 +111,9 @@ class Certificate:
             raise CertificateError(f"claimed K and d must be integers: {exc}") from exc
         if K < 1 or d < 1:
             raise CertificateError("claimed K and d must be positive")
+        if d > system.n + 1:
+            # every error of weight d - 1 would need more particles than exist
+            raise CertificateError(f"claimed d = {d} exceeds n + 1 = {system.n + 1}")
         cons = obj["construction"]
         if not isinstance(cons, dict) or cons.get("type") not in CONSTRUCTION_TYPES:
             raise CertificateError(f"unknown construction type "

@@ -30,7 +30,7 @@ from .certificates import (
 )
 from .clique import search_clique
 from .compose import paste_distance2
-from .errors import DIM_CAP_ENV, DimensionCapError, MixedSystem
+from .errors import DIM_CAP_ENV, DimensionCapError, MixedSystem, dim_cap
 from .graphs import WeightedGraph
 from .projection import ProjectorSpec, project_code
 
@@ -368,6 +368,13 @@ def cmd_run_fixtures(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "dim_cap", 0) is None:
+        # a malformed environment cap is bad input, not a failed check
+        try:
+            dim_cap()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except CertificateError as exc:

@@ -31,7 +31,10 @@ def dim_cap() -> int:
     raw = os.environ.get(DIM_CAP_ENV)
     if raw is None:
         return DEFAULT_DIM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{DIM_CAP_ENV} must be an integer, got {raw!r}") from None
     if cap < 2:
         raise ValueError(f"{DIM_CAP_ENV} must be >= 2, got {cap}")
     return cap

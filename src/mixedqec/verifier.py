@@ -222,9 +222,13 @@ class _SupportScan:
     With the basis gathered as A[u, r, k] (u the digits on S, r the rest)
     an error X^x Z^z on S maps |u> to chi_z(u) |u + x>, so
     <i|E|j> = sum_u chi_z(u) G_x[u]_ij with G_x[u] = A[u + x]^dag A[u].
-    One G_x per shift and one product with the character table of S
-    give every phase z at once; the errors of weight exactly |S| are
-    picked out with index arrays built in ``enumerate_errors`` order.
+    Shifts come in adjoint pairs, G_{-x}[u + x] = G_x[u]^dag, so one
+    batched product serves both x and -x; a shift with x = -x != 0 forms
+    only the u with u < u + x and fills in the rest the same way, and
+    x = 0 is one product of A with its own adjoint.  One product of G_x
+    with the character table of S gives every phase z at once; the
+    errors of weight exactly |S| are picked out with index arrays built
+    in ``enumerate_errors`` order.
     """
 
     def __init__(self, sys: MixedSystem, B: np.ndarray):
@@ -262,11 +266,34 @@ class _SupportScan:
             zs = (zs[:, None] * d + self.local[i][1]).ravel()
         order = np.argsort(xs, kind="stable")
         shifts, starts = np.unique(xs[order], return_index=True)
-        for x, pos in zip(shifts, np.split(order, starts[1:])):
-            plus_x = np.ravel_multi_index((U + U[:, x:x + 1]) % moduli, dimsS)
-            G = Ah[plus_x] @ A
+        # every shift on S occurs (with z != 0 where x is 0), so -x does too
+        groups = dict(zip(shifts.tolist(), np.split(order, starts[1:])))
+        negate = np.ravel_multi_index(-U % moduli, dimsS)
+
+        def fit(pos, G):
             M = chi[zs[pos]] @ G.reshape(dS, K * K)
-            yield (pos, *_KLReducer.fit(M.reshape(-1, K, K)))
+            return (pos, *_KLReducer.fit(M.reshape(-1, K, K)))
+
+        for x, pos in groups.items():
+            if x == 0:
+                yield fit(pos, Ah @ A)
+                continue
+            minus = int(negate[x])
+            if minus < x:
+                continue  # yielded with its partner
+            plus_x = np.ravel_multi_index((U + U[:, x:x + 1]) % moduli, dimsS)
+            if minus == x:
+                half = np.flatnonzero(np.arange(dS) < plus_x)
+                G = np.empty((dS, K, K), dtype=complex)
+                G[half] = Ah[plus_x[half]] @ A[half]
+                G[plus_x[half]] = G[half].conj().transpose(0, 2, 1)
+                yield fit(pos, G)
+                continue
+            G = Ah[plus_x] @ A
+            yield fit(pos, G)
+            G_minus = np.empty_like(G)
+            G_minus[plus_x] = G.conj().transpose(0, 2, 1)
+            yield fit(groups[minus], G_minus)
 
     def word(self, supp: tuple[int, ...], j: int) -> ErrorWord:
         """The j-th error of weight |S| on S, in enumerate_errors order."""
@@ -451,6 +478,27 @@ def _project_columns(sys: MixedSystem, adjusted: Sequence[ErrorWord],
     return out
 
 
+def _orbit_representatives(sys: MixedSystem,
+                           words: Sequence[ErrorWord]) -> np.ndarray:
+    """The smallest flat index of each orbit of the words' x-shifts on
+    the standard basis, ascending: a running minimum over rolls by each
+    shift, repeated until it is stable."""
+    flat = sys.flat_dims()
+    axes = tuple(range(len(flat)))
+    shifts = [tuple(a for xi in w.x for a in xi) for w in words]
+    shifts = [x for x in shifts if any(x)]
+    index = np.arange(sys.total_dim).reshape(flat)
+    low = index
+    while True:
+        nxt = low
+        for x in shifts:
+            nxt = np.minimum(nxt, np.roll(nxt, x, axis=axes))
+        if np.array_equal(nxt, low):
+            break
+        low = nxt
+    return np.flatnonzero(low == index)
+
+
 @dataclass(frozen=True)
 class StabilizerReport:
     ok: bool
@@ -538,8 +586,16 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
                           phases: Sequence[Phase] | None = None,
                           tol: float = 1e-9, cap: int | None = None) -> np.ndarray:
     """Orthonormal basis of the joint +1 eigenspace, built by projecting
-    standard basis vectors through the group average (cheap because
-    every group element is a monomial matrix)."""
+    standard basis vectors through the group average.
+
+    Every group element is a monomial matrix, so the projection of e_j
+    lies on the orbit j + H of the shifts H the rows generate, and every
+    seed of one orbit projects to a phase multiple of the same vector.
+    Columns from different orbits have disjoint supports and are already
+    orthogonal: only the smallest index of each orbit is projected, in
+    ascending order, and each column with norm above 1e-6 is normalised,
+    up to K columns.  The basis is the one seed-by-seed Gram-Schmidt over
+    0..D-1 would give, column for column."""
     _check_cap(sys.total_dim, cap)
     words = list(r.word for r in rows)
     if phases is not None:
@@ -560,25 +616,22 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
     K = round(dim)
     if abs(dim - K) > tol or K == 0:
         raise ValueError(f"eigenspace dimension {dim} is not a positive integer")
-    D = sys.total_dim
-    basis: list[np.ndarray] = []
+    basis = np.empty((sys.total_dim, K), dtype=complex)
+    kept = 0
+    reps = _orbit_representatives(sys, words)
     block = 64
-    for start in range(0, D, block):
-        if len(basis) == K:
+    for start in range(0, len(reps), block):
+        if kept == K:
             break
-        seeds = np.zeros((D, min(block, D - start)), dtype=complex)
-        for j in range(seeds.shape[1]):
-            seeds[start + j, j] = 1.0
+        cols = reps[start:start + block]
+        seeds = np.zeros((sys.total_dim, len(cols)), dtype=complex)
+        seeds[cols, np.arange(len(cols))] = 1.0
         proj = _project_columns(sys, words, seeds)
-        for j in range(proj.shape[1]):
-            if len(basis) == K:
-                break
-            v = proj[:, j]
-            for b in basis:
-                v = v - b * (b.conj() @ v)
-            norm = np.linalg.norm(v)
-            if norm > 1e-6:
-                basis.append(v / norm)
-    if len(basis) != K:
+        # column by column: norm(axis=0) sums in another order
+        norms = np.array([np.linalg.norm(proj[:, j]) for j in range(len(cols))])
+        keep = np.flatnonzero(norms > 1e-6)[:K - kept]
+        basis[:, kept:kept + len(keep)] = proj[:, keep] / norms[keep]
+        kept += len(keep)
+    if kept != K:
         raise ValueError("failed to span the eigenspace from standard seeds")
-    return np.stack(basis, axis=1)
+    return basis

@@ -217,6 +217,31 @@ class TestMalformedCertificates:
         rc, _, err = run(capsys, "verify", str(target))
         assert rc == 2 and "Traceback" not in err and err.startswith("error:")
 
+    def test_claimed_d_above_n_plus_1_exit_2(self, tmp_path, capsys):
+        # re-hashed, so only the claimed distance is wrong
+        cert = load_certificate(FIXTURES / "3_4_2_q4.json")
+        cert.d = 5
+        cert.save(tmp_path / "bad.json")
+        rc, out, err = run(capsys, "verify", str(tmp_path / "bad.json"))
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err == "error: claimed d = 5 exceeds n + 1 = 4\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", str(FIXTURES / "3_4_2_q4.json")],
+        ["run-fixtures"],
+    ])
+    def test_bad_dim_cap_env_exit_2(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("MIXEDQEC_DIM_CAP", "abc")
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err == "error: MIXEDQEC_DIM_CAP must be an integer, got 'abc'\n"
+
+    def test_explicit_dim_cap_overrides_bad_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("MIXEDQEC_DIM_CAP", "abc")
+        rc, out, _ = run(capsys, "verify", str(FIXTURES / "3_4_2_q4.json"),
+                         "--dim-cap", "100")
+        assert rc == 0 and json.loads(out)["verdict"] == "pass"
+
 
 class TestEmittedReferences:
     @pytest.mark.parametrize("argv", [

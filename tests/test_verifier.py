@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixedqec.algebra import ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase
-from mixedqec.certificates import build_code, load_certificate
+from mixedqec.algebra import ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, phase_mul
+from mixedqec.certificates import base_stabilizer_rows, build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
     ErrorWord, MixedSystem, compose, enumerate_errors, error_matrix,
@@ -20,8 +20,10 @@ from mixedqec.errors import (
 )
 from mixedqec.graphs import loop_graph
 from mixedqec.clique import CodingClique, check_clique, closure
+from mixedqec.compose import paste_distance2
 from mixedqec.verifier import (
-    Code, _row_power, code_distance, kl_verify_numeric, kl_verify_symbolic,
+    Code, StabilizerRow, _SupportScan, _exact_dim, _phase_candidates,
+    _project_columns, _row_power, code_distance, kl_verify_numeric, kl_verify_symbolic,
     kl_verify_words, parse_stabilizer_row, rows_commute, stabilizer_eigenbasis,
     verify_stabilizer,
 )
@@ -330,11 +332,15 @@ def assert_same_report(got, want):
     assert got == want
 
 
-# particle layouts: a two-factor particle, composite and prime moduli
+# particle layouts: a two-factor particle, composite and prime moduli;
+# shifts with x != -x (Z_3, Z_4) and self-inverse shifts x != 0 (Z_2
+# layers, x = 2 on Z_4) take the two pairing branches of the scan
 ORACLE_SYSTEMS = [
     MixedSystem(((2, 2), (3,), (2,))),
     MixedSystem.layered([(2, 3), (2, 2)]),
     MixedSystem(((2,), (3,), (4,))),
+    MixedSystem(((3,), (4,), (3,))),
+    MixedSystem.layered([(2, 2), (2, 2)]),
 ]
 
 
@@ -364,8 +370,33 @@ class TestNumericOracle:
             code = Code.from_basis(sys, random_basis(rng, sys, K, sparse), d=2)
             for d in (1, 2, 3, sys.n + 1):
                 words = list(enumerate_errors(sys, d - 1))
-                got = kl_verify_numeric(code, d).to_json()
-                assert_same_report(got, oracle_report(code, words, "numeric"))
+                want = oracle_report(code, words, "numeric")
+                assert_same_report(kl_verify_numeric(code, d).to_json(), want)
+            # the last ball holds every word, by weight: the first failure
+            # has the weight code_distance must find
+            w = want.get("witness", {}).get("error")
+            dist = (sum(any(x) or any(z) for x, z in zip(w["x"], w["z"]))
+                    if w else sys.n + 1)
+            assert code_distance(code) == dist
+
+    @pytest.mark.parametrize("sys_index", range(len(ORACLE_SYSTEMS)))
+    def test_every_scanned_error_matches_dense_oracle(self, sys_index):
+        # reports keep only maxima and counts; this checks f and the
+        # deviation of every error of every support, each shift pairing
+        # branch included
+        sys = ORACLE_SYSTEMS[sys_index]
+        rng = np.random.default_rng(300 + sys_index)
+        B = random_basis(rng, sys, 3, False)
+        scan = _SupportScan(sys, B)
+        for k in range(1, sys.n + 1):
+            for supp in itertools.combinations(range(sys.n), k):
+                pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
+                assert sorted(pos) == list(range(len(pos)))
+                for j, fj, dj in zip(pos, f, dev):
+                    M = B.conj().T @ error_matrix(scan.word(supp, j), sys) @ B
+                    want = np.trace(M) / 3
+                    assert abs(fj - want) < 1e-12
+                    assert abs(dj - np.abs(M - want * np.eye(3)).max()) < 1e-12
 
     def test_failing_cases_carry_witnesses(self):
         sys = ORACLE_SYSTEMS[0]
@@ -419,6 +450,127 @@ class TestNumericOracle:
         assert got["witness"]["error"]["x"][0] == [1]
         assert_same_report(got, oracle_report(moved, list(enumerate_errors(sys, 2)),
                                               "numeric"))
+
+
+# --- oracle for the stabilizer eigenbasis -----------------------------------
+
+
+def gram_schmidt_eigenbasis(sys, rows, phases=None):
+    """The eigenbasis seed by seed: every standard basis vector in index
+    order, projected in blocks of 64, orthogonalised against the columns
+    kept so far and kept when its norm is above 1e-6, up to K columns."""
+    words = [r.word for r in rows]
+    if phases is not None:
+        words = [ErrorWord(w.x, w.z, phase_mul(w.phase, p))
+                 for w, p in zip(words, phases)]
+    K = round(_exact_dim(sys, words))
+    if K == 0:
+        raise ValueError("the joint eigenspace is empty")
+    D = sys.total_dim
+    basis = []
+    for start in range(0, D, 64):
+        if len(basis) == K:
+            break
+        seeds = np.zeros((D, min(64, D - start)), dtype=complex)
+        for j in range(seeds.shape[1]):
+            seeds[start + j, j] = 1.0
+        proj = _project_columns(sys, words, seeds)
+        for j in range(proj.shape[1]):
+            if len(basis) == K:
+                break
+            v = proj[:, j]
+            for b in basis:
+                v = v - b * (b.conj() @ v)
+            norm = np.linalg.norm(v)
+            if norm > 1e-6:
+                basis.append(v / norm)
+    return np.stack(basis, axis=1)
+
+
+def word_row(sys, x, z, phase=PHASE_ONE):
+    """A row given by one x and one z digit per single-factor particle."""
+    return StabilizerRow(("",), ErrorWord(tuple((a,) for a in x),
+                                          tuple((b,) for b in z), phase))
+
+
+def commuting_rows(rng, sys, count):
+    """Up to count random pairwise commuting rows, each with a random one
+    of the phases that close its cyclic order."""
+    words = []
+    for _ in range(50 * count):
+        digits = lambda: tuple(tuple(int(rng.integers(m)) for m in f)
+                               for f in sys.factors)
+        w = ErrorWord(digits(), digits())
+        if w.label() == ErrorWord.identity(sys).label():
+            continue
+        if all(rows_commute(sys, w, v) for v in words):
+            cands = _phase_candidates(sys, w)
+            words.append(ErrorWord(w.x, w.z, cands[int(rng.integers(len(cands)))]))
+        if len(words) == count:
+            break
+    return [StabilizerRow(("",), w) for w in words]
+
+
+def pasted_rows(blocks):
+    root = _default_fixture_dir()
+    cert = load_certificate(root / "3_4_2_q4.json")
+    base = build_code(cert, root)
+    res = paste_distance2(base_stabilizer_rows(cert, base), base, blocks, 2)
+    return res.system, res.rows, None
+
+
+def stab_fixture_rows():
+    cert = load_certificate(_default_fixture_dir() / "6_16_3_stab.json")
+    cons = cert.construction
+    rows = [parse_stabilizer_row(cert.system, tuple(t)) for t in cons["rows"]]
+    return cert.system, rows, [Phase(k, L) for k, L in cons["phases"]]
+
+
+QUTRITS = MixedSystem(((3,),) * 3)
+QUBITS4 = MixedSystem(((2,),) * 4)
+
+EIGENBASIS_CASES = {
+    "6_16_3_stab": stab_fixture_rows,
+    "3_4_2_q4_paste1": lambda: pasted_rows(1),
+    "3_4_2_q4_paste2": lambda: pasted_rows(2),
+    # X X^2 I shifts by digits above 1; Z Z Z keeps the orbits with digit sum 0
+    "qutrit_x2": lambda: (QUTRITS, [word_row(QUTRITS, (1, 2, 0), (0, 0, 0)),
+                                    word_row(QUTRITS, (0, 0, 0), (1, 1, 1))], None),
+    # Z Z I I and I I Z Z project six of the eight X X X X orbits to zero
+    "orbits_to_zero": lambda: (QUBITS4, [
+        parse_stabilizer_row(QUBITS4, ("XXXX",), PHASE_MINUS_ONE),
+        parse_stabilizer_row(QUBITS4, ("ZZII",)),
+        parse_stabilizer_row(QUBITS4, ("IIZZ",))], None),
+}
+
+
+class TestEigenbasisOracle:
+    @pytest.mark.parametrize("case", sorted(EIGENBASIS_CASES))
+    def test_matches_gram_schmidt(self, case):
+        sys, rows, phases = EIGENBASIS_CASES[case]()
+        got = stabilizer_eigenbasis(sys, rows, phases)
+        want = gram_schmidt_eigenbasis(sys, rows, phases)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        if case == "orbits_to_zero":
+            assert got.shape[1] == 2
+
+    @pytest.mark.parametrize("factors", [((3,),) * 3, ((4,), (4,), (2,)),
+                                         ((2, 2), (3,), (4,))])
+    def test_random_commuting_rows_match_gram_schmidt(self, factors):
+        sys = MixedSystem(factors)
+        rng = np.random.default_rng(len(factors[0]) + sys.total_dim)
+        built = 0
+        for count in (1, 2, 2, 3, 3, 3):
+            rows = commuting_rows(rng, sys, count)
+            try:
+                want = gram_schmidt_eigenbasis(sys, rows)
+            except ValueError:  # phases with an empty joint eigenspace
+                with pytest.raises(ValueError):
+                    stabilizer_eigenbasis(sys, rows)
+                continue
+            assert np.array_equal(stabilizer_eigenbasis(sys, rows), want)
+            built += 1
+        assert built >= 3
 
 
 systems = st.lists(st.lists(st.integers(2, 5), min_size=1, max_size=2),
