@@ -84,22 +84,11 @@ class ModVec:
     def __neg__(self) -> "ModVec":
         return ModVec(self.m, tuple(-a for a in self.entries))
 
-    def scale(self, c: int) -> "ModVec":
-        return ModVec(self.m, tuple(c * a for a in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     def _check(self, other: "ModVec") -> None:
         if self.m != other.m:
             raise ValueError(f"modulus mismatch: {self.m} vs {other.m}")
         if len(self.entries) != len(other.entries):
             raise ValueError(f"length mismatch: {len(self.entries)} vs {len(other.entries)}")
-
-
-def support(v: ModVec) -> frozenset[int]:
-    """Indices (0-based) of the nonzero entries."""
-    return frozenset(i for i, a in enumerate(v.entries) if a != 0)
 
 
 def dot_mod(u: ModVec, v: ModVec) -> int:

@@ -221,6 +221,9 @@ def cmd_search(args) -> int:
     graphs = [_load_graph(args.graph_p)]
     if args.graph_r is not None:
         graphs.append(_load_graph(args.graph_r))
+    n = graphs[0].n
+    if args.distance > n + 1:
+        raise CertificateError(f"--distance {args.distance} exceeds n + 1 = {n + 1}")
     res = search_clique(graphs, d=args.distance, target_K=args.target,
                         budget=args.budget, mode=args.mode)
     clique = res.clique

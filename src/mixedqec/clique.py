@@ -27,12 +27,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import PHASE_ONE, ModVec, Phase, dot_mod, omega, phase_mul
-from .errors import MixedSystem
+from .algebra import ModVec
+from .errors import MixedSystem, error_blocks, word_radices
 from .graphs import WeightedGraph
 
 LayerVecs = tuple[ModVec, ...]
@@ -117,28 +117,10 @@ def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-def _ball(cols: list[list[int]], mods: list[list[int]], w_max: int,
-          width: int) -> Iterator[np.ndarray]:
-    """Every row that is nonzero on exactly k particles, 1 <= k <= w_max,
-    one block per support; particle i owns the row columns cols[i], with
-    moduli mods[i]."""
-    opts = [np.array(list(itertools.product(*map(range, ms)))[1:], dtype=np.int64)
-            for ms in mods]
-    for k in range(1, w_max + 1):
-        for supp in itertools.combinations(range(len(cols)), k):
-            idx = np.indices([len(opts[i]) for i in supp]).reshape(k, -1)
-            block = np.zeros((idx.shape[1], width), dtype=np.int64)
-            for i, ix in zip(supp, idx):
-                block[:, cols[i]] = opts[i][ix]
-            yield block
-
-
-def _particle_columns(sp: _Space) -> tuple[list[list[int]], list[list[int]]]:
-    """Per particle, its label columns and their moduli."""
-    n = sp.layout[0][1]
-    cols = [[a + i for (_, nl), a in zip(sp.layout, sp.starts) if i < nl] for i in range(n)]
-    mods = [[m for m, nl in sp.layout if i < nl] for i in range(n)]
-    return cols, mods
+def _label_columns(sp: _Space, supp: Sequence[int]) -> list[int]:
+    """The label column of each factor of the particles of supp, in the
+    particle-after-particle order of ``support_rows``."""
+    return [a + i for i in supp for (_, nl), a in zip(sp.layout, sp.starts) if i < nl]
 
 
 def _word_weights(sp: _Space, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -156,9 +138,14 @@ def _purity_rows(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
     support spans fewer than d particles can qualify, because the shift
     support is part of the word's support."""
     sp = _graph_space(graphs)
-    cols, mods = _particle_columns(sp)
-    X = np.concatenate([np.zeros((1, sp.width), dtype=np.int64),
-                        *_ball(cols, mods, min(d - 1, len(cols)), sp.width)])
+    sys = _layer_system(graphs)
+    found = [np.zeros((1, sp.width), dtype=np.int64)]
+    # a label has one digit per factor: the x digits of an error word
+    for supp, block in error_blocks(sys.factors, min(d - 1, sys.n)):
+        rows = np.zeros((len(block), sp.width), dtype=np.int64)
+        rows[:, _label_columns(sp, supp)] = block
+        found.append(rows)
+    X = np.concatenate(found)
     X = X[_word_weights(sp, X, X @ _gamma(graphs) % sp.mods) < d]
     X = X[np.argsort(sp.keys(X))]
     X.flags.writeable = False
@@ -170,17 +157,13 @@ def _covered_keys(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
     """Sorted keys of t - s.Gamma over every error word X^s Z^t of
     weight in (0, d)."""
     sp = _graph_space(graphs)
-    cols, mods = _particle_columns(sp)
-    if d - 1 > len(cols):
-        raise ValueError(f"w_max must be in [0, {len(cols)}]")
     gamma = _gamma(graphs)
-    # one error block at a time: the ball has 2 * width columns per row,
-    # a key only one
     found = [np.zeros(0, dtype=np.int64)]
-    for E in _ball([c + [sp.width + a for a in c] for c in cols], [m + m for m in mods],
-                   d - 1, 2 * sp.width):
-        X, Z = E[:, :sp.width], E[:, sp.width:]
-        found.append(np.unique(sp.keys((Z - X @ gamma) % sp.mods)))
+    for supp, E in error_blocks(word_radices(_layer_system(graphs)), d - 1):
+        cols = _label_columns(sp, supp)
+        diff = -(E[:, 0::2] @ gamma[cols])
+        diff[:, cols] += E[:, 1::2]
+        found.append(np.unique(sp.keys(diff % sp.mods)))
     keys = np.unique(np.concatenate(found))
     keys.flags.writeable = False
     return keys
@@ -211,14 +194,6 @@ def covered_differences(graphs: Sequence[WeightedGraph], d: int) -> frozenset[La
     graphs = tuple(graphs)
     sp = _graph_space(graphs)
     return frozenset(sp.decode(sp.rows(_covered_keys(graphs, d))))
-
-
-def condition_ii_phase(ss: LayerVecs, cs: LayerVecs) -> Phase:
-    """prod_l w_{m_l}^{s_l . c_l}, exactly."""
-    ph = PHASE_ONE
-    for s, c in zip(ss, cs):
-        ph = phase_mul(ph, omega(s.m, dot_mod(s, c)))
-    return ph
 
 
 @dataclass(frozen=True)

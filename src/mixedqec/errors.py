@@ -6,13 +6,17 @@ independent shift/phase digits per factor.  Systems whose particles all
 share the same factor layout prefix-wise ("layered" systems, e.g. every
 particle a qupit and the first n1 particles additionally a qurit) admit
 a per-layer vector view, which is what the clique machinery works in.
+
+``error_blocks`` is the one enumerator of error words, as int64 digit
+rows one support at a time; ``enumerate_errors``, the label engine and
+the symbolic and numeric checks all take their errors from it.
 """
 from __future__ import annotations
 
 import itertools
 import os
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -196,17 +200,6 @@ class ErrorWord:
                     tgt[i][l] = v[i]
         return ErrorWord(tuple(tuple(r) for r in x), tuple(tuple(r) for r in z), phase)
 
-    def x_layer(self, sys: MixedSystem, layer: int) -> ModVec:
-        m, nl = sys.layers[layer]
-        return ModVec(m, tuple(self.x[i][layer] for i in range(nl)))
-
-    def z_layer(self, sys: MixedSystem, layer: int) -> ModVec:
-        m, nl = sys.layers[layer]
-        return ModVec(m, tuple(self.z[i][layer] for i in range(nl)))
-
-    def is_identity(self) -> bool:
-        return self.phase == PHASE_ONE and self.label_is_identity()
-
     def label_is_identity(self) -> bool:
         return all(a == 0 for xi in self.x for a in xi) and \
                all(a == 0 for zi in self.z for a in zi)
@@ -225,51 +218,87 @@ def weight(e: ErrorWord, sys: MixedSystem) -> int:
                if any(e.x[i]) or any(e.z[i]))
 
 
-def _particle_ops(f: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All non-identity (x_digits, z_digits) on one particle, in
-    lexicographic order of the interleaved digit string (x0, z0, x1, z1, ...)."""
-    ranges = []
-    for m in f:
-        ranges.append(range(m))  # x digit
-        ranges.append(range(m))  # z digit
-    out = []
-    for combo in itertools.product(*ranges):
-        if all(c == 0 for c in combo):
-            continue
-        out.append((combo[0::2], combo[1::2]))
-    return out
+# rows per enumerated block: bounds the memory of a block and how far a
+# check runs past its first failing error
+_BLOCK_ROWS = 1 << 16
+
+
+def word_radices(sys: MixedSystem) -> tuple[tuple[int, ...], ...]:
+    """Per particle, the moduli of its digits x0, z0, x1, z1, ... of an
+    error word, x and z interleaved factor by factor."""
+    return tuple(tuple(m for m in f for _ in "xz") for f in sys.factors)
+
+
+def supports(n: int, w_max: int) -> Iterator[tuple[int, ...]]:
+    """Every set of 1..w_max of n particles: smaller sets first, each
+    size in itertools.combinations order."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(1, w_max + 1))
+
+
+def support_rows(radices: Sequence[Sequence[int]], supp: Sequence[int],
+                 start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of the block of support supp: every assignment of
+    a nonzero digit tuple to each particle i of supp (digit moduli
+    radices[i]), the first particle's tuple varying slowest and each
+    particle's tuples in lexicographic order.  One int64 column per
+    digit, particle after particle."""
+    counts = [prod(radices[i]) - 1 for i in supp]
+    stop = min(stop, prod(counts))
+    choice = np.unravel_index(np.arange(start, stop), counts)
+    # a particle's c-th nonzero tuple is c + 1 read in its radices
+    cols = [digits for i, c in zip(supp, choice)
+            for digits in np.unravel_index(c + 1, radices[i])]
+    return np.stack(cols, axis=1).astype(np.int64, copy=False)
+
+
+def support_blocks(radices: Sequence[Sequence[int]],
+                   supp: Sequence[int]) -> Iterator[np.ndarray]:
+    """The block of support supp in order, _BLOCK_ROWS rows at a time."""
+    total = prod(prod(radices[i]) - 1 for i in supp)
+    for start in range(0, total, _BLOCK_ROWS):
+        yield support_rows(radices, supp, start, start + _BLOCK_ROWS)
+
+
+def error_blocks(radices: Sequence[Sequence[int]],
+                 w_max: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """(S, rows) for each support S of ``supports(n, w_max)``, its block
+    in slices of at most _BLOCK_ROWS rows; with ``word_radices`` digits
+    the rows of ``enumerate_errors``, in order."""
+    n = len(radices)
+    if w_max < 0 or w_max > n:
+        raise ValueError(f"w_max must be in [0, {n}]")
+    for supp in supports(n, w_max):
+        for block in support_blocks(radices, supp):
+            yield supp, block
+
+
+def word_from_row(sys: MixedSystem, supp: Sequence[int],
+                  row: Sequence[int]) -> ErrorWord:
+    """The error word of one ``word_radices`` row on support supp."""
+    x = [(0,) * len(f) for f in sys.factors]
+    z = list(x)
+    a = 0
+    for i in supp:
+        b = a + 2 * len(sys.factors[i])
+        x[i], z[i] = tuple(row[a:b:2]), tuple(row[a + 1:b:2])
+        a = b
+    return ErrorWord(tuple(x), tuple(z))
 
 
 def enumerate_errors(sys: MixedSystem, w_max: int) -> Iterator[ErrorWord]:
     """Every non-identity basis word of weight <= w_max, once each,
     phase one, ordered by (support set, per-particle digits)."""
-    if w_max < 0 or w_max > sys.n:
-        raise ValueError(f"w_max must be in [0, {sys.n}]")
-    per_particle = [_particle_ops(f) for f in sys.factors]
-    zero = ErrorWord.identity(sys)
-    for k in range(1, w_max + 1):
-        for supp in itertools.combinations(range(sys.n), k):
-            for choice in itertools.product(*(per_particle[i] for i in supp)):
-                x = [list(xi) for xi in zero.x]
-                z = [list(zi) for zi in zero.z]
-                for i, (xd, zd) in zip(supp, choice):
-                    x[i] = list(xd)
-                    z[i] = list(zd)
-                yield ErrorWord(tuple(tuple(r) for r in x), tuple(tuple(r) for r in z))
+    for supp, block in error_blocks(word_radices(sys), w_max):
+        for row in block.tolist():
+            yield word_from_row(sys, supp, row)
 
 
 def count_errors(sys: MixedSystem, w_max: int) -> int:
     """Closed-form count matching enumerate_errors: sum over supports of
     the product of per-particle non-identity operator counts."""
     dims = sys.dims
-    total = 0
-    for k in range(1, w_max + 1):
-        for supp in itertools.combinations(range(sys.n), k):
-            prod = 1
-            for i in supp:
-                prod *= dims[i] ** 2 - 1
-            total += prod
-    return total
+    return sum(prod(dims[i] ** 2 - 1 for i in supp) for supp in supports(sys.n, w_max))
 
 
 def apply_error(e: ErrorWord, sys: MixedSystem, vec: np.ndarray) -> np.ndarray:

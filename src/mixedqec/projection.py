@@ -53,10 +53,6 @@ class ProjectorSpec:
     def mixed_system(self) -> MixedSystem:
         return MixedSystem(tuple((p,) for p in self.kept_dims))
 
-    def is_identity(self) -> bool:
-        return all(len(s) == f[0]
-                   for s, f in zip(self.keep, self.system.factors))
-
     def to_json(self) -> dict:
         out = {}
         for i, (s, f) in enumerate(zip(self.keep, self.system.factors)):
@@ -92,19 +88,6 @@ def _expand_matrix(q: int, M: np.ndarray) -> list[tuple[complex, tuple[int, int]
             if abs(c) > _COEFF_TOL:
                 out.append((complex(c), (a, b)))
     return out
-
-
-def pauli_expansion(P: ProjectorSpec, particle: int) -> list[tuple[complex, tuple[int, int]]]:
-    """Expansion of the particle's kept-level projector.
-
-    Diagonal projectors only produce Z powers; a particle keeping all
-    levels expands to the identity alone.
-    """
-    q = P.system.factors[particle][0]
-    M = np.zeros((q, q), dtype=complex)
-    for level in P.keep[particle]:
-        M[level, level] = 1.0
-    return _expand_matrix(q, M)
 
 
 def _embedded_particle_op(P: ProjectorSpec, particle: int, a: int, b: int) -> np.ndarray:

@@ -5,7 +5,8 @@ in the phase-label algebra: an error word reduces on each graph layer to
 an exact phase times a pure phase word, so the KL inner products are
 roots of unity that either cancel or match exactly.  The numeric one
 builds the basis and measures max |<i|E|j> - f delta_ij| directly.  They
-must agree; tests enforce that.
+must agree; tests enforce that.  Both take their error words from
+``errors.error_blocks`` and share nothing else, nor the clique checks.
 
 The numeric side is one engine: ``_SupportScan`` yields the K x K
 matrices of every error on a support, one shift at a time, for
@@ -16,7 +17,6 @@ scalar-row test of ``verify_stabilizer`` uses it too.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,19 +24,23 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import PHASE_I, PHASE_ONE, Phase, phase_as_complex, phase_mul
-from .clique import CodingClique, condition_ii_phase
+from .clique import CodingClique
 from .errors import (
     ErrorWord,
     MixedSystem,
     _check_cap,
-    _particle_ops,
     apply_error,
     compose,
-    enumerate_errors,
+    error_blocks,
     format_word,
+    support_blocks,
+    support_rows,
+    supports,
+    word_from_row,
     word_order,
+    word_radices,
 )
-from .graphstate import codeword_state, reduce_to_phase_op
+from .graphstate import codeword_state
 
 
 class Code:
@@ -119,11 +123,14 @@ def _word_json(sys: MixedSystem, e: ErrorWord) -> dict:
 def kl_verify_symbolic(code: Code, d: int | None = None) -> KLReport:
     """Exact KL check for clique-form codes.
 
-    An error reduces per layer to (phi_l, delta_l).  If every delta_l is
-    zero the error acts diagonally and the diagonal phases must agree
+    On graph layer l an error X^s Z^t acts on the codeword Z^c |G_l> as
+    a root of unity times Z^(c + delta_l), delta_l = t_l - s_l.Gamma_l.
+    If every delta_l is zero the error acts diagonally, with the phase
+    prod_l w^(-s_l . c_l) on codeword c, and these phases must agree
     across codewords; otherwise <i|E|j> vanishes for all pairs unless
-    some pairwise difference of clique vectors equals delta, which is
-    exactly what condition (iii) forbids.
+    some pairwise difference c_i - c_j equals delta, which is exactly
+    what condition (iii) forbids.  Each block of ``error_blocks`` is
+    judged in integer arrays; counts run up to the first failing error.
     """
     if code.clique is None:
         raise ValueError("symbolic verification requires clique form")
@@ -132,43 +139,58 @@ def kl_verify_symbolic(code: Code, d: int | None = None) -> KLReport:
     sys = code.system
     graphs = cl.graphs
 
-    diffs = {}
-    for i, ci in enumerate(cl.vectors):
-        for j, cj in enumerate(cl.vectors):
-            if i != j:
-                delta = tuple(a - b for a, b in zip(ci, cj))
-                diffs.setdefault(delta, (i, j))
+    # labels as int64 rows, layer after layer, one column per (layer, particle)
+    starts = np.cumsum([0] + [g.n for g in graphs])
+    mods = np.repeat([g.m for g in graphs], [g.n for g in graphs])
+    if math.prod(mods.tolist()) >= 2 ** 63:
+        raise ValueError("label space exceeds int64 keys")
+    gamma = np.zeros((starts[-1], starts[-1]), dtype=np.int64)
+    for g, a in zip(graphs, starts):
+        gamma[a:a + g.n, a:a + g.n] = g.adj
+    radix = np.cumprod(np.append(1, mods[:0:-1]))[::-1]  # key = row @ radix
+    L = math.lcm(*mods.tolist())
+    V = np.array([[a for part in v for a in part.entries] for v in cl.vectors],
+                 dtype=np.int64)
+    K = len(V)
+    # the key of every c_i - c_j; -1 on the diagonal, which no delta has
+    pair_keys = np.zeros((K, K), dtype=np.int64)
+    for col in range(len(mods)):
+        pair_keys += (V[:, None, col] - V[None, :, col]) % mods[col] * radix[col]
+    np.fill_diagonal(pair_keys, -1)
+    diff_keys, first_pair = np.unique(pair_keys, return_index=True)
 
-    checked = 0
-    diagonal = 0
-    vanishing = 0
-    for e in enumerate_errors(sys, d - 1):
-        checked += 1
-        reduced = [reduce_to_phase_op(e.x_layer(sys, l), e.z_layer(sys, l), g)
-                   for l, g in enumerate(graphs)]
-        deltas = tuple(c for _, c in reduced)
-        if all(c.is_zero() for c in deltas):
-            diagonal += 1
-            ss = tuple(e.x_layer(sys, l) for l in range(len(graphs)))
-            ph0 = condition_ii_phase(ss, cl.vectors[0])
-            for c in cl.vectors[1:]:
-                if condition_ii_phase(ss, c) != ph0:
-                    return KLReport(
-                        False, "symbolic", checked, None,
-                        {"diagonal_errors": diagonal, "vanishing_errors": vanishing},
-                        {"error": _word_json(sys, e), "kind": "diagonal",
-                         "vector": [list(p.entries) for p in c]})
-        else:
-            vanishing += 1
-            hit = diffs.get(deltas)
-            if hit is not None:
-                return KLReport(
-                    False, "symbolic", checked, None,
-                    {"diagonal_errors": diagonal, "vanishing_errors": vanishing},
-                    {"error": _word_json(sys, e), "kind": "offdiagonal",
-                     "pair": list(hit)})
-    return KLReport(True, "symbolic", checked, None,
-                    {"diagonal_errors": diagonal, "vanishing_errors": vanishing})
+    checked = diagonal = 0
+    witness = None
+    for supp, E in error_blocks(word_radices(sys), d - 1):
+        cols = [starts[l] + i for i in supp for l in range(len(sys.factors[i]))]
+        X = E[:, 0::2]
+        delta = -(X @ gamma[cols])
+        delta[:, cols] += E[:, 1::2]
+        delta %= mods
+        diag = ~delta.any(axis=1)
+        # prod_l w_{m_l}^(s_l . c_l) = w_L^phase
+        phase = (X * (L // mods[cols])) @ V[:, cols].T % L
+        split = diag & (phase != phase[:, :1]).any(axis=1)
+        keys = delta @ radix
+        at = np.minimum(np.searchsorted(diff_keys, keys), len(diff_keys) - 1)
+        collide = ~diag & (diff_keys[at] == keys)
+        failing = np.flatnonzero(split | collide)
+        stop = int(failing[0]) + 1 if failing.size else len(E)
+        checked += stop
+        diagonal += int(diag[:stop].sum())
+        if failing.size:
+            r = stop - 1
+            witness = {"error": _word_json(sys, word_from_row(sys, supp, E[r].tolist()))}
+            if diag[r]:
+                c = cl.vectors[int((phase[r] != phase[r, 0]).argmax())]
+                witness.update(kind="diagonal", vector=[list(p.entries) for p in c])
+            else:
+                i, j = divmod(int(first_pair[at[r]]), K)
+                witness.update(kind="offdiagonal", pair=[i, j])
+            break
+    return KLReport(witness is None, "symbolic", checked, None,
+                    {"diagonal_errors": diagonal, "vanishing_errors": checked - diagonal},
+                    witness)
 
 
 class _KLReducer:
@@ -227,8 +249,8 @@ class _SupportScan:
     only the u with u < u + x and fills in the rest the same way, and
     x = 0 is one product of A with its own adjoint.  One product of G_x
     with the character table of S gives every phase z at once; the
-    errors of weight exactly |S| are picked out with index arrays built
-    in ``enumerate_errors`` order.
+    errors of weight exactly |S| are picked out with the flat x and z
+    indices of the enumerator's rows, in ``enumerate_errors`` order.
     """
 
     def __init__(self, sys: MixedSystem, B: np.ndarray):
@@ -237,11 +259,7 @@ class _SupportScan:
         self.flat = sys.flat_dims()
         self.Bt = B.reshape(self.flat + (self.K,))
         self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
-        self.ops = [_particle_ops(f) for f in sys.factors]
-        # per particle: flat x and z index of each operator, in _particle_ops order
-        self.local = [tuple(np.ravel_multi_index(np.array(digits).T, f)
-                            for digits in zip(*o))
-                      for f, o in zip(sys.factors, self.ops)]
+        self.radices = word_radices(sys)
 
     def fits(self, supp: tuple[int, ...]):
         """Yield (positions, f, deviation) for the errors of weight |S|
@@ -258,12 +276,12 @@ class _SupportScan:
         # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod L
         L = math.lcm(*dimsS)
         chi = np.exp(2j * np.pi / L * ((U.T * (L // moduli.T)) @ U % L))
-        xs = np.zeros(1, dtype=np.int64)
-        zs = np.zeros(1, dtype=np.int64)
-        for i in supp:
-            d = self.sys.dims[i]
-            xs = (xs[:, None] * d + self.local[i][0]).ravel()
-            zs = (zs[:, None] * d + self.local[i][1]).ravel()
+        # flat x and z index on S of each error, in enumeration order
+        xs, zs = [], []
+        for E in support_blocks(self.radices, supp):
+            xs.append(np.ravel_multi_index(E[:, 0::2].T, dimsS))
+            zs.append(np.ravel_multi_index(E[:, 1::2].T, dimsS))
+        xs, zs = np.concatenate(xs), np.concatenate(zs)
         order = np.argsort(xs, kind="stable")
         shifts, starts = np.unique(xs[order], return_index=True)
         # every shift on S occurs (with z != 0 where x is 0), so -x does too
@@ -297,12 +315,8 @@ class _SupportScan:
 
     def word(self, supp: tuple[int, ...], j: int) -> ErrorWord:
         """The j-th error of weight |S| on S, in enumerate_errors order."""
-        x = [tuple(0 for _ in f) for f in self.sys.factors]
-        z = list(x)
-        radices = [len(self.ops[i]) for i in supp]
-        for i, c in zip(supp, np.unravel_index(j, radices)):
-            x[i], z[i] = self.ops[i][c]
-        return ErrorWord(tuple(x), tuple(z))
+        return word_from_row(self.sys, supp,
+                             support_rows(self.radices, supp, j, j + 1)[0].tolist())
 
 
 def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
@@ -312,8 +326,7 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
     d = code.d if d is None else d
     scan = _SupportScan(code.system, code.basis(cap=cap))
     reducer = _KLReducer(code.system, tol)
-    for supp in itertools.chain.from_iterable(
-            itertools.combinations(range(code.n), k) for k in range(1, d)):
+    for supp in supports(code.n, d - 1):
         pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
         order = np.argsort(pos)  # back to enumeration order
         reducer.add(f[order], dev[order], lambda j: scan.word(supp, j))
@@ -337,11 +350,10 @@ def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
     up to w_cap."""
     w_cap = code.n if w_cap is None else w_cap
     scan = _SupportScan(code.system, code.basis(cap=cap))
-    for w in range(1, w_cap + 1):
-        for supp in itertools.combinations(range(code.n), w):
-            # the first failing shift settles the weight
-            if any((dev > tol).any() for _, _, dev in scan.fits(supp)):
-                return w
+    for supp in supports(code.n, w_cap):
+        # supports come by size: the first failing shift settles the weight
+        if any((dev > tol).any() for _, _, dev in scan.fits(supp)):
+            return len(supp)
     return w_cap + 1
 
 

@@ -157,6 +157,20 @@ class TestSearch:
         rc, _, err = run(capsys, "search", "--graph-p", str(p))
         assert rc == 2 and "graph" in err
 
+    @pytest.mark.parametrize("distance", ["5", "9"])
+    def test_distance_above_n_plus_1_exit_2(self, graph_file, distance, capsys):
+        # bad input, not a failed verification
+        rc, out, err = run(capsys, "search", "--graph-p", graph_file,
+                           "--distance", distance)
+        assert rc == 2 and out == ""
+        assert f"--distance {distance} exceeds n + 1 = 4" in err
+
+    def test_distance_n_plus_1_exit_3(self, graph_file, capsys):
+        # d = n + 1 is a valid request that only the trivial clique meets
+        rc, _, err = run(capsys, "search", "--graph-p", graph_file,
+                         "--distance", "4")
+        assert rc == 3 and "trivial" in err
+
 
 class TestCompositions:
     def test_project(self, capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mixedqec import errors
 from mixedqec.algebra import PHASE_ONE, ModVec, Phase
 from mixedqec.errors import (
     DimensionCapError,
@@ -13,11 +14,14 @@ from mixedqec.errors import (
     count_errors,
     dim_cap,
     enumerate_errors,
+    error_blocks,
     error_matrix,
     format_word,
     parse_word,
+    support_rows,
     weight,
     word_order,
+    word_radices,
 )
 
 
@@ -138,6 +142,72 @@ class TestEnumerate:
         assert w0 == 1
 
 
+def oracle_errors(sys, w_max):
+    """(support, x, z) of every error, straight from itertools: supports
+    by size in combinations order, then one non-identity operator per
+    particle of the support, each particle's operators in lexicographic
+    order of the digits x0, z0, x1, z1, ..."""
+    ops = []
+    for f in sys.factors:
+        digits = itertools.product(*(range(m) for m in f for _ in "xz"))
+        ops.append([(t[0::2], t[1::2]) for t in digits if any(t)])
+    out = []
+    for k in range(1, w_max + 1):
+        for supp in itertools.combinations(range(sys.n), k):
+            for choice in itertools.product(*(ops[i] for i in supp)):
+                x = [(0,) * len(f) for f in sys.factors]
+                z = list(x)
+                for i, (xd, zd) in zip(supp, choice):
+                    x[i], z[i] = xd, zd
+                out.append((supp, tuple(x), tuple(z)))
+    return out
+
+
+ORDER_LAYOUTS = [((2, 2), (2, 2), (2,)), ((3,), (4,), (2, 3)),
+                 ((4, 2), (4,), (4,), (2,))]
+
+
+class TestEnumeratorOrder:
+    @pytest.mark.parametrize("factors", ORDER_LAYOUTS)
+    def test_words_match_itertools_oracle(self, factors):
+        sys = MixedSystem(factors)
+        for w in range(sys.n + 1):
+            want = oracle_errors(sys, w)
+            got = list(enumerate_errors(sys, w))
+            assert [(e.x, e.z) for e in got] == [(x, z) for _, x, z in want]
+            assert all(e.phase == PHASE_ONE for e in got)
+            assert len(got) == count_errors(sys, w)
+
+    @pytest.mark.parametrize("factors", ORDER_LAYOUTS)
+    def test_blocks_are_interleaved_digit_rows(self, factors, monkeypatch):
+        # a small slice size splits most supports across several blocks
+        monkeypatch.setattr(errors, "_BLOCK_ROWS", 7)
+        sys = MixedSystem(factors)
+        want = oracle_errors(sys, sys.n)
+        rows = []
+        for supp, block in error_blocks(word_radices(sys), sys.n):
+            assert 1 <= len(block) <= 7 and block.dtype == np.int64
+            rows += [(supp, r) for r in block.tolist()]
+        assert len(rows) == len(want)
+        for (supp, row), (want_supp, x, z) in zip(rows, want):
+            assert supp == want_supp
+            interleaved = [a for i in supp for xz in zip(x[i], z[i]) for a in xz]
+            assert row == interleaved
+
+    def test_rows_slice_the_support_block(self):
+        radices = word_radices(MixedSystem(((2, 3), (4,), (2,))))
+        whole = support_rows(radices, (0, 2), 0, 35 * 3)
+        assert whole.shape == (35 * 3, 6)
+        assert np.array_equal(support_rows(radices, (0, 2), 10, 40), whole[10:40])
+        assert np.array_equal(support_rows(radices, (0, 2), 100, 999), whole[100:])
+
+    def test_x_digit_labels(self):
+        # the clique module enumerates labels with one digit per factor
+        got = [r for _, b in error_blocks(((2, 3), (2,)), 2) for r in b.tolist()]
+        assert got == [[0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [1],
+                       [0, 1, 1], [0, 2, 1], [1, 0, 1], [1, 1, 1], [1, 2, 1]]
+
+
 def single(sys, particle, layer, a, b):
     x = [[0] * len(f) for f in sys.factors]
     z = [[0] * len(f) for f in sys.factors]
@@ -236,8 +306,8 @@ class TestNotation:
         text = "Z^{2345}Z^{1'}"
         w = parse_word(s, text)
         assert format_word(s, w) == text
-        assert w.z_layer(s, 0).entries == (0, 1, 1, 1, 1, 0)
-        assert w.z_layer(s, 1).entries == (1, 0, 0, 0, 0)
+        assert [zi[0] for zi in w.z] == [0, 1, 1, 1, 1, 0]
+        assert [zi[1] for zi in w.z[:5]] == [1, 0, 0, 0, 0]
 
     def test_powers_repeat_digits(self):
         s = two_layer(5, 3, 1, 0)

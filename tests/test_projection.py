@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from mixedqec.algebra import ModVec
-from mixedqec.errors import ErrorWord, MixedSystem, enumerate_errors
+from mixedqec.errors import ErrorWord, MixedSystem, enumerate_errors, error_matrix
 from mixedqec.graphs import loop_graph
 from mixedqec.clique import CodingClique
 from mixedqec.verifier import Code, kl_verify_numeric, kl_verify_words
 from mixedqec.projection import (
-    ProjectorSpec, pauli_expansion, project_code, projected_error,
+    ProjectorSpec, project_code, projected_error,
     required_detectable_set,
 )
 
@@ -41,6 +41,21 @@ def mixed_word(P, particle, a, b):
     return ErrorWord(tuple(xs), tuple(zs))
 
 
+def projector_terms(P):
+    """The Pauli expansion of the projector itself, P^dag I P = P, keyed
+    by the (x, z) digits of every particle."""
+    sys = P.mixed_system()
+    return {tuple((w.x[i][0], w.z[i][0]) for i in range(sys.n)): c
+            for c, w in projected_error(ErrorWord.identity(sys), P)}
+
+
+def particle_terms(P, particle):
+    """The expansion of one particle's kept-level projector, read off
+    the terms that are the identity on every other particle."""
+    return {digits[particle]: c for digits, c in projector_terms(P).items()
+            if all(ab == (0, 0) for i, ab in enumerate(digits) if i != particle)}
+
+
 def dense_pauli(q, a, b):
     m = np.zeros((q, q), dtype=complex)
     for j in range(q):
@@ -51,8 +66,9 @@ def dense_pauli(q, a, b):
 class TestSpec:
     def test_all_levels_is_identity(self):
         P = ProjectorSpec(QUTRIT5, (KEEP_ALL3,) * 5)
-        assert P.is_identity()
+        assert P.to_json() == {"keep": {}}
         assert P.kept_dims == (3, 3, 3, 3, 3)
+        assert projector_terms(P) == {((0, 0),) * 5: pytest.approx(1)}
 
     def test_kept_dims_and_mixed_system(self):
         P = spec_ex5()
@@ -86,11 +102,13 @@ class TestSpec:
 class TestPauliExpansion:
     def test_identity_particle(self):
         P = spec_ex5()
-        assert pauli_expansion(P, 0) == [(1 + 0j, (0, 0))]
+        # particles keeping every level contribute only their identity
+        assert all(digits[:4] == ((0, 0),) * 4 for digits in projector_terms(P))
+        assert set(particle_terms(P, 0)) == {(0, 0)}
 
     def test_qutrit_keep01_coefficients(self):
         P = spec_ex5()
-        terms = dict((ab, c) for c, ab in pauli_expansion(P, 4))
+        terms = particle_terms(P, 4)
         assert set(terms) == {(0, 0), (0, 1), (0, 2)}
         # published form: 2 I + (1 + w^2) Z + (1 + w) Z^2, up to scale
         scale = terms[(0, 0)] / 2
@@ -100,7 +118,7 @@ class TestPauliExpansion:
     def test_reconstruction(self):
         P = ProjectorSpec(QUTRIT5, (KEEP_ALL3,) * 4 + ((0, 2),))
         got = np.zeros((3, 3), dtype=complex)
-        for c, (a, b) in pauli_expansion(P, 4):
+        for (a, b), c in particle_terms(P, 4).items():
             got += c * dense_pauli(3, a, b)
         want = np.diag([1.0, 0.0, 1.0]).astype(complex)
         assert np.abs(got - want).max() < 1e-12
@@ -108,13 +126,12 @@ class TestPauliExpansion:
 
 class TestProjectedError:
     def test_identity_error_gives_projector_expansion(self):
+        # the terms of P^dag I P sum to the dense projector
         P = spec_ex5()
-        sys = P.mixed_system()
-        terms = projected_error(ErrorWord.identity(sys), P)
-        own = {ab: c for c, ab in pauli_expansion(P, 4)}
-        for c, w in terms:
-            assert all(w.x[i][0] == 0 and w.z[i][0] == 0 for i in range(4))
-            assert c == pytest.approx(own[(w.x[4][0], w.z[4][0])])
+        got = sum(c * error_matrix(w, P.system)
+                  for c, w in projected_error(ErrorWord.identity(P.mixed_system()), P))
+        want = np.kron(np.eye(81), np.diag([1.0, 1.0, 0.0]))
+        assert np.abs(got - want).max() < 1e-12
 
     def test_phase_flip_two_terms(self):
         P = spec_ex5()
@@ -158,7 +175,6 @@ class TestProjectedError:
             for m in mats[1:]:
                 want = np.kron(want, m)
             got = np.zeros_like(want)
-            from mixedqec.errors import error_matrix
             for c, w in projected_error(e, P):
                 got += c * error_matrix(w, sysA)
             assert np.abs(got - want).max() < 1e-12
@@ -168,7 +184,7 @@ class TestProjectedError:
         # projector, so its expansion is the error times P's own terms
         P = spec_ex5()
         terms = projected_error(mixed_word(P, 1, 1, 2), P)
-        own = {ab: c for c, ab in pauli_expansion(P, 4)}
+        own = particle_terms(P, 4)
         assert len(terms) == len(own)
         for c, w in terms:
             assert (w.x[1][0], w.z[1][0]) == (1, 2)

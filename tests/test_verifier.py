@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixedqec.algebra import ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, phase_mul
+from mixedqec.algebra import (
+    ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, dot_mod, omega, phase_mul,
+)
 from mixedqec.certificates import base_stabilizer_rows, build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
     ErrorWord, MixedSystem, compose, enumerate_errors, error_matrix,
     format_word, weight,
 )
-from mixedqec.graphs import loop_graph
-from mixedqec.clique import CodingClique, check_clique, closure
+from mixedqec.graphs import WeightedGraph, loop_graph
+from mixedqec.graphstate import reduce_to_phase_op
+from mixedqec.clique import CodingClique, check_clique, closure, search_clique
 from mixedqec.compose import paste_distance2
 from mixedqec.verifier import (
     Code, StabilizerRow, _SupportScan, _exact_dim, _phase_candidates,
@@ -288,6 +291,122 @@ class TestStabilizer:
                            "chosen_phases", "eigenspace_dim"}
 
 
+def error_json(sys, e):
+    out = {"x": [list(xi) for xi in e.x], "z": [list(zi) for zi in e.z]}
+    if sys.layers is not None and sys.n <= 9:
+        out["notation"] = format_word(sys, e)
+    return out
+
+
+# --- oracle for the symbolic check ------------------------------------------
+
+
+def symbolic_oracle(code, d):
+    """The symbolic KL report one error at a time in ModVec arithmetic:
+    reduce the error on every layer, then look its phase shift up among
+    the pairwise differences, or compare the diagonal phases."""
+    cl, sys = code.clique, code.system
+
+    def layer(digits, l):
+        m, nl = sys.layers[l]
+        return ModVec(m, tuple(digits[i][l] for i in range(nl)))
+
+    def phase(ss, cs):
+        ph = PHASE_ONE
+        for s, c in zip(ss, cs):
+            ph = phase_mul(ph, omega(s.m, dot_mod(s, c)))
+        return ph
+
+    diffs = {}
+    for i, ci in enumerate(cl.vectors):
+        for j, cj in enumerate(cl.vectors):
+            if i != j:
+                diffs.setdefault(tuple(a - b for a, b in zip(ci, cj)), (i, j))
+    checked = diagonal = vanishing = 0
+    witness = None
+    for e in enumerate_errors(sys, d - 1):
+        checked += 1
+        deltas = tuple(reduce_to_phase_op(layer(e.x, l), layer(e.z, l), g)[1]
+                       for l, g in enumerate(cl.graphs))
+        if not any(any(c.entries) for c in deltas):
+            diagonal += 1
+            ss = tuple(layer(e.x, l) for l in range(len(cl.graphs)))
+            ph0 = phase(ss, cl.vectors[0])
+            odd = next((c for c in cl.vectors[1:] if phase(ss, c) != ph0), None)
+            if odd is not None:
+                witness = {"error": error_json(sys, e), "kind": "diagonal",
+                           "vector": [list(p.entries) for p in odd]}
+                break
+        else:
+            vanishing += 1
+            if deltas in diffs:
+                witness = {"error": error_json(sys, e), "kind": "offdiagonal",
+                           "pair": list(diffs[deltas])}
+                break
+    out = {"verdict": "fail" if witness else "pass", "mode": "symbolic",
+           "checked_errors": checked,
+           "f_values_summary": {"diagonal_errors": diagonal,
+                                "vanishing_errors": vanishing}}
+    if witness:
+        out["witness"] = witness
+    return out
+
+
+FIXTURE_DIR = _default_fixture_dir()
+CLIQUE_FIXTURES = ["3_32_2_product", "3_4_2_q4", "3_8_2_q8", "5_9_2_q3", "6_16_3_q4",
+                   "6_4_3_mixed", "6_8_3_mixed", "negatives/neg_bad_vector",
+                   "negatives/neg_wrong_K", "negatives/neg_wrong_d"]
+
+
+def random_graph(rng, n, m):
+    adj = np.zeros((n, n), dtype=int)
+    for i, j in itertools.combinations(range(n), 2):
+        adj[i, j] = adj[j, i] = rng.integers(m)
+    return WeightedGraph(n, m, tuple(map(tuple, adj.tolist())))
+
+
+def random_cliques(rng):
+    """Cliques over mixed moduli and three layers: searched ones, which
+    pass, closures of random generators and random vector sets."""
+    shapes = [((4, 3), (3, 2)), ((6, 2), (4, 2)), ((3, 2), (3, 2), (3, 2)),
+              ((4, 2), (4, 2), (1, 3)), ((3, 4), (2, 2))]
+    for shape in shapes:
+        for d in (2, 3):
+            graphs = tuple(random_graph(rng, n, m) for n, m in shape)
+            yield search_clique(graphs, d, 8, budget=50).clique
+            labels = [tuple(ModVec.of(m, rng.integers(m, size=n).tolist())
+                            for n, m in shape) for _ in range(6)]
+            zero = tuple(ModVec.zeros(m, n) for n, m in shape)
+            yield CodingClique(graphs, d, closure(labels[:2]))
+            vecs = list(dict.fromkeys([zero] + labels))
+            yield CodingClique(graphs, d, tuple(vecs[:int(rng.integers(2, 6))]))
+
+
+class TestSymbolicOracle:
+    @pytest.mark.parametrize("name", CLIQUE_FIXTURES)
+    def test_fixtures_match_modvec_loop(self, name):
+        path = FIXTURE_DIR / f"{name}.json"
+        code = build_code(load_certificate(path), path.parent)
+        kinds = []
+        for d in (code.d, code.d + 1):
+            want = symbolic_oracle(code, d)
+            assert kl_verify_symbolic(code, d).to_json() == want
+            kinds.append(want.get("witness", {}).get("kind", "pass"))
+        # d + 1 fails on every case: with a diagonal witness on the 6_*
+        # codes, an off-diagonal one on the rest
+        assert kinds[1] == ("diagonal" if name.startswith("6_") else "offdiagonal")
+
+    def test_random_cliques_match_modvec_loop(self):
+        rng = np.random.default_rng(20261018)
+        seen = set()
+        for cl in random_cliques(rng):
+            code = Code.from_clique(cl)
+            want = symbolic_oracle(code, cl.d)
+            assert kl_verify_symbolic(code).to_json() == want, cl
+            seen.add(want.get("witness", {}).get("kind", "pass"))
+        assert seen == {"pass", "diagonal", "offdiagonal"}
+
+
 # --- oracle for the numeric scan ------------------------------------------
 
 
@@ -307,10 +426,7 @@ def oracle_report(code, words, mode, tol=1e-9):
             max_abs_f = max(max_abs_f, float(abs(f)))
         maxdev = max(maxdev, dev)
         if dev > tol and witness is None:
-            err = {"x": [list(xi) for xi in e.x], "z": [list(zi) for zi in e.z]}
-            if sys.layers is not None and sys.n <= 9:
-                err["notation"] = format_word(sys, e)
-            witness = {"error": err, "deviation": dev}
+            witness = {"error": error_json(sys, e), "deviation": dev}
     out = {"verdict": "fail" if witness else "pass", "mode": mode,
            "checked_errors": len(words), "max_deviation": maxdev,
            "f_values_summary": {"nonzero_f": nonzero_f, "max_abs_f": max_abs_f}}
