@@ -231,7 +231,14 @@ def word_radices(sys: MixedSystem) -> tuple[tuple[int, ...], ...]:
 
 def supports(n: int, w_max: int) -> Iterator[tuple[int, ...]]:
     """Every set of 1..w_max of n particles: smaller sets first, each
-    size in itertools.combinations order."""
+    size in itertools.combinations order.
+
+    w_max is d - 1 for a distance d, which must lie in [1, n + 1]: a
+    word acts on at most n particles, so a larger d claims nothing more
+    and is rejected here, for every check that enumerates errors."""
+    if w_max < 0 or w_max > n:
+        raise ValueError(f"distance d = {w_max + 1} must be in [1, n + 1] "
+                         f"with n + 1 = {n + 1}")
     return itertools.chain.from_iterable(
         itertools.combinations(range(n), k) for k in range(1, w_max + 1))
 
@@ -265,10 +272,7 @@ def error_blocks(radices: Sequence[Sequence[int]],
     """(S, rows) for each support S of ``supports(n, w_max)``, its block
     in slices of at most _BLOCK_ROWS rows; with ``word_radices`` digits
     the rows of ``enumerate_errors``, in order."""
-    n = len(radices)
-    if w_max < 0 or w_max > n:
-        raise ValueError(f"w_max must be in [0, {n}]")
-    for supp in supports(n, w_max):
+    for supp in supports(len(radices), w_max):
         for block in support_blocks(radices, supp):
             yield supp, block
 

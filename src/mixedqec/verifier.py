@@ -11,7 +11,10 @@ must agree; tests enforce that.  Both take their error words from
 The numeric side is one engine: ``_SupportScan`` yields the K x K
 matrices of every error on a support, one shift at a time, for
 ``kl_verify_numeric`` and ``code_distance``; ``kl_verify_words`` applies
-each listed word instead.  ``_KLReducer`` is the only place f, the
+each listed word instead.  The scan forms its Gram blocks by scatter-add
+when every row of the basis has at most one nonzero entry (any
+stabilizer eigenbasis) and by batched products otherwise; it reads only
+the basis, never how it was built.  ``_KLReducer`` is the only place f, the
 deviation, their summaries and the witness are computed, and the
 scalar-row test of ``verify_stabilizer`` uses it too.
 """
@@ -53,11 +56,16 @@ class Code:
         if clique is None and basis is None:
             raise ValueError("code needs a clique or a basis")
         if basis is not None:
-            basis = np.asarray(basis, dtype=complex)
+            basis = np.ascontiguousarray(basis, dtype=complex)
             if basis.ndim != 2 or basis.shape != (system.total_dim, K):
                 raise ValueError(f"basis must be {system.total_dim} x {K}")
-            gram = basis.conj().T @ basis
-            if np.abs(gram - np.eye(K)).max() > 1e-9:
+            # B^dag B from one real symmetric product of the (Re, Im)
+            # columns: P[a, s, b, t] = part s of column a . part t of b
+            W = basis.view(np.float64)
+            P = (W.T @ W).reshape(K, 2, K, 2)
+            re = P[:, 0, :, 0] + P[:, 1, :, 1] - np.eye(K)
+            im = P[:, 0, :, 1] - P[:, 1, :, 0]
+            if np.hypot(re, im).max() > 1e-9:
                 raise ValueError("basis is not orthonormal")
         if clique is not None and clique.K != K:
             raise ValueError(f"clique has {clique.K} vectors, claimed K = {K}")
@@ -210,10 +218,13 @@ class _KLReducer:
 
     @staticmethod
     def fit(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and the deviation of a stack of shape (n, K, K)."""
         K = M.shape[-1]
         f = np.trace(M, axis1=-2, axis2=-1) / K
-        dev = np.abs(M - f[..., None, None] * np.eye(K)).max(axis=(-2, -1))
-        return f, dev
+        off = np.abs(M)
+        off.reshape(-1, K * K)[:, ::K + 1] = 0
+        diag = np.abs(np.diagonal(M, axis1=-2, axis2=-1) - f[..., None])
+        return f, np.maximum(off.max(axis=(-2, -1)), diag.max(axis=-1))
 
     def add(self, f: np.ndarray, dev: np.ndarray, word_at) -> None:
         """Fold in one batch; ``word_at(j)`` is the error word of entry j."""
@@ -244,38 +255,60 @@ class _SupportScan:
     With the basis gathered as A[u, r, k] (u the digits on S, r the rest)
     an error X^x Z^z on S maps |u> to chi_z(u) |u + x>, so
     <i|E|j> = sum_u chi_z(u) G_x[u]_ij with G_x[u] = A[u + x]^dag A[u].
-    Shifts come in adjoint pairs, G_{-x}[u + x] = G_x[u]^dag, so one
-    batched product serves both x and -x; a shift with x = -x != 0 forms
-    only the u with u < u + x and fills in the rest the same way, and
-    x = 0 is one product of A with its own adjoint.  One product of G_x
-    with the character table of S gives every phase z at once; the
-    errors of weight exactly |S| are picked out with the flat x and z
-    indices of the enumerator's rows, in ``enumerate_errors`` order.
+    One product of G_x with the character table of S gives every phase z
+    at once; the errors of weight exactly |S| are picked out with the
+    flat x and z indices of the enumerator's rows, in ``enumerate_errors``
+    order.
+
+    G_x is formed one of two ways, chosen by the basis itself:
+
+    * monomial rows (every row of B has at most one nonzero entry, as in
+      any basis whose columns lie on disjoint sets of standard basis
+      states, e.g. a stabilizer eigenbasis): only the column index and
+      value of each row are kept, and G_x[u]_ij is the sum of
+      conj(A[u + x, r, i]) A[u, r, j] over the rows r where both are the
+      nonzero entries, scattered into its (u, i, j) bin by one
+      ``np.bincount``; O(dS D) work per shift and no D x K copy;
+    * otherwise dense batched products.  Shifts come in adjoint pairs,
+      G_{-x}[u + x] = G_x[u]^dag, so one batched product serves both x
+      and -x; a shift with x = -x != 0 forms only the u with u < u + x
+      and fills in the rest the same way, and x = 0 is one product of A
+      with its own adjoint.
     """
 
     def __init__(self, sys: MixedSystem, B: np.ndarray):
         self.sys = sys
         self.K = B.shape[1]
         self.flat = sys.flat_dims()
-        self.Bt = B.reshape(self.flat + (self.K,))
         self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
         self.radices = word_radices(sys)
+        nonzero = B != 0
+        if nonzero.sum(axis=1).max() <= 1:
+            # column of each row's nonzero entry, -1 (and value 0) if none
+            col = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
+            self.col = col.reshape(self.flat)
+            self.val = B[np.arange(len(B)), col].reshape(self.flat)
+            self.Bt = None
+        else:
+            self.Bt = B.reshape(self.flat + (self.K,))
+
+    def _layout(self, supp: tuple[int, ...]):
+        """The flat tensor axes of S, their dimensions, and the digits
+        U[:, u] of every flat index u on S."""
+        axes = [a for i in supp
+                for a in range(self.first_axis[i], self.first_axis[i + 1])]
+        dimsS = tuple(self.flat[a] for a in axes)
+        return axes, dimsS, np.indices(dimsS).reshape(len(axes), -1)
 
     def fits(self, supp: tuple[int, ...]):
         """Yield (positions, f, deviation) for the errors of weight |S|
         on S, one shift at a time; positions index enumeration order."""
         K = self.K
-        axes = [a for i in supp
-                for a in range(self.first_axis[i], self.first_axis[i + 1])]
-        dimsS = tuple(self.flat[a] for a in axes)
-        dS = math.prod(dimsS)
-        A = np.moveaxis(self.Bt, axes, range(len(axes))).reshape(dS, -1, K)
-        Ah = np.ascontiguousarray(A.conj().transpose(0, 2, 1))
-        U = np.indices(dimsS).reshape(len(axes), dS)
-        moduli = np.array(dimsS)[:, None]
+        _, dimsS, U = self._layout(supp)
+        dS = U.shape[1]
         # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod L
         L = math.lcm(*dimsS)
-        chi = np.exp(2j * np.pi / L * ((U.T * (L // moduli.T)) @ U % L))
+        chi = np.exp(2j * np.pi / L * ((U.T * (L // np.array(dimsS))) @ U % L))
         # flat x and z index on S of each error, in enumeration order
         xs, zs = [], []
         for E in support_blocks(self.radices, supp):
@@ -283,35 +316,76 @@ class _SupportScan:
             zs.append(np.ravel_multi_index(E[:, 1::2].T, dimsS))
         xs, zs = np.concatenate(xs), np.concatenate(zs)
         order = np.argsort(xs, kind="stable")
-        shifts, starts = np.unique(xs[order], return_index=True)
-        # every shift on S occurs (with z != 0 where x is 0), so -x does too
-        groups = dict(zip(shifts.tolist(), np.split(order, starts[1:])))
-        negate = np.ravel_multi_index(-U % moduli, dimsS)
-
-        def fit(pos, G):
+        # every shift on S occurs (with z != 0 where x is 0)
+        starts = np.unique(xs[order], return_index=True)[1]
+        groups = np.split(order, starts[1:])
+        for x, G in self.grams(supp):
+            pos = groups[x]
             M = chi[zs[pos]] @ G.reshape(dS, K * K)
-            return (pos, *_KLReducer.fit(M.reshape(-1, K, K)))
+            yield (pos, *_KLReducer.fit(M.reshape(-1, K, K)))
 
-        for x, pos in groups.items():
+    def grams(self, supp: tuple[int, ...]):
+        """Yield (x, G_x) for every flat shift x on S, G_x the (dS, K, K)
+        stack of A[u + x]^dag A[u] over the flat index u."""
+        axes, dimsS, U = self._layout(supp)
+        moduli = np.array(dimsS)[:, None]
+
+        def shifted(x: int) -> np.ndarray:
+            """The flat index of u + x for every u."""
+            return np.ravel_multi_index((U + U[:, x:x + 1]) % moduli, dimsS)
+
+        front = range(len(axes))
+        dS = U.shape[1]
+        if self.Bt is None:
+            col = np.moveaxis(self.col, axes, front).reshape(dS, -1)
+            val = np.moveaxis(self.val, axes, front).reshape(dS, -1)
+            return self._scatter_grams(col, val, shifted)
+        A = np.moveaxis(self.Bt, axes, front).reshape(dS, -1, self.K)
+        return self._product_grams(A, shifted, np.ravel_multi_index(-U % moduli, dimsS))
+
+    def _scatter_grams(self, col, val, shifted):
+        """G_x from the monomial rows col and val, one bincount per shift."""
+        K = self.K
+        dS = len(col)
+        size = dS * K * K
+        present = col >= 0
+        # bin of entry (u, i, j) is (u K + i) K + j; u and j come with the row
+        base = np.arange(dS)[:, None] * (K * K) + col
+        for x in range(dS):
+            plus_x = shifted(x)
+            hit = present[plus_x] & present
+            keys = base[hit] + col[plus_x][hit] * K
+            w = val[plus_x][hit].conj() * val[hit]
+            G = np.empty(size, dtype=complex)
+            G.real = np.bincount(keys, w.real, size)
+            G.imag = np.bincount(keys, w.imag, size)
+            yield x, G.reshape(dS, K, K)
+
+    @staticmethod
+    def _product_grams(A, shifted, negate):
+        """G_x by batched products, one per pair {x, -x}."""
+        dS, _, K = A.shape
+        Ah = np.ascontiguousarray(A.conj().transpose(0, 2, 1))
+        for x in range(dS):
             if x == 0:
-                yield fit(pos, Ah @ A)
+                yield x, Ah @ A
                 continue
             minus = int(negate[x])
             if minus < x:
                 continue  # yielded with its partner
-            plus_x = np.ravel_multi_index((U + U[:, x:x + 1]) % moduli, dimsS)
+            plus_x = shifted(x)
             if minus == x:
                 half = np.flatnonzero(np.arange(dS) < plus_x)
                 G = np.empty((dS, K, K), dtype=complex)
                 G[half] = Ah[plus_x[half]] @ A[half]
                 G[plus_x[half]] = G[half].conj().transpose(0, 2, 1)
-                yield fit(pos, G)
+                yield x, G
                 continue
             G = Ah[plus_x] @ A
-            yield fit(pos, G)
+            yield x, G
             G_minus = np.empty_like(G)
             G_minus[plus_x] = G.conj().transpose(0, 2, 1)
-            yield fit(groups[minus], G_minus)
+            yield minus, G_minus
 
     def word(self, supp: tuple[int, ...], j: int) -> ErrorWord:
         """The j-th error of weight |S| on S, in enumerate_errors order."""

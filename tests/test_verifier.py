@@ -17,15 +17,17 @@ from mixedqec.algebra import (
 from mixedqec.certificates import base_stabilizer_rows, build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
-    ErrorWord, MixedSystem, compose, enumerate_errors, error_matrix,
-    format_word, weight,
+    ErrorWord, MixedSystem, apply_error, compose, count_errors, enumerate_errors,
+    error_matrix, format_word, weight,
 )
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.graphstate import reduce_to_phase_op
-from mixedqec.clique import CodingClique, check_clique, closure, search_clique
+from mixedqec.clique import (
+    CodingClique, check_clique, closure, covered_differences, search_clique,
+)
 from mixedqec.compose import paste_distance2
 from mixedqec.verifier import (
-    Code, StabilizerRow, _SupportScan, _exact_dim, _phase_candidates,
+    Code, StabilizerRow, _KLReducer, _SupportScan, _exact_dim, _phase_candidates,
     _project_columns, _row_power, code_distance, kl_verify_numeric, kl_verify_symbolic,
     kl_verify_words, parse_stabilizer_row, rows_commute, stabilizer_eigenbasis,
     verify_stabilizer,
@@ -208,6 +210,30 @@ class TestAgreement:
             if check_clique(cl).ok:
                 seen_pass += 1
                 assert kl_verify_symbolic(Code.from_clique(cl)).ok
+
+
+class TestDistanceRange:
+    # every check enumerates its errors through errors.supports, which
+    # rejects a distance above n + 1 = 4 in terms of d
+    @pytest.mark.parametrize("check", [
+        pytest.param(lambda cl, d: kl_verify_numeric(Code.from_clique(cl), d),
+                     id="kl_verify_numeric"),
+        pytest.param(lambda cl, d: kl_verify_symbolic(Code.from_clique(cl), d),
+                     id="kl_verify_symbolic"),
+        pytest.param(lambda cl, d: search_clique(cl.graphs, d, target_K=4),
+                     id="search_clique"),
+        pytest.param(lambda cl, d: covered_differences(cl.graphs, d),
+                     id="covered_differences"),
+        pytest.param(lambda cl, d: check_clique(CodingClique(cl.graphs, d, cl.vectors)),
+                     id="check_clique"),
+        pytest.param(lambda cl, d: count_errors(cl.system(), d - 1), id="count_errors"),
+        pytest.param(lambda cl, d: list(enumerate_errors(cl.system(), d - 1)),
+                     id="enumerate_errors"),
+    ])
+    @pytest.mark.parametrize("d", [5, 9])
+    def test_d_above_n_plus_1_rejected(self, check, d):
+        with pytest.raises(ValueError, match=rf"d = {d} .*n \+ 1 = 4"):
+            check(clique_342(), d)
 
 
 class TestDistance:
@@ -476,6 +502,56 @@ def random_basis(rng, sys, K, sparse):
     return np.linalg.qr(g)[0]
 
 
+def random_monomial_basis(rng, sys, K, zero_rows):
+    """K columns on disjoint random sets of standard basis states, with
+    random magnitudes and phases; with zero_rows about a third of the
+    states belong to no column."""
+    D = sys.total_dim
+    owner = rng.integers(K, size=D)
+    if zero_rows:
+        owner[rng.random(D) < 1 / 3] = -1
+    owner[rng.choice(D, size=K, replace=False)] = np.arange(K)
+    B = np.zeros((D, K), dtype=complex)
+    rows = np.flatnonzero(owner >= 0)
+    B[rows, owner[rows]] = ((0.5 + rng.random(len(rows)))
+                            * np.exp(2j * np.pi * rng.random(len(rows))))
+    return B / np.linalg.norm(B, axis=0)
+
+
+def assert_scan_matches_oracle(sys, B, w_max, monomial):
+    """The Gram blocks G_x[u] = A[u + x]^dag A[u] of every support of at
+    most w_max particles, from the basis gathered as A[u, r, k]; and f
+    and the deviation of every error there, against <i|E|j> with the
+    word applied to the basis directly.  monomial says which way the
+    scan must form its Gram blocks."""
+    K = B.shape[1]
+    scan = _SupportScan(sys, B)
+    assert (scan.Bt is None) == monomial
+    flat = sys.flat_dims()
+    first = np.cumsum([0] + [len(f) for f in sys.factors])
+    for k in range(1, w_max + 1):
+        for supp in itertools.combinations(range(sys.n), k):
+            axes = [a for i in supp for a in range(first[i], first[i + 1])]
+            dims = [flat[a] for a in axes]
+            A = np.moveaxis(B.reshape(flat + (K,)), axes, range(len(axes)))
+            A = A.reshape(dims + [-1, K])
+            grams = dict(scan.grams(supp))
+            assert sorted(grams) == list(range(len(grams)))
+            for x, G in grams.items():
+                shift = np.unravel_index(x, dims)
+                for u in itertools.product(*map(range, dims)):
+                    ux = tuple((a + b) % m for a, b, m in zip(u, shift, dims))
+                    want = A[ux].conj().T @ A[u]
+                    assert np.abs(G[np.ravel_multi_index(u, dims)] - want).max() < 1e-12
+            pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
+            assert sorted(pos) == list(range(len(pos)))
+            for j, fj, dj in zip(pos, f, dev):
+                M = B.conj().T @ apply_error(scan.word(supp, j), sys, B)
+                want = np.trace(M) / K
+                assert abs(fj - want) < 1e-12
+                assert abs(dj - np.abs(M - want * np.eye(K)).max()) < 1e-12
+
+
 class TestNumericOracle:
     @pytest.mark.parametrize("sys_index", range(len(ORACLE_SYSTEMS)))
     @pytest.mark.parametrize("sparse", [False, True])
@@ -502,17 +578,55 @@ class TestNumericOracle:
         # branch included
         sys = ORACLE_SYSTEMS[sys_index]
         rng = np.random.default_rng(300 + sys_index)
-        B = random_basis(rng, sys, 3, False)
-        scan = _SupportScan(sys, B)
-        for k in range(1, sys.n + 1):
-            for supp in itertools.combinations(range(sys.n), k):
-                pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
-                assert sorted(pos) == list(range(len(pos)))
-                for j, fj, dj in zip(pos, f, dev):
-                    M = B.conj().T @ error_matrix(scan.word(supp, j), sys) @ B
-                    want = np.trace(M) / 3
-                    assert abs(fj - want) < 1e-12
-                    assert abs(dj - np.abs(M - want * np.eye(3)).max()) < 1e-12
+        assert_scan_matches_oracle(sys, random_basis(rng, sys, 3, False), sys.n,
+                                   monomial=False)
+
+    @pytest.mark.parametrize("case", ["6_16_3_stab", "3_4_2_q4_paste1",
+                                      "orbits_to_zero", "qutrit_x2"])
+    def test_eigenbasis_errors_match_dense_oracle(self, case):
+        # stabilizer eigenbases have monomial rows; the last two also
+        # have all-zero rows, from orbits that project to zero
+        sys, rows, phases = EIGENBASIS_CASES[case]()
+        B = stabilizer_eigenbasis(sys, rows, phases)
+        w_max = {"6_16_3_stab": 2, "3_4_2_q4_paste1": 3}.get(case, sys.n)
+        assert_scan_matches_oracle(sys, B, w_max, monomial=True)
+
+    @pytest.mark.parametrize("sys_index", [2, 3])
+    @pytest.mark.parametrize("zero_rows", [False, True])
+    def test_random_monomial_errors_match_dense_oracle(self, sys_index, zero_rows):
+        # Z_3 and Z_4 factors: shifts with x != -x, and x = 2 on Z_4
+        sys = ORACLE_SYSTEMS[sys_index]
+        rng = np.random.default_rng(700 + 10 * sys_index + zero_rows)
+        for K in (1, 2, 5):
+            B = random_monomial_basis(rng, sys, K, zero_rows)
+            assert_scan_matches_oracle(sys, B, sys.n, monomial=True)
+
+    def test_row_with_two_nonzeros_takes_dense_products(self):
+        sys = ORACLE_SYSTEMS[3]
+        rng = np.random.default_rng(17)
+        B = random_monomial_basis(rng, sys, 4, True)
+        # a unitary on two rows that belong to different columns keeps
+        # the basis orthonormal and leaves both rows with two nonzeros
+        r, s = (int(np.flatnonzero(B[:, k])[0]) for k in (0, 1))
+        B[[r, s]] = np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ B[[r, s]]
+        assert_scan_matches_oracle(sys, B, sys.n, monomial=False)
+
+    def test_fit_equals_full_deviation_formula_bitwise(self):
+        # f = tr(M)/K and max |M - f I| with M - f I formed in full
+        rng = np.random.default_rng(23)
+        for n, K in ((1, 1), (3, 2), (4, 7), (3, 64)):
+            M = rng.normal(size=(n, K, K)) + 1j * rng.normal(size=(n, K, K))
+            M[0] = 0.5j * np.eye(K)  # a scalar: deviation exactly zero
+            if n > 1:
+                M[1] = np.diag(M[1].diagonal())  # the diagonal sets the deviation
+            if n > 2:
+                M[2, -1, 0] = np.nan
+            f = np.trace(M, axis1=-2, axis2=-1) / K
+            dev = np.abs(M - f[..., None, None] * np.eye(K)).max(axis=(-2, -1))
+            got_f, got_dev = _KLReducer.fit(M)
+            assert np.array_equal(got_f, f, equal_nan=True)
+            assert np.array_equal(got_dev, dev, equal_nan=True)
+            assert got_dev[0] == 0.0
 
     def test_failing_cases_carry_witnesses(self):
         sys = ORACLE_SYSTEMS[0]
