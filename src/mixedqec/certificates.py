@@ -100,7 +100,7 @@ class Certificate:
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad system block: {exc}") from exc
         dims = obj["system"].get("dims")
-        if dims is not None and tuple(dims) != system.dims:
+        if dims is not None and (not isinstance(dims, list) or tuple(dims) != system.dims):
             raise CertificateError("system dims do not match factors")
         claimed = obj["claimed"]
         if not isinstance(claimed, dict) or "K" not in claimed or "d" not in claimed:
@@ -118,8 +118,10 @@ class Certificate:
         if not isinstance(cons, dict) or cons.get("type") not in CONSTRUCTION_TYPES:
             raise CertificateError(f"unknown construction type "
                                    f"{cons.get('type') if isinstance(cons, dict) else cons!r}")
-        cert = Certificate(str(obj["name"]), system, K, d, cons,
-                           dict(obj.get("verification", {})),
+        verification = obj.get("verification", {})
+        if not isinstance(verification, dict):
+            raise CertificateError("verification block must be an object")
+        cert = Certificate(str(obj["name"]), system, K, d, cons, dict(verification),
                            str(obj.get("toolkit_version", TOOLKIT_VERSION)))
         stored = obj.get("content_hash")
         if check_hash and stored is not None and stored != cert.hash:
@@ -173,6 +175,9 @@ def _stabilizer_rows(cert: Certificate):
             phases = [Phase(int(k), int(L)) for k, L in phases]
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad stabilizer construction: {exc}") from exc
+    if phases is not None and len(phases) != len(rows):
+        raise CertificateError(f"stabilizer construction has {len(phases)} phases "
+                               f"for {len(rows)} rows")
     return rows, phases
 
 

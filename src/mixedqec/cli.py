@@ -319,48 +319,33 @@ def cmd_run_fixtures(args) -> int:
     negatives = sorted((root / "negatives").glob("*.json"))
     if not positives:
         raise CertificateError(f"no fixtures in {root}")
+    cases = [(p, True) for p in positives] + [(p, False) for p in negatives]
     ok = 0
-    total = 0
     skipped = 0
-    for path in positives:
-        total += 1
+    for path, positive in cases:
+        label = path.relative_to(root).as_posix()
         try:
             cert = load_certificate(path)
-            report = verify_certificate(cert, root, tol=args.tol,
+            report = verify_certificate(cert, path.parent, tol=args.tol,
                                         cap=args.dim_cap)
         except DimensionCapError as exc:
             skipped += 1
-            print(f"SKIP {path.name}: dimension {exc.total} exceeds cap {exc.cap}")
+            print(f"SKIP {label}: dimension {exc.total} exceeds cap {exc.cap}")
             continue
         except (CertificateError, ValueError) as exc:
-            print(f"FAIL {path.name}: {exc}")
-            continue
-        if report["verdict"] == "pass":
-            ok += 1
-            print(f"PASS {path.name}")
+            passed, how, why = False, "rejected", str(exc)
         else:
-            print(f"FAIL {path.name}: {'; '.join(report.get('failures', ['?']))}")
-    for path in negatives:
-        total += 1
-        try:
-            cert = load_certificate(path)
-            report = verify_certificate(cert, root / "negatives", tol=args.tol,
-                                        cap=args.dim_cap)
-        except DimensionCapError as exc:
-            skipped += 1
-            print(f"SKIP negatives/{path.name}: dimension {exc.total} exceeds cap {exc.cap}")
-            continue
-        except (CertificateError, ValueError) as exc:
+            passed, how = report["verdict"] == "pass", "failed as expected"
+            # a build that fails leaves no failures list, only an error
+            why = "; ".join(report.get(
+                "failures", ["?" if positive else report.get("error", "?")]))
+        if passed == positive:
             ok += 1
-            print(f"PASS negatives/{path.name} (rejected: {exc})")
-            continue
-        if report["verdict"] == "pass":
-            print(f"FAIL negatives/{path.name}: unexpectedly verified")
+            print(f"PASS {label}" if positive else f"PASS {label} ({how}: {why})")
         else:
-            reason = "; ".join(report.get("failures", [report.get("error", "?")]))
-            ok += 1
-            print(f"PASS negatives/{path.name} (failed as expected: {reason})")
-    checked = total - skipped
+            print(f"FAIL {label}: {why}" if positive
+                  else f"FAIL {label}: unexpectedly verified")
+    checked = len(cases) - skipped
     summary = f"{ok}/{checked} fixtures behaved as expected"
     if skipped:
         summary += f", {skipped} skipped over the dimension cap"

@@ -213,6 +213,8 @@ class CodingClique:
         if self.d < 1:
             raise ValueError("d must be >= 1")
         vecs = tuple(tuple(v) for v in self.vectors)
+        if not vecs:
+            raise ValueError("clique needs at least one vector")
         seen = set()
         for v in vecs:
             if len(v) != len(self.graphs):

@@ -15,11 +15,12 @@ import numpy as np
 
 from .algebra import ModVec, phase_mul
 from .clique import CodingClique
-from .errors import ErrorWord, MixedSystem, _check_cap, compose
+from .errors import ErrorWord, MixedSystem, _check_cap
 from .graphstate import stabilizer_error_word
 from .verifier import (
     Code,
     StabilizerRow,
+    _Tableau,
     kl_verify_numeric,
     stabilizer_eigenbasis,
     verify_stabilizer,
@@ -224,25 +225,21 @@ def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
                          "layers must cover every particle")
 
     pad = tuple((0,) * j for _ in range(2 * blocks))
-    words = [ErrorWord(w.x + pad, w.z + pad, w.phase) for w in words]
+    tab = _Tableau(sys, [ErrorWord(w.x + pad, w.z + pad, w.phase) for w in words])
     carriers = [i for i in range(len(words)) if i % 2 == 0] + \
                [i for i in range(len(words)) if i % 2 == 1]
+    # a carrier's digits on a fresh block particle are zero, so writing the
+    # generator's digits there multiplies the row by it with no phase
+    first_col = len(base_sys.flat_dims())
     for b in range(blocks):
-        pa, pb = base_sys.n + 2 * b, base_sys.n + 2 * b + 1
-        gens = []
         for l in range(j):
-            for first, second in ((pa, pb), (pb, pa)):
-                x = [[0] * len(f) for f in sys.factors]
-                z = [[0] * len(f) for f in sys.factors]
-                x[first][l] = 1
-                z[second][l] = 1
-                gens.append(ErrorWord(tuple(tuple(r) for r in x),
-                                      tuple(tuple(r) for r in z)))
-        for t, g in enumerate(gens):
-            c = carriers[t]
-            words[c] = compose(sys, words[c], g)
+            pa = first_col + 2 * b * j + l  # layer l of the block's particles
+            pb = pa + j
+            for t, (first, second) in enumerate(((pa, pb), (pb, pa))):
+                c = carriers[2 * l + t]
+                tab.X[c, first] = tab.Z[c, second] = 1
 
-    rows = tuple(StabilizerRow(_row_text(sys, w), w) for w in words)
+    rows = tuple(StabilizerRow(_row_text(sys, w), w) for w in tab.words())
     return PasteResult(sys, rows, base_code.K * block_dim ** (2 * blocks))
 
 

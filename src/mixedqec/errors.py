@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import PHASE_ONE, ModVec, Phase, omega, phase_mul
+from .algebra import PHASE_ONE, ModVec, Phase
 
 DEFAULT_DIM_CAP = 65536
 DIM_CAP_ENV = "MIXEDQEC_DIM_CAP"
@@ -331,36 +331,6 @@ def error_matrix(e: ErrorWord, sys: MixedSystem, cap: int | None = None) -> np.n
     """Dense unitary of the word.  Columns each have one nonzero entry."""
     _check_cap(sys.total_dim, cap)
     return apply_error(e, sys, np.eye(sys.total_dim, dtype=complex))
-
-
-def compose(sys: MixedSystem, e1: ErrorWord, e2: ErrorWord) -> ErrorWord:
-    """The word equal to the operator product e1 * e2: digits add per
-    factor and the phase accrues w_m^{b*a} for every Z^b of e1 commuted
-    past an X^a of e2 on the same factor."""
-    if len(e1.x) != sys.n or len(e2.x) != sys.n:
-        raise ValueError("words do not match system")
-    ph = phase_mul(e1.phase, e2.phase)
-    x, z = [], []
-    for i, f in enumerate(sys.factors):
-        xi, zi = [], []
-        for l, m in enumerate(f):
-            xi.append((e1.x[i][l] + e2.x[i][l]) % m)
-            zi.append((e1.z[i][l] + e2.z[i][l]) % m)
-            ph = phase_mul(ph, omega(m, e1.z[i][l] * e2.x[i][l]))
-        x.append(tuple(xi))
-        z.append(tuple(zi))
-    return ErrorWord(tuple(x), tuple(z), ph)
-
-
-def word_order(sys: MixedSystem, e: ErrorWord) -> int:
-    """Smallest k >= 1 with e^k proportional to the identity label."""
-    k = 1
-    for i, f in enumerate(sys.factors):
-        for l, m in enumerate(f):
-            for d in (e.x[i][l], e.z[i][l]):
-                if d % m:
-                    k = lcm(k, m // gcd(d % m, m))
-    return k
 
 
 def format_word(sys: MixedSystem, e: ErrorWord) -> str:

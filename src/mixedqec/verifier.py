@@ -17,6 +17,15 @@ stabilizer eigenbasis) and by batched products otherwise; it reads only
 the basis, never how it was built.  ``_KLReducer`` is the only place f, the
 deviation, their summaries and the witness are computed, and the
 scalar-row test of ``verify_stabilizer`` uses it too.
+
+Stabilizer rows are judged in one integer tableau, ``_Tableau``: the x
+and z digits of every row per flat factor and one phase exponent per
+row, all int64.  Commutation is one exponent matrix, each row's order
+and closing exponent a closed form, and the dimension of the joint +1
+eigenspace comes from growing the group the rows generate, coset by
+coset.  ``verify_stabilizer``, ``stabilizer_eigenbasis`` and
+``compose.paste_distance2`` all use it; ``ErrorWord`` appears only where
+rows come in and go out, and where the projector applies them.
 """
 from __future__ import annotations
 
@@ -33,14 +42,12 @@ from .errors import (
     MixedSystem,
     _check_cap,
     apply_error,
-    compose,
     error_blocks,
     format_word,
     support_blocks,
     support_rows,
     supports,
     word_from_row,
-    word_order,
     word_radices,
 )
 from .graphstate import codeword_state
@@ -475,86 +482,125 @@ def parse_stabilizer_row(sys: MixedSystem, layer_strings: Sequence[str],
     return StabilizerRow(tuple(layer_strings), word)
 
 
-def rows_commute(sys: MixedSystem, a: ErrorWord, b: ErrorWord) -> bool:
-    """Exact commutation: the symplectic phase over all factors is 1."""
-    ph = PHASE_ONE
-    for i, f in enumerate(sys.factors):
-        for l, m in enumerate(f):
-            expo = a.z[i][l] * b.x[i][l] - a.x[i][l] * b.z[i][l]
-            ph = phase_mul(ph, Phase(expo, m))
-    return ph == PHASE_ONE
+class _Tableau:
+    """Stabilizer rows as integer arrays: row r is
+    w_N^P[r] prod_f X^X[r, f] Z^Z[r, f] over the flat factors f, with N
+    the lcm of the factor moduli m_f and the phase denominators, and
+    w_f = N / m_f.  An element is a pair (digits, P), digits = [X | Z].
+
+    * Rows a and b commute when sum_f w_f (Z[a, f] X[b, f] - X[a, f] Z[b, f])
+      is 0 mod N.
+    * The product of elements a and b has digits a + b and phase
+      P_a + P_b + sum_f w_f Z_a X_b, from moving Z^z_a past X^x_b.
+    * Hence g^k has digits k x, k z and phase k P + k(k-1)/2 t with
+      t = sum_f w_f x_f z_f.  At the order o, the smallest k with
+      k x = k z = 0, that phase is the closing exponent: 0 exactly when
+      g^o = I, so that +1 is in the spectrum of g.
+    """
+
+    def __init__(self, sys: MixedSystem, words: Sequence[ErrorWord]):
+        flat = sys.flat_dims()
+        self.sys = sys
+        self.N = math.lcm(*flat, *(w.phase.L for w in words))
+        # every product below is of two residues mod N, summed over factors
+        if self.N ** 2 * len(flat) >= 2 ** 63:
+            raise ValueError("phase exponents exceed int64")
+        self.w = self.N // np.array(flat, dtype=np.int64)
+        self.m = np.tile(flat, 2)  # the moduli of the digits
+        self.digits = np.array([[a for part in (w.x, w.z) for d in part for a in d]
+                                for w in words], dtype=np.int64
+                               ).reshape(len(words), len(self.m)) % self.m
+        self.P = np.array([w.phase.k * (self.N // w.phase.L) for w in words],
+                          dtype=np.int64)
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.digits[:, :len(self.w)]
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.digits[:, len(self.w):]
+
+    @property
+    def orders(self) -> np.ndarray:
+        """The order of each row's label: the lcm of m / gcd(digit, m)."""
+        return np.lcm.reduce(self.m // np.gcd(self.digits, self.m), axis=1)
+
+    def _power_phase(self, r, k):
+        """The phase exponent of row r to the power k (arrays broadcast)."""
+        N = self.N
+        t = (self.X[r] * self.Z[r] * self.w).sum(axis=-1) % N
+        return (k * self.P[r] % N + k * (k - 1) // 2 % N * t) % N
+
+    def closing(self) -> np.ndarray:
+        """The phase exponent of each row to the power of its order."""
+        return self._power_phase(slice(None), self.orders)
+
+    def powers(self, r: int, k: np.ndarray):
+        """The elements row r to each power in k."""
+        return k[:, None] * self.digits[r] % self.m, self._power_phase(r, k)
+
+    def mul(self, a, b):
+        """The elements a_i b_j for all i, j of two element sets, i major."""
+        (da, pa), (db, pb) = a, b
+        F = len(self.w)
+        return (((da[:, None] + db) % self.m).reshape(-1, 2 * F),
+                ((da[:, F:] * self.w) @ db[:, :F].T % self.N + pa[:, None] + pb
+                 ).ravel() % self.N)
+
+    def commutators(self) -> np.ndarray:
+        """C with g_a g_b = w_N^C[a, b] g_b g_a for every pair of rows."""
+        return ((self.Z * self.w) @ self.X.T - (self.X * self.w) @ self.Z.T) % self.N
+
+    def noncommuting_pair(self) -> tuple[int, int] | None:
+        """The first pair i < j, in row-major order, whose rows do not
+        commute."""
+        pairs = np.argwhere(np.triu(self.commutators(), 1))
+        return tuple(pairs[0].tolist()) if len(pairs) else None
+
+    def eigenspace_dim(self) -> float:
+        """Dimension of the joint +1 eigenspace of commuting rows.
+
+        The rows generate an abelian group G of operators, and the joint
+        projector is the average over G.  Its trace is D/|G| when no two
+        elements of G share a label, and 0 when some do, since their
+        quotient is then a nontrivial scalar in G.  G grows one row g at a
+        time as the union of the cosets g^k G, k < s, where g^s is the
+        first power whose label lands in G: if g^s is not the element of
+        G with that label, phase included, G holds a nontrivial scalar.
+        Labels are keyed as mixed-radix numbers of the digits."""
+        D = self.sys.total_dim
+        if D * D >= 2 ** 63:
+            raise ValueError("label space exceeds int64 keys")
+        radix = np.cumprod(np.append(1, self.m[:0:-1]))[::-1]
+        G, P = np.zeros((1, len(self.m)), np.int64), np.zeros(1, np.int64)
+        for r, o in enumerate(self.orders.tolist()):
+            g, gP = self.powers(r, np.arange(1, o + 1))
+            keys, gkeys = G @ radix, g @ radix
+            order = np.argsort(keys)
+            at = order[np.minimum(np.searchsorted(keys, gkeys, sorter=order),
+                                  len(keys) - 1)]
+            s = int(np.argmax(keys[at] == gkeys))  # g^(s+1) lands in G
+            if gP[s] != P[at[s]]:
+                return 0.0
+            new, newP = self.mul((g[:s], gP[:s]), (G, P))
+            G, P = np.concatenate([G, new]), np.concatenate([P, newP])
+        return D / len(G)
+
+    def words(self) -> list[ErrorWord]:
+        """The rows as error words."""
+        cuts = np.cumsum([0] + [len(f) for f in self.sys.factors])
+        split = lambda row: tuple(tuple(row[a:b]) for a, b in zip(cuts, cuts[1:]))
+        return [ErrorWord(split(x), split(z), Phase(p, self.N))
+                for x, z, p in zip(self.X.tolist(), self.Z.tolist(), self.P.tolist())]
 
 
-def _row_power(sys: MixedSystem, w: ErrorWord, k: int) -> ErrorWord:
-    """w^k for k >= 0 in closed form: the digits scale by k, and each
-    factor adds w_m^{x z k(k-1)/2} from moving its Z^z past the X^x of
-    the later copies."""
-    ph = Phase(w.phase.k * k, w.phase.L)
-    x, z = [], []
-    for xi, zi, f in zip(w.x, w.z, sys.factors):
-        x.append(tuple(k * a % m for a, m in zip(xi, f)))
-        z.append(tuple(k * b % m for b, m in zip(zi, f)))
-        for a, b, m in zip(xi, zi, f):
-            ph = phase_mul(ph, Phase(a * b * (k * (k - 1) // 2), m))
-    return ErrorWord(tuple(x), tuple(z), ph)
-
-
-def _word_from_exponents(sys: MixedSystem, adjusted: Sequence[ErrorWord],
-                         ks: Sequence[int]) -> ErrorWord:
-    out = ErrorWord.identity(sys)
-    for w, k in zip(adjusted, ks):
-        out = compose(sys, out, _row_power(sys, w, k))
-    return out
-
-
-def _exact_dim(sys: MixedSystem, adjusted: Sequence[ErrorWord]) -> float:
-    """Joint +1 eigenspace dimension of commuting rows whose chosen
-    phases close each cyclic order exactly.
-
-    The rows generate an abelian operator group; averaging it gives the
-    joint projector, and only identity-label words contribute to the
-    trace.  Identity-label exponent tuples form the kernel of the label
-    homomorphism, on which the word phase is a character: the trace is
-    D/|label image| when that character is trivial and 0 otherwise.
-    Schreier generators obtained while enumerating the label image
-    generate the kernel, so the character is checked on those alone."""
-    D = sys.total_dim
-    orders = [word_order(sys, w) for w in adjusted]
-    ident = ErrorWord.identity(sys)
-    zero = tuple(0 for _ in adjusted)
-    reps: dict[tuple, tuple] = {ident.label(): zero}
-    frontier: list[tuple[tuple, ErrorWord]] = [(zero, ident)]
-    kernel_gens: set[tuple] = set()
-    while frontier:
-        new = []
-        for ks, base in frontier:
-            for r, w in enumerate(adjusted):
-                nks = tuple((k + 1) % orders[i] if i == r else k
-                            for i, k in enumerate(ks))
-                nxt = compose(sys, base, w)
-                lab = nxt.label()
-                if lab in reps:
-                    diff = tuple((a - b) % o
-                                 for a, b, o in zip(nks, reps[lab], orders))
-                    if any(diff):
-                        kernel_gens.add(diff)
-                else:
-                    reps[lab] = nks
-                    new.append((nks, nxt))
-        frontier = new
-    for kg in kernel_gens:
-        if _word_from_exponents(sys, adjusted, kg).phase != PHASE_ONE:
-            return 0.0
-    return D / len(reps)
-
-
-def _project_columns(sys: MixedSystem, adjusted: Sequence[ErrorWord],
-                     mat: np.ndarray) -> np.ndarray:
+def _project_columns(sys: MixedSystem, words: Sequence[ErrorWord],
+                     orders: Sequence[int], mat: np.ndarray) -> np.ndarray:
     """Apply the joint projector as the product of per-row cyclic
     averages (each exact because the adjusted phase closes the order)."""
     out = mat.astype(complex)
-    for w in adjusted:
-        ordw = word_order(sys, w)
+    for w, ordw in zip(words, orders):
         acc = out
         cur = out
         for _ in range(ordw - 1):
@@ -564,15 +610,13 @@ def _project_columns(sys: MixedSystem, adjusted: Sequence[ErrorWord],
     return out
 
 
-def _orbit_representatives(sys: MixedSystem,
-                           words: Sequence[ErrorWord]) -> np.ndarray:
-    """The smallest flat index of each orbit of the words' x-shifts on
-    the standard basis, ascending: a running minimum over rolls by each
-    shift, repeated until it is stable."""
+def _orbit_representatives(sys: MixedSystem, shifts: np.ndarray) -> np.ndarray:
+    """The smallest flat index of each orbit of the x-shifts (one row
+    per generator) on the standard basis, ascending: a running minimum
+    over rolls by each shift, repeated until it is stable."""
     flat = sys.flat_dims()
     axes = tuple(range(len(flat)))
-    shifts = [tuple(a for xi in w.x for a in xi) for w in words]
-    shifts = [x for x in shifts if any(x)]
+    shifts = [x for x in shifts.tolist() if any(x)]
     index = np.arange(sys.total_dim).reshape(flat)
     low = index
     while True:
@@ -610,14 +654,6 @@ class StabilizerReport:
         return out
 
 
-def _phase_candidates(sys: MixedSystem, w: ErrorWord) -> list[Phase]:
-    """Multipliers lam making (lam w)^order exactly the identity."""
-    ordw = word_order(sys, w)
-    closing = _row_power(sys, w, ordw).phase  # label is identity; phase may not be
-    base = Phase(-closing.k, closing.L * ordw)
-    return [phase_mul(base, Phase(j, ordw)) for j in range(ordw)]
-
-
 def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
                       tol: float = 1e-9, cap: int | None = None) -> StabilizerReport:
     """Check rows pairwise commute, close cyclically, and stabilize
@@ -628,26 +664,25 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
     """
     sys = code.system
     words = [r.word for r in rows]
-    orders = tuple(word_order(sys, w) for w in words)
-
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            if not rows_commute(sys, words[i], words[j]):
-                return StabilizerReport(
-                    False, False, orders, (PHASE_ONE,) * len(words),
-                    float("nan"), None, {"noncommuting_pair": [i, j]})
+    tab = _Tableau(sys, words)
+    orders = tuple(tab.orders.tolist())
+    pair = tab.noncommuting_pair()
+    if pair is not None:
+        return StabilizerReport(False, False, orders, (PHASE_ONE,) * len(words),
+                                float("nan"), None, {"noncommuting_pair": list(pair)})
 
     B = code.basis(cap=cap)
     witness: dict | None = None
     chosen: list[Phase] = []
     adjusted: list[ErrorWord] = []
-    for idx, w in enumerate(words):
+    for idx, (w, o, e) in enumerate(zip(words, orders, tab.closing().tolist())):
         f, dev = _KLReducer.fit((B.conj().T @ apply_error(w, sys, B))[None])
         c = f[0]
         if dev[0] > tol or abs(abs(c) - 1) > tol:
             if witness is None:
                 witness = {"row_not_scalar_on_code": idx}
-        cands = _phase_candidates(sys, w)
+        # the multipliers lam making (lam w)^o exactly the identity
+        cands = [Phase(j * tab.N - e, tab.N * o) for j in range(o)]
         lam = min(cands, key=lambda p: abs(phase_as_complex(p) - np.conj(c)))
         if witness is None and abs(phase_as_complex(lam) - np.conj(c)) > tol:
             witness = {"row_phase_outside_cyclic_group": idx}
@@ -656,10 +691,10 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
 
     # the eigenspace is still reported when a row fails to act as a
     # scalar: the dimension mismatch is itself informative
-    dim = _exact_dim(sys, adjusted)
+    dim = _Tableau(sys, adjusted).eigenspace_dim()
     # code space inside eigenspace + equal dimension => projector equality;
     # the norm below is ||P - B B^dagger||_F computed without forming P
-    PB = _project_columns(sys, adjusted, B)
+    PB = _project_columns(sys, adjusted, orders, B)
     tr_bpb = float(np.trace(B.conj().T @ PB).real)
     diff = float(np.sqrt(max(dim + code.K - 2 * tr_bpb, 0.0)))
     ok = witness is None and abs(dim - code.K) < tol and diff < np.sqrt(tol)
@@ -686,25 +721,25 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
     words = list(r.word for r in rows)
     if phases is not None:
         words = [ErrorWord(w.x, w.z, phase_mul(w.phase, p))
-                 for w, p in zip(words, phases)]
-    for i, w in enumerate(words):
-        ordw = word_order(sys, w)
-        if _row_power(sys, w, ordw).phase != PHASE_ONE:
+                 for w, p in zip(words, phases, strict=True)]
+    tab = _Tableau(sys, words)
+    orders = tab.orders.tolist()
+    for i, (ordw, c) in enumerate(zip(orders, tab.closing().tolist())):
+        if c:
             raise ValueError(
                 f"row {i} does not close: its power of order {ordw} is a "
                 f"nontrivial scalar, so +1 is not in its spectrum as given; "
                 f"adjust the row's phase")
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            if not rows_commute(sys, words[i], words[j]):
-                raise ValueError(f"rows {i} and {j} do not commute")
-    dim = _exact_dim(sys, words)
+    pair = tab.noncommuting_pair()
+    if pair is not None:
+        raise ValueError(f"rows {pair[0]} and {pair[1]} do not commute")
+    dim = tab.eigenspace_dim()
     K = round(dim)
     if abs(dim - K) > tol or K == 0:
         raise ValueError(f"eigenspace dimension {dim} is not a positive integer")
     basis = np.empty((sys.total_dim, K), dtype=complex)
     kept = 0
-    reps = _orbit_representatives(sys, words)
+    reps = _orbit_representatives(sys, tab.X)
     block = 64
     for start in range(0, len(reps), block):
         if kept == K:
@@ -712,7 +747,7 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
         cols = reps[start:start + block]
         seeds = np.zeros((sys.total_dim, len(cols)), dtype=complex)
         seeds[cols, np.arange(len(cols))] = 1.0
-        proj = _project_columns(sys, words, seeds)
+        proj = _project_columns(sys, words, orders, seeds)
         # column by column: norm(axis=0) sums in another order
         norms = np.array([np.linalg.norm(proj[:, j]) for j in range(len(cols))])
         keep = np.flatnonzero(norms > 1e-6)[:K - kept]

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: exit codes, JSON output, fixture suite."""
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mixedqec.certificates import Certificate, load_certificate
+from mixedqec.certificates import Certificate, build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir, main
+from mixedqec.compose import clique_stabilizer_rows
 from mixedqec.errors import MixedSystem
 from mixedqec.graphs import loop_graph
+from mixedqec.verifier import verify_stabilizer
 
 FIXTURES = _default_fixture_dir()
 
@@ -217,7 +221,9 @@ class TestCompositions:
 
 
 class TestMalformedCertificates:
-    @pytest.mark.parametrize("case", ["refs_not_strings", "claimed_K_not_int"])
+    @pytest.mark.parametrize("case", ["refs_not_strings", "claimed_K_not_int",
+                                      "dims_not_list", "verification_not_object",
+                                      "no_vectors"])
     def test_exit_2_without_traceback(self, case, tmp_path, capsys):
         target = tmp_path / "bad.json"
         if case == "refs_not_strings":
@@ -226,7 +232,16 @@ class TestMalformedCertificates:
                         {"type": "product", "refs": [1, 2]}).save(target)
         else:
             obj = json.loads((FIXTURES / "3_4_2_q4.json").read_text())
-            obj["claimed"]["K"] = "x"
+            if case == "claimed_K_not_int":
+                obj["claimed"]["K"] = "x"
+            else:
+                del obj["content_hash"]  # so that only the named field is wrong
+                if case == "dims_not_list":
+                    obj["system"]["dims"] = 7
+                elif case == "verification_not_object":
+                    obj["verification"] = None
+                else:
+                    obj["construction"]["vectors"] = []
             target.write_text(json.dumps(obj))
         rc, _, err = run(capsys, "verify", str(target))
         assert rc == 2 and "Traceback" not in err and err.startswith("error:")
@@ -255,6 +270,74 @@ class TestMalformedCertificates:
         rc, out, _ = run(capsys, "verify", str(FIXTURES / "3_4_2_q4.json"),
                          "--dim-cap", "100")
         assert rc == 0 and json.loads(out)["verdict"] == "pass"
+
+
+class TestStabilizerPhases:
+    """The rows of 3_4_2_q4 (D = 64) as a stabilizer-form certificate,
+    with one verified phase multiplier per row."""
+
+    def save(self, tmp_path, extra):
+        code = build_code(load_certificate(FIXTURES / "3_4_2_q4.json"))
+        rows = clique_stabilizer_rows(code.clique)
+        phases = verify_stabilizer(rows, code).chosen_phases
+        cons = {"type": "stabilizer", "rows": [list(r.text) for r in rows],
+                "phases": [[p.k, p.L] for p in phases]}
+        cons["phases"] = cons["phases"][:len(rows) + extra] + [[0, 1]] * extra
+        target = tmp_path / "stab.json"
+        Certificate("stab", code.system, code.K, code.d, cons).save(target)
+        return str(target)
+
+    def test_matching_phases_pass(self, tmp_path, capsys):
+        rc, out, _ = run(capsys, "verify", self.save(tmp_path, 0))
+        assert rc == 0 and json.loads(out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_phase_count_differs_from_rows_exit_2(self, extra, tmp_path, capsys):
+        rc, out, err = run(capsys, "verify", self.save(tmp_path, extra))
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err == f"error: stabilizer construction has {4 + extra} phases for 4 rows\n"
+
+
+FUZZ_FIXTURES = ["3_4_2_q4.json", "3_8_2_q8.json", "5_9_2_q3.json"]
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.sampled_from([2 ** 63, 0.5, -1.0]),
+    st.text(max_size=2), st.lists(st.integers(-1, 4), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+def mutate(obj, data):
+    """Replace or delete one value of a JSON object, found by a random
+    walk from the top that stops at each level with probability 1/2."""
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node:
+        parent, key = node, data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+        if data.draw(st.booleans()):
+            break
+    if parent is None:
+        return
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(json_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_FIXTURES), st.data())
+def test_mutated_fixture_exits_0_1_or_2(name, data):
+    """Values replaced and keys deleted anywhere in a fixture (content
+    hash removed): verify ends with an exit code, never a traceback."""
+    obj = json.loads((FIXTURES / name).read_text())
+    del obj["content_hash"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(obj, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / name
+        target.write_text(json.dumps(obj))
+        assert main(["verify", str(target)]) in (0, 1, 2)
 
 
 class TestEmittedReferences:

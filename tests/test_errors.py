@@ -10,7 +10,6 @@ from mixedqec.errors import (
     ErrorWord,
     MixedSystem,
     apply_error,
-    compose,
     count_errors,
     dim_cap,
     enumerate_errors,
@@ -20,9 +19,9 @@ from mixedqec.errors import (
     parse_word,
     support_rows,
     weight,
-    word_order,
     word_radices,
 )
+from mixedqec.verifier import _Tableau
 
 
 def two_layer(n, p, r, n1):
@@ -268,16 +267,31 @@ class TestMatrices:
                 apply_error(e, s, v), error_matrix(e, s) @ v, atol=1e-12)
 
 
+def element_word(sys, N, digits, p):
+    """The error word of one tableau element: its flat x digits, then its
+    z digits, and the phase exponent p mod N."""
+    F = len(sys.flat_dims())
+    cuts = np.cumsum([0] + [len(f) for f in sys.factors])
+    split = lambda row: tuple(tuple(row[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return ErrorWord(split(digits[:F].tolist()), split(digits[F:].tolist()),
+                     Phase(int(p), N))
+
+
 class TestCompose:
+    """The product of two tableau elements is the operator product."""
+
     @pytest.mark.parametrize("layers", [[(2, 1)], [(3, 1)], [(2, 2), (3, 1)]])
     def test_matches_matrix_product(self, layers):
         s = MixedSystem.layered(layers)
         words = list(enumerate_errors(s, s.n)) + [ErrorWord.identity(s)]
         step = max(1, len(words) // 12)
         sample = words[::step]
+        tab = _Tableau(s, sample)
+        rows = (tab.digits, tab.P)
+        products = zip(*tab.mul(rows, rows))
         for e1 in sample:
             for e2 in sample:
-                got = error_matrix(compose(s, e1, e2), s)
+                got = error_matrix(element_word(s, tab.N, *next(products)), s)
                 want = error_matrix(e1, s) @ error_matrix(e2, s)
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -285,7 +299,9 @@ class TestCompose:
         s = two_layer(1, 3, 1, 0)
         Z = single(s, 0, 0, 0, 1)
         X = single(s, 0, 0, 1, 0)
-        zx = compose(s, Z, X)
+        tab = _Tableau(s, [Z, X])
+        rows = (tab.digits, tab.P)
+        zx = element_word(s, tab.N, *(a[1] for a in tab.mul(rows, rows)))  # Z X
         assert zx.phase == Phase(1, 3)
         assert zx.x == X.x and zx.z == Z.z
 
@@ -293,11 +309,9 @@ class TestCompose:
 class TestWordOrder:
     def test_orders(self):
         s = MixedSystem.layered([(2, 1), (3, 1)])
-        assert word_order(s, ErrorWord.identity(s)) == 1
-        assert word_order(s, single(s, 0, 0, 1, 0)) == 2
-        assert word_order(s, single(s, 0, 1, 1, 0)) == 3
-        e = ErrorWord(((1, 1),), ((0, 0),))
-        assert word_order(s, e) == 6
+        words = [ErrorWord.identity(s), single(s, 0, 0, 1, 0), single(s, 0, 1, 1, 0),
+                 ErrorWord(((1, 1),), ((0, 0),))]
+        assert _Tableau(s, words).orders.tolist() == [1, 2, 3, 6]
 
 
 class TestNotation:

@@ -5,6 +5,7 @@ numeric verifier is the oracle the symbolic one must agree with.
 """
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -17,7 +18,7 @@ from mixedqec.algebra import (
 from mixedqec.certificates import base_stabilizer_rows, build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
-    ErrorWord, MixedSystem, apply_error, compose, count_errors, enumerate_errors,
+    ErrorWord, MixedSystem, apply_error, count_errors, enumerate_errors,
     error_matrix, format_word, weight,
 )
 from mixedqec.graphs import WeightedGraph, loop_graph
@@ -27,10 +28,9 @@ from mixedqec.clique import (
 )
 from mixedqec.compose import paste_distance2
 from mixedqec.verifier import (
-    Code, StabilizerRow, _KLReducer, _SupportScan, _exact_dim, _phase_candidates,
-    _project_columns, _row_power, code_distance, kl_verify_numeric, kl_verify_symbolic,
-    kl_verify_words, parse_stabilizer_row, rows_commute, stabilizer_eigenbasis,
-    verify_stabilizer,
+    Code, StabilizerRow, _KLReducer, _SupportScan, _Tableau, _project_columns,
+    code_distance, kl_verify_numeric, kl_verify_symbolic, kl_verify_words,
+    parse_stabilizer_row, stabilizer_eigenbasis, verify_stabilizer,
 )
 
 L3 = loop_graph(3, 2)
@@ -289,13 +289,21 @@ class TestStabilizer:
         with pytest.raises(ValueError):
             stabilizer_eigenbasis(sys, rows)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_eigenbasis_phase_count_must_match_rows(self, count):
+        sys = MixedSystem(((2,), (2,)))
+        rows = [parse_stabilizer_row(sys, ("ZZ",)), parse_stabilizer_row(sys, ("XX",))]
+        with pytest.raises(ValueError):
+            stabilizer_eigenbasis(sys, rows, phases=[PHASE_ONE] * count)
+
     def test_commuting_is_exact(self):
         sys = MixedSystem(((3,), (3,)))
         a = parse_stabilizer_row(sys, ("XI",)).word
         b = parse_stabilizer_row(sys, ("ZI",)).word
         c = parse_stabilizer_row(sys, ("IZ",)).word
-        assert not rows_commute(sys, a, b)
-        assert rows_commute(sys, a, c)
+        C = _Tableau(sys, [a, b, c]).commutators()
+        assert C[0, 1] != 0  # a and b do not commute
+        assert C[0, 2] == 0
 
     def test_parse_rejects_y_on_qutrit(self):
         sys = MixedSystem(((3,), (3,)))
@@ -688,32 +696,28 @@ class TestNumericOracle:
 def gram_schmidt_eigenbasis(sys, rows, phases=None):
     """The eigenbasis seed by seed: every standard basis vector in index
     order, projected in blocks of 64, orthogonalised against the columns
-    kept so far and kept when its norm is above 1e-6, up to K columns."""
+    kept so far and kept when its norm is above 1e-6."""
     words = [r.word for r in rows]
     if phases is not None:
         words = [ErrorWord(w.x, w.z, phase_mul(w.phase, p))
                  for w, p in zip(words, phases)]
-    K = round(_exact_dim(sys, words))
-    if K == 0:
-        raise ValueError("the joint eigenspace is empty")
+    orders = _Tableau(sys, words).orders.tolist()
     D = sys.total_dim
     basis = []
     for start in range(0, D, 64):
-        if len(basis) == K:
-            break
         seeds = np.zeros((D, min(64, D - start)), dtype=complex)
         for j in range(seeds.shape[1]):
             seeds[start + j, j] = 1.0
-        proj = _project_columns(sys, words, seeds)
+        proj = _project_columns(sys, words, orders, seeds)
         for j in range(proj.shape[1]):
-            if len(basis) == K:
-                break
             v = proj[:, j]
             for b in basis:
                 v = v - b * (b.conj() @ v)
             norm = np.linalg.norm(v)
             if norm > 1e-6:
                 basis.append(v / norm)
+    if not basis:
+        raise ValueError("the joint eigenspace is empty")
     return np.stack(basis, axis=1)
 
 
@@ -733,8 +737,11 @@ def commuting_rows(rng, sys, count):
         w = ErrorWord(digits(), digits())
         if w.label() == ErrorWord.identity(sys).label():
             continue
-        if all(rows_commute(sys, w, v) for v in words):
-            cands = _phase_candidates(sys, w)
+        tab = _Tableau(sys, words + [w])
+        if not tab.commutators()[-1].any():
+            # the phases lam with (lam w)^o = I, o the order of w
+            o, e = int(tab.orders[-1]), int(tab.closing()[-1])
+            cands = [Phase(j * tab.N - e, tab.N * o) for j in range(o)]
             words.append(ErrorWord(w.x, w.z, cands[int(rng.integers(len(cands)))]))
         if len(words) == count:
             break
@@ -814,7 +821,104 @@ def test_row_power_matches_repeated_compose(factors, data, k):
     digits = lambda: tuple(tuple(data.draw(st.integers(0, m - 1)) for m in f)
                            for f in sys.factors)
     w = ErrorWord(digits(), digits(), Phase(data.draw(st.integers(0, 11)), 12))
-    want = ErrorWord.identity(sys)
+    tab = _Tableau(sys, [w])
+    want = (np.zeros_like(tab.digits), np.zeros(1, np.int64))
     for _ in range(k):
-        want = compose(sys, want, w)
-    assert _row_power(sys, w, k) == want
+        want = tab.mul(want, (tab.digits, tab.P))
+    got = tab.powers(0, np.array([k]))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# --- the stabilizer tableau against dense matrices ---------------------------
+
+small_systems = st.lists(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=2),
+                         min_size=1, max_size=3).filter(
+    lambda fs: np.prod([m for f in fs for m in f]) <= 64)
+
+
+def dense_power(E, k):
+    return np.linalg.matrix_power(E, int(k))
+
+
+def is_scalar(M, value=None):
+    value = M[0, 0] if value is None else value
+    return np.allclose(M, value * np.eye(len(M)), atol=1e-9)
+
+
+def dense_projector(E):
+    """(1/k) sum_{j<k} E^j over the operator order k, the smallest with
+    E^k = I: the projector onto the +1 eigenspace of E, zero if none."""
+    powers = [np.eye(len(E), dtype=complex)]
+    while not is_scalar(powers[-1] @ E, 1.0):
+        powers.append(powers[-1] @ E)
+    return sum(powers) / len(powers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems, st.data())
+def test_tableau_matches_dense_oracle(factors, data):
+    sys = MixedSystem(tuple(tuple(f) for f in factors))
+    # half the digits zero, so that more rows commute
+    digit = lambda m: st.one_of(st.just(0), st.integers(0, m - 1))
+    digits = lambda: tuple(tuple(data.draw(digit(m)) for m in f) for f in sys.factors)
+    L = math.lcm(*sys.flat_dims())
+    words = []
+    all_close = data.draw(st.booleans())
+    for _ in range(data.draw(st.integers(1, 5))):
+        w = ErrorWord(digits(), digits())
+        if all_close or data.draw(st.booleans()):
+            # a phase that closes the row, read off the dense matrix:
+            # E^o = w_L^c I, so (lam E)^o = I for lam = w_{L o}^(jL - c)
+            E = error_matrix(w, sys)
+            o = next(k for k in range(1, L + 1) if is_scalar(dense_power(E, k)))
+            c = round(np.angle(dense_power(E, o)[0, 0]) / (2 * np.pi) * L) % L
+            phase = Phase(data.draw(st.integers(0, o - 1)) * L - c, L * o)
+        else:
+            phase = Phase(data.draw(st.integers(0, 11)), 12)
+        words.append(ErrorWord(w.x, w.z, phase))
+    tab = _Tableau(sys, words)
+    mats = [error_matrix(w, sys) for w in words]
+    omega_N = lambda e: np.exp(2j * np.pi * int(e) / tab.N)
+
+    C = tab.commutators()
+    for a, Ea in enumerate(mats):
+        for b, Eb in enumerate(mats):
+            assert np.allclose(Ea @ Eb, omega_N(C[a, b]) * (Eb @ Ea), atol=1e-9)
+
+    for E, o, e in zip(mats, tab.orders, tab.closing()):
+        assert is_scalar(dense_power(E, o), omega_N(e))
+        assert not any(is_scalar(dense_power(E, k)) for k in range(1, o))
+
+    # the eigenspace of a commuting subset: the trace of the product of
+    # the rows' projectors
+    subset = []
+    for w, E in zip(words, mats):
+        if all(np.allclose(E @ F, F @ E, atol=1e-9) for _, F in subset):
+            subset.append((w, E))
+    proj = np.eye(sys.total_dim, dtype=complex)
+    for _, E in subset:
+        proj = proj @ dense_projector(E)
+    dim = _Tableau(sys, [w for w, _ in subset]).eigenspace_dim()
+    assert abs(dim - np.trace(proj).real) < 1e-9
+
+
+def test_eigenspace_dim_of_rows_that_do_not_close():
+    # (w_6^5 ZZ)^2 and (i XX)^2 are nontrivial scalars: no +1 eigenvector
+    sys = MixedSystem(((2,), (2,)))
+    rows = [parse_stabilizer_row(sys, ("ZZ",), Phase(5, 6)).word,
+            parse_stabilizer_row(sys, ("XX",), Phase(1, 4)).word]
+    assert _Tableau(sys, rows).eigenspace_dim() == 0.0
+
+
+@pytest.mark.parametrize("phase, dim", [(PHASE_MINUS_ONE, 1), (PHASE_ONE, 0)])
+def test_eigenspace_dim_hinges_on_the_phase_of_a_product(phase, dim):
+    # ZX and XZ commute, and moving Z past X gives their product the phase
+    # -1: the third row is that product exactly, or its negative
+    sys = MixedSystem(((2,), (2,)))
+    rows = [parse_stabilizer_row(sys, ("ZX",)).word,
+            parse_stabilizer_row(sys, ("XZ",)).word,
+            ErrorWord(((1,), (1,)), ((1,), (1,)), phase)]
+    proj = np.eye(sys.total_dim, dtype=complex)
+    for w in rows:
+        proj = proj @ dense_projector(error_matrix(w, sys))
+    assert _Tableau(sys, rows).eigenspace_dim() == round(np.trace(proj).real) == dim
