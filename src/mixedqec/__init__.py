@@ -25,6 +25,7 @@ from mixedqec.compose import paste_distance2, pasted_code, product_code
 from mixedqec.errors import (
     DimensionCapError,
     ErrorWord,
+    IntegerRangeError,
     MixedSystem,
     dim_cap,
     format_word,
@@ -55,6 +56,7 @@ __all__ = [
     "CodingClique",
     "DimensionCapError",
     "ErrorWord",
+    "IntegerRangeError",
     "KLReport",
     "MixedSystem",
     "ModVec",

@@ -30,7 +30,7 @@ from .certificates import (
 )
 from .clique import search_clique
 from .compose import paste_distance2
-from .errors import DIM_CAP_ENV, DimensionCapError, MixedSystem, dim_cap
+from .errors import DIM_CAP_ENV, DimensionCapError, IntegerRangeError, MixedSystem, dim_cap
 from .graphs import WeightedGraph
 from .projection import ProjectorSpec, project_code
 
@@ -332,7 +332,7 @@ def cmd_run_fixtures(args) -> int:
             skipped += 1
             print(f"SKIP {label}: dimension {exc.total} exceeds cap {exc.cap}")
             continue
-        except (CertificateError, ValueError) as exc:
+        except (CertificateError, IntegerRangeError, ValueError) as exc:
             passed, how, why = False, "rejected", str(exc)
         else:
             passed, how = report["verdict"] == "pass", "failed as expected"
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except CertificateError as exc:
+    except (CertificateError, IntegerRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DimensionCapError as exc:

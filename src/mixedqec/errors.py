@@ -53,6 +53,11 @@ class DimensionCapError(Exception):
         self.cap = cap
 
 
+class IntegerRangeError(Exception):
+    """Raised when input values exceed the int64 range that the integer
+    stabilizer tableau computes in: bad input, not a failed check."""
+
+
 def _check_cap(total: int, cap: int | None) -> None:
     limit = dim_cap() if cap is None else cap
     if total > limit:

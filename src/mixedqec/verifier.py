@@ -39,6 +39,7 @@ from .algebra import PHASE_I, PHASE_ONE, Phase, phase_as_complex, phase_mul
 from .clique import CodingClique
 from .errors import (
     ErrorWord,
+    IntegerRangeError,
     MixedSystem,
     _check_cap,
     apply_error,
@@ -504,7 +505,10 @@ class _Tableau:
         self.N = math.lcm(*flat, *(w.phase.L for w in words))
         # every product below is of two residues mod N, summed over factors
         if self.N ** 2 * len(flat) >= 2 ** 63:
-            raise ValueError("phase exponents exceed int64")
+            raise IntegerRangeError(
+                f"phase exponents exceed int64: the common denominator N = "
+                f"{self.N} of the factor moduli and phases needs "
+                f"N^2 * {len(flat)} < 2^63")
         self.w = self.N // np.array(flat, dtype=np.int64)
         self.m = np.tile(flat, 2)  # the moduli of the digits
         self.digits = np.array([[a for part in (w.x, w.z) for d in part for a in d]
@@ -571,7 +575,8 @@ class _Tableau:
         Labels are keyed as mixed-radix numbers of the digits."""
         D = self.sys.total_dim
         if D * D >= 2 ** 63:
-            raise ValueError("label space exceeds int64 keys")
+            raise IntegerRangeError(f"label space exceeds int64 keys: D = {D} "
+                                    f"needs D^2 < 2^63")
         radix = np.cumprod(np.append(1, self.m[:0:-1]))[::-1]
         G, P = np.zeros((1, len(self.m)), np.int64), np.zeros(1, np.int64)
         for r, o in enumerate(self.orders.tolist()):
@@ -610,23 +615,21 @@ def _project_columns(sys: MixedSystem, words: Sequence[ErrorWord],
     return out
 
 
-def _orbit_representatives(sys: MixedSystem, shifts: np.ndarray) -> np.ndarray:
-    """The smallest flat index of each orbit of the x-shifts (one row
-    per generator) on the standard basis, ascending: a running minimum
-    over rolls by each shift, repeated until it is stable."""
+def _orbit_minima(sys: MixedSystem, shifts: np.ndarray) -> np.ndarray:
+    """The smallest flat index in the orbit of each flat index under the
+    x-shifts (one row per generator) on the standard basis: a running
+    minimum over rolls by each shift, repeated until it is stable."""
     flat = sys.flat_dims()
     axes = tuple(range(len(flat)))
     shifts = [x for x in shifts.tolist() if any(x)]
-    index = np.arange(sys.total_dim).reshape(flat)
-    low = index
+    low = np.arange(sys.total_dim).reshape(flat)
     while True:
         nxt = low
         for x in shifts:
             nxt = np.minimum(nxt, np.roll(nxt, x, axis=axes))
         if np.array_equal(nxt, low):
-            break
+            return low.ravel()
         low = nxt
-    return np.flatnonzero(low == index)
 
 
 @dataclass(frozen=True)
@@ -709,14 +712,13 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
     """Orthonormal basis of the joint +1 eigenspace, built by projecting
     standard basis vectors through the group average.
 
-    Every group element is a monomial matrix, so the projection of e_j
-    lies on the orbit j + H of the shifts H the rows generate, and every
-    seed of one orbit projects to a phase multiple of the same vector.
-    Columns from different orbits have disjoint supports and are already
-    orthogonal: only the smallest index of each orbit is projected, in
-    ascending order, and each column with norm above 1e-6 is normalised,
-    up to K columns.  The basis is the one seed-by-seed Gram-Schmidt over
-    0..D-1 would give, column for column."""
+    Every group element is a monomial matrix mapping each orbit j + H of
+    the shifts H the rows generate onto itself, entry by entry, so one
+    vector holding the smallest index of every orbit is projected at once
+    and each entry sees the float operations of its own seed column.  In
+    ascending order of seed, each orbit with norm above 1e-6 becomes the
+    next column, normalised, up to K: the basis that seed-by-seed
+    Gram-Schmidt over 0..D-1 gives."""
     _check_cap(sys.total_dim, cap)
     words = list(r.word for r in rows)
     if phases is not None:
@@ -737,22 +739,25 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
     K = round(dim)
     if abs(dim - K) > tol or K == 0:
         raise ValueError(f"eigenspace dimension {dim} is not a positive integer")
-    basis = np.empty((sys.total_dim, K), dtype=complex)
-    kept = 0
-    reps = _orbit_representatives(sys, tab.X)
-    block = 64
-    for start in range(0, len(reps), block):
+    D = sys.total_dim
+    low = _orbit_minima(sys, tab.X)
+    reps = np.flatnonzero(low == np.arange(D))
+    proj = _project_columns(sys, words, orders, low == np.arange(D))
+    # norms of full-length columns: a sum over the orbit alone rounds otherwise
+    order, buf = np.argsort(low, kind="stable"), np.zeros(D, dtype=complex)
+    bounds = np.searchsorted(low, reps, sorter=order).tolist() + [D]
+    col, norm, kept = np.full(D, -1), np.ones(D), 0
+    for r, a, b in zip(reps.tolist(), bounds, bounds[1:]):
         if kept == K:
             break
-        cols = reps[start:start + block]
-        seeds = np.zeros((sys.total_dim, len(cols)), dtype=complex)
-        seeds[cols, np.arange(len(cols))] = 1.0
-        proj = _project_columns(sys, words, orders, seeds)
-        # column by column: norm(axis=0) sums in another order
-        norms = np.array([np.linalg.norm(proj[:, j]) for j in range(len(cols))])
-        keep = np.flatnonzero(norms > 1e-6)[:K - kept]
-        basis[:, kept:kept + len(keep)] = proj[:, keep] / norms[keep]
-        kept += len(keep)
+        buf[order[a:b]] = proj[order[a:b]]
+        norm[r] = np.linalg.norm(buf)
+        buf[order[a:b]] = 0
+        if norm[r] > 1e-6:
+            col[r], kept = kept, kept + 1
     if kept != K:
         raise ValueError("failed to span the eigenspace from standard seeds")
+    i = np.flatnonzero(col[low] >= 0)
+    basis = np.zeros((D, K), dtype=complex)
+    basis[i, col[low[i]]] = proj[i] / norm[low[i]]
     return basis

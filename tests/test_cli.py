@@ -246,6 +246,18 @@ class TestMalformedCertificates:
         rc, _, err = run(capsys, "verify", str(target))
         assert rc == 2 and "Traceback" not in err and err.startswith("error:")
 
+    def test_phase_beyond_int64_exit_2(self, tmp_path, capsys):
+        # a phase denominator of 2^70 leaves the tableau's int64 range:
+        # bad input, not a failed verification
+        obj = json.loads((FIXTURES / "6_16_3_stab.json").read_text())
+        del obj["content_hash"]
+        obj["construction"]["phases"][0] = [1, 2 ** 70]
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "verify", str(target))
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: phase exponents exceed int64") and "2^63" in err
+
     def test_claimed_d_above_n_plus_1_exit_2(self, tmp_path, capsys):
         # re-hashed, so only the claimed distance is wrong
         cert = load_certificate(FIXTURES / "3_4_2_q4.json")

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -748,11 +749,11 @@ def commuting_rows(rng, sys, count):
     return [StabilizerRow(("",), w) for w in words]
 
 
-def pasted_rows(blocks):
+def pasted_rows(blocks, block_dim=2):
     root = _default_fixture_dir()
     cert = load_certificate(root / "3_4_2_q4.json")
     base = build_code(cert, root)
-    res = paste_distance2(base_stabilizer_rows(cert, base), base, blocks, 2)
+    res = paste_distance2(base_stabilizer_rows(cert, base), base, blocks, block_dim)
     return res.system, res.rows, None
 
 
@@ -770,6 +771,8 @@ EIGENBASIS_CASES = {
     "6_16_3_stab": stab_fixture_rows,
     "3_4_2_q4_paste1": lambda: pasted_rows(1),
     "3_4_2_q4_paste2": lambda: pasted_rows(2),
+    # ((5, 4^3, 2))_4, D 1024, K 64: Z_4 block shifts, x != -x, in pasted rows
+    "3_4_2_q4_paste1_dim4": lambda: pasted_rows(1, 4),
     # X X^2 I shifts by digits above 1; Z Z Z keeps the orbits with digit sum 0
     "qutrit_x2": lambda: (QUTRITS, [word_row(QUTRITS, (1, 2, 0), (0, 0, 0)),
                                     word_row(QUTRITS, (0, 0, 0), (1, 1, 1))], None),
@@ -808,6 +811,20 @@ class TestEigenbasisOracle:
             assert np.array_equal(stabilizer_eigenbasis(sys, rows), want)
             built += 1
         assert built >= 3
+
+
+def test_eigenbasis_memory_stays_near_the_basis():
+    # one projected D-vector and O(D) index arrays beside the D x K basis
+    # (D 4096, K 256: 16 MB), no D x 64 blocks of seeds
+    sys, rows, phases = pasted_rows(3)
+    tracemalloc.start()
+    try:
+        basis = stabilizer_eigenbasis(sys, rows, phases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.shape == (4096, 256)
+    assert peak <= 1.25 * basis.nbytes
 
 
 systems = st.lists(st.lists(st.integers(2, 5), min_size=1, max_size=2),
