@@ -190,7 +190,8 @@ def build_code(cert: Certificate, base_dir: str | Path = ".",
                cap: int | None = None, _seen: frozenset = frozenset()) -> Code:
     """Construct the code a certificate describes.
 
-    Structural problems raise CertificateError; mathematical failures
+    Structural problems raise CertificateError and values beyond the int64
+    stabilizer tableau IntegerRangeError; mathematical failures
     (non-closing rows, vanishing codewords, eigenspace mismatch) raise
     ValueError and count as verification failures, not input errors.
     """
