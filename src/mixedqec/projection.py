@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ErrorWord, MixedSystem, enumerate_errors
+from .errors import ErrorWord, MixedSystem, supports
 from .verifier import Code
 
 _COEFF_TOL = 1e-12
@@ -39,8 +39,9 @@ class ProjectorSpec:
         fixed = []
         for i, (s, f) in enumerate(zip(self.keep, self.system.factors)):
             s = tuple(sorted(set(s)))
-            if not s:
-                raise ValueError(f"particle {i + 1} keeps no levels")
+            if len(s) < 2:
+                raise ValueError(f"particle {i + 1} keeps {len(s)} level(s); "
+                                 "a projected particle needs at least two")
             if s[0] < 0 or s[-1] >= f[0]:
                 raise ValueError(f"kept levels out of range on particle {i + 1}")
             fixed.append(s)
@@ -71,85 +72,76 @@ class ProjectorSpec:
         return ProjectorSpec(system, tuple(keep))
 
 
-def _pauli_matrix(q: int, a: int, b: int) -> np.ndarray:
-    """X^a Z^b on one q-level particle: |j> -> w^(b j) |j + a>."""
-    m = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        m[(j + a) % q, j] = np.exp(2j * np.pi * b * j / q)
-    return m
+def _particle_tables(P: ProjectorSpec) -> list[np.ndarray]:
+    """Per particle, c[a, b, alpha, beta]: the coefficient of the ancilla
+    word X^alpha Z^beta in the kept-level word X^a Z^b.
 
-
-def _expand_matrix(q: int, M: np.ndarray) -> list[tuple[complex, tuple[int, int]]]:
-    """Coefficients of M in the X^a Z^b basis, zero terms dropped."""
+    With q levels and kept levels k_0 < ... < k_{p-1}, X^a Z^b maps |k_j>
+    to w_p^(b j) |k_(j+a mod p)>, so c is 1/q times the sum, over the j
+    with k_(j+a mod p) - k_j = alpha (mod q), of w_p^(b j) w_q^(-beta k_j).
+    """
     out = []
-    for a in range(q):
-        for b in range(q):
-            c = np.trace(_pauli_matrix(q, a, b).conj().T @ M) / q
-            if abs(c) > _COEFF_TOL:
-                out.append((complex(c), (a, b)))
+    for (q,), kept in zip(P.system.factors, P.keep):
+        ks = np.asarray(kept)
+        j = np.arange(len(ks))
+        shift = (ks[np.add.outer(j, j) % len(ks)] - ks) % q      # [a, j]
+        out.append(np.einsum("ajx,bj,jy->abxy", shift[:, :, None] == np.arange(q),
+                             np.exp(2j * np.pi * np.outer(j, j) / len(ks)),
+                             np.exp(-2j * np.pi * np.outer(ks, np.arange(q)) / q)) / q)
     return out
 
 
-def _embedded_particle_op(P: ProjectorSpec, particle: int, a: int, b: int) -> np.ndarray:
-    """The mixed-alphabet X^a Z^b of the particle, written on the kept
-    levels inside the full q-level space."""
-    q = P.system.factors[particle][0]
-    kept = P.keep[particle]
-    p = len(kept)
-    M = np.zeros((q, q), dtype=complex)
-    for j in range(p):
-        M[kept[(j + a) % p], kept[j]] = np.exp(2j * np.pi * b * j / p)
-    return M
+def _digits(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The (alpha, beta) where a q x q mask is set, in lexicographic order."""
+    return list(map(tuple, np.argwhere(mask).tolist()))
+
+
+def _word(digits: Sequence[tuple[int, int]]) -> ErrorWord:
+    """The ancilla word with digits (alpha, beta) on each particle."""
+    return ErrorWord(tuple((a,) for a, _ in digits), tuple((b,) for _, b in digits))
 
 
 def projected_error(e: ErrorWord, P: ProjectorSpec) -> list[tuple[complex, ErrorWord]]:
     """Expansion of P^dag E P over the ancilla Pauli words.
 
-    Everything factorizes per particle, so each particle is expanded
-    separately and the terms are combined as products.
+    Everything factorizes per particle, so each particle's terms are read
+    off its coefficient table and the terms are combined as products.
     """
-    sys = P.system
     per_particle = []
-    for i in range(sys.n):
-        q = sys.factors[i][0]
-        a, b = e.x[i][0], e.z[i][0]
-        kept = P.keep[i]
-        proj = np.zeros((q, q), dtype=complex)
-        for level in kept:
-            proj[level, level] = 1.0
-        op = proj @ _embedded_particle_op(P, i, a, b) @ proj
-        per_particle.append(_expand_matrix(q, op))
-    out = []
-    for combo in itertools.product(*per_particle):
-        coeff = complex(np.prod([c for c, _ in combo]))
-        if abs(coeff) <= _COEFF_TOL:
-            continue
-        xs = tuple((ab[0],) for _, ab in combo)
-        zs = tuple((ab[1],) for _, ab in combo)
-        out.append((coeff, ErrorWord(xs, zs)))
-    return out
+    for c, xi, zi, p in zip(_particle_tables(P), e.x, e.z, P.kept_dims):
+        c = c[xi[0] % p, zi[0] % p]
+        per_particle.append([(c[ab], ab) for ab in _digits(np.abs(c) > _COEFF_TOL)])
+    return [(complex(np.prod([c for c, _ in combo])), _word([ab for _, ab in combo]))
+            for combo in itertools.product(*per_particle)]
 
 
 def required_detectable_set(P: ProjectorSpec, sys: MixedSystem | None = None,
                             d: int = 2) -> list[ErrorWord]:
     """Ancilla words the ancilla code must detect so that the projected
-    code reaches distance d.
+    code reaches distance d: the union of the Pauli supports of P^dag E P
+    over the mixed-system errors E of weight below d.
 
-    The union of the Pauli supports of P^dag E P over all mixed-system
-    errors E of weight below d.  The identity word is dropped: its
-    matrix element is a norm, not a detectable syndrome.
+    A term is nonzero exactly when every particle's coefficient is, so
+    over the errors on support S the union is a product: on S the words
+    any non-identity digit reaches, off S the projector's own words.  A
+    non-identity kept-level word is traceless, so no term is the identity.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     mixed = P.mixed_system()
     if sys is not None and sys.dims != mixed.dims:
         raise ValueError("system does not match the projector's kept dims")
-    seen = {}
-    for e in enumerate_errors(mixed, d - 1):
-        for _, w in projected_error(e, P):
-            if not w.label_is_identity():
-                seen.setdefault((w.x, w.z), w)
-    return sorted(seen.values(), key=lambda w: (w.x, w.z))
+    touched, untouched = [], []
+    for c in _particle_tables(P):
+        hit = np.abs(c) > _COEFF_TOL
+        untouched.append(_digits(hit[0, 0]))
+        hit[0, 0] = False
+        touched.append(_digits(hit.any(axis=(0, 1))))
+    seen = set()
+    for supp in supports(mixed.n, d - 1):
+        seen.update(itertools.product(*(touched[i] if i in supp else untouched[i]
+                                        for i in range(mixed.n))))
+    return sorted(map(_word, seen), key=lambda w: (w.x, w.z))
 
 
 def project_code(ancilla_code: Code, P: ProjectorSpec,

@@ -1,8 +1,11 @@
 """Level projection: expansions, required error sets, projected codes."""
+import functools
 import itertools
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedqec.algebra import ModVec
 from mixedqec.errors import ErrorWord, MixedSystem, enumerate_errors, error_matrix
@@ -78,6 +81,13 @@ class TestSpec:
     def test_rejects_empty_keep(self):
         with pytest.raises(ValueError):
             ProjectorSpec(QUTRIT5, (KEEP_ALL3,) * 4 + ((),))
+
+    @pytest.mark.parametrize("levels", [(0,), (0, 0), (2,)])
+    def test_rejects_one_level_keep(self, levels):
+        with pytest.raises(ValueError, match="particle 5 keeps 1 level"):
+            ProjectorSpec(QUTRIT5, (KEEP_ALL3,) * 4 + (levels,))
+        with pytest.raises(ValueError, match="particle 5 keeps 1 level"):
+            ProjectorSpec.from_json(QUTRIT5, {"keep": {"5": list(levels)}})
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -300,3 +310,69 @@ class TestDetectionTransfer:
                 assert kl_verify_numeric(out, 2).ok
         # K = 1 draws detect vacuously, so the implication always fires
         assert hits > 0
+
+
+@functools.lru_cache(maxsize=None)
+def dense_particle_terms(q, kept, a, b):
+    """The kept-level word X^a Z^b of one particle, embedded in the q
+    levels as a dense matrix and expanded by q^2 traces; terms at or
+    below 1e-12 dropped."""
+    p = len(kept)
+    emb = np.zeros((q, q), dtype=complex)
+    for j in range(p):
+        emb[kept[(j + a) % p], kept[j]] = np.exp(2j * np.pi * b * j / p)
+    out = []
+    for alpha, beta in itertools.product(range(q), repeat=2):
+        c = np.trace(dense_pauli(q, alpha, beta).conj().T @ emb) / q
+        if abs(c) > 1e-12:
+            out.append((complex(c), (alpha, beta)))
+    return tuple(out)
+
+
+def dense_projected_error(e, P):
+    """P^dag E P term by term: per-particle dense expansions multiplied
+    out, products at or below 1e-12 dropped."""
+    per_particle = [dense_particle_terms(f[0], kept, e.x[i][0], e.z[i][0])
+                    for i, (f, kept) in enumerate(zip(P.system.factors, P.keep))]
+    out = []
+    for combo in itertools.product(*per_particle):
+        c = complex(np.prod([c for c, _ in combo]))
+        if abs(c) > 1e-12:
+            out.append((c, tuple(ab for _, ab in combo)))
+    return out
+
+
+@st.composite
+def projectors(draw):
+    """A projector on 1..4 particles of 2..6 levels, each keeping at
+    least two, with ancilla dimension at most 48, and a distance 2 or 3."""
+    n = draw(st.integers(1, 4))
+    qs = []
+    for i in range(n):
+        room = 48 // (prod(qs) * 2 ** (n - 1 - i))
+        qs.append(draw(st.integers(2, min(6, room))))
+    qs = draw(st.permutations(qs))
+    keep = tuple(tuple(sorted(draw(st.sets(st.integers(0, q - 1), min_size=2))))
+                 for q in qs)
+    d = draw(st.integers(2, min(3, n + 1)))
+    return ProjectorSpec(MixedSystem(tuple((q,) for q in qs)), keep), d
+
+
+class TestDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(projectors())
+    def test_fast_path_matches_dense_expansion(self, case):
+        P, d = case
+        seen = set()
+        for e in enumerate_errors(P.mixed_system(), d - 1):
+            want = dense_projected_error(e, P)
+            got = projected_error(e, P)
+            assert [tuple((x[0], z[0]) for x, z in zip(w.x, w.z)) for _, w in got] \
+                == [digits for _, digits in want]
+            assert max((abs(c - cw) for (c, _), (cw, _) in zip(got, want)),
+                       default=0) < 1e-12
+            seen.update(digits for _, digits in want
+                        if any(ab != (0, 0) for ab in digits))
+        want_words = sorted((tuple((a,) for a, _ in w), tuple((b,) for _, b in w))
+                            for w in seen)
+        assert [(w.x, w.z) for w in required_detectable_set(P, None, d)] == want_words
