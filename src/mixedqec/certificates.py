@@ -214,7 +214,12 @@ def build_code(cert: Certificate, base_dir: str | Path = ".",
         for ref in refs:
             sub, sub_dir, mark = _load_path(ref, base_dir, _seen)
             codes.append(build_code(sub, sub_dir, cap=cap, _seen=_seen | {mark}))
-        return product_code(codes[0], codes[1], cap=cap)
+        a, b = codes
+        if (a.n, a.d) != (b.n, b.d):
+            raise CertificateError(f"product needs codes of one length and one "
+                                   f"claimed distance, got (n, d) = ({a.n}, {a.d}) "
+                                   f"and ({b.n}, {b.d})")
+        return product_code(a, b, cap=cap)
     if kind == "pasting":
         refs = cons.get("refs")
         if not isinstance(refs, list) or len(refs) != 1:

@@ -250,6 +250,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_project(args) -> int:
+    out_dir = _out_dir(args)  # reject a missing --out directory before building
     try:
         keep = json.loads(args.keep)
         if not isinstance(keep, dict):
@@ -263,7 +264,6 @@ def cmd_project(args) -> int:
         spec = ProjectorSpec.from_json(ancilla.system, {"keep": keep})
     except (TypeError, ValueError) as exc:
         raise CertificateError(f"bad --keep value: {exc}") from exc
-    out_dir = _out_dir(args)
     cons = {
         "type": "projection",
         "ancilla": _ref(args.ancilla, out_dir),
@@ -289,12 +289,12 @@ def cmd_product(args) -> int:
 
 
 def cmd_paste(args) -> int:
+    out_dir = _out_dir(args)  # reject a missing --out directory before building
     base = load_certificate(args.base)
     base_code = build_code(base, Path(args.base).parent, cap=args.dim_cap)
     rows = base_stabilizer_rows(base, base_code)
     res = paste_distance2(rows, base_code, args.blocks, args.block_dim,
                           tol=args.tol, cap=args.dim_cap)
-    out_dir = _out_dir(args)
     cons = {
         "type": "pasting",
         "refs": [_ref(args.base, out_dir)],

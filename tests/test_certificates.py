@@ -223,6 +223,14 @@ class TestBuild:
         code = build_code(paste, tmp_path)
         assert code.K == 16 and code.system.dims == (4, 4, 4, 2, 2)
 
+    def test_product_of_different_distances_rejected(self, tmp_path):
+        cert_342().save(tmp_path / "a.json")
+        cert_342(d=3).save(tmp_path / "b.json")
+        prod = Certificate("p", None, 16, 2,
+                           {"type": "product", "refs": ["a.json", "b.json"]})
+        with pytest.raises(CertificateError, match=r"\(3, 2\) and \(3, 3\)"):
+            build_code(prod, tmp_path)
+
     def test_circular_reference_rejected(self, tmp_path):
         loop = Certificate("loop", None, 4, 2,
                            {"type": "pasting", "refs": ["loop.json"],

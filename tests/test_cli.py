@@ -195,6 +195,27 @@ class TestCompositions:
                          "--keep", '{"9": [0, 1]}')
         assert rc == 2
 
+    @pytest.mark.parametrize("levels", ["[0]", "[0, 0]"])
+    def test_project_one_level_keep_exit_2(self, levels, capsys):
+        rc, out, err = run(capsys, "project", str(FIXTURES / "5_9_2_q3.json"),
+                           "--keep", f'{{"5": {levels}}}')
+        assert rc == 2 and out == "" and "particle 5 keeps 1 level" in err
+
+    def test_projection_certificate_one_level_keep_exit_2(self, tmp_path, capsys):
+        obj = json.loads((FIXTURES / "5_9_2_proj.json").read_text())
+        del obj["content_hash"]  # so that only the projector is wrong
+        obj["construction"]["ancilla"] = str(FIXTURES / "5_9_2_q3.json")
+        obj["construction"]["projector"]["keep"]["5"] = [0]
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(obj))
+        rc, _, err = run(capsys, "verify", str(target))
+        assert rc == 2 and "particle 5 keeps 1 level" in err
+
+    def test_product_of_different_lengths_exit_2(self, capsys):
+        rc, out, err = run(capsys, "product", str(FIXTURES / "3_4_2_q4.json"),
+                           str(FIXTURES / "5_9_2_q3.json"))
+        assert rc == 2 and out == "" and "(n, d) = (3, 2) and (5, 2)" in err
+
     def test_product(self, capsys):
         rc, out, _ = run(capsys, "product", str(FIXTURES / "3_4_2_q4.json"),
                          str(FIXTURES / "3_8_2_q8.json"))
@@ -382,6 +403,19 @@ class TestEmittedReferences:
         ["search", "--graph-p", "unused.json"],
     ])
     def test_missing_out_dir_exit_2(self, argv, tmp_path, capsys):
+        rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "nowhere" / "x.json"))
+        assert rc == 2 and "output directory not found" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["paste", str(FIXTURES / "3_4_2_q4.json")],
+        ["project", str(FIXTURES / "5_9_2_q3.json"), "--keep", '{"5": [0, 1]}'],
+    ])
+    def test_missing_out_dir_rejected_before_building(self, argv, tmp_path,
+                                                       monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a code for a missing --out directory")
+
+        monkeypatch.setattr("mixedqec.cli.build_code", unreachable)
         rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "nowhere" / "x.json"))
         assert rc == 2 and "output directory not found" in err
 
