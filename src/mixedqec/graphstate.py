@@ -50,18 +50,6 @@ def graph_state_vector(G: WeightedGraph, cap: int | None = None) -> StateVector:
     return StateVector((G.m,) * G.n, amps.reshape(total))
 
 
-def stabilizer_word(G: WeightedGraph, s: ModVec) -> ErrorWord:
-    """The group element fixing the graph state for label s:
-    w_m^{Q(s)} X^s Z^{s.Gamma}, as a word on the single-layer system.
-
-    The phase factor is not optional: X^s Z^{s.Gamma} alone fixes the
-    state only up to w_m^{-Q(s)}, so the exact generator carries it.
-    """
-    sys1 = MixedSystem.layered([(G.m, G.n)])
-    return ErrorWord.from_layers(sys1, [s], [graph_action(s, G)],
-                                 omega(G.m, quadratic_form(s, G)))
-
-
 def reduce_to_phase_op(s: ModVec, t: ModVec, G: WeightedGraph) -> tuple[Phase, ModVec]:
     """(phi, c) with X^s Z^t |G> = phi * Z^c |G>, c = t - s.Gamma.
 

@@ -12,7 +12,6 @@ from mixedqec.graphstate import (
     graph_state_vector,
     reduce_to_phase_op,
     stabilizer_error_word,
-    stabilizer_word,
 )
 
 
@@ -64,13 +63,15 @@ def test_state_vector_validates_norm():
 
 def test_stabilizer_word_zero_label():
     G = loop_graph(3, 2, 1)
-    w = stabilizer_word(G, ModVec.zeros(2, 3))
+    w = stabilizer_error_word(MixedSystem.layered([(G.m, G.n)]), (G,),
+                              (ModVec.zeros(2, 3),))
     assert w.phase == PHASE_ONE and w.label_is_identity()
 
 
 def test_stabilizer_word_c6_neighbors():
     G = loop_graph(6, 2, 1)
-    w = stabilizer_word(G, ModVec(2, (1, 0, 0, 0, 0, 0)))
+    w = stabilizer_error_word(MixedSystem.layered([(G.m, G.n)]), (G,),
+                              (ModVec(2, (1, 0, 0, 0, 0, 0)),))
     assert w.phase == PHASE_ONE
     assert [xi[0] for xi in w.x] == [1, 0, 0, 0, 0, 0]
     assert [zi[0] for zi in w.z] == [0, 1, 0, 0, 0, 1]
@@ -88,7 +89,7 @@ def test_stabilizer_words_fix_the_state(G):
     sys1 = MixedSystem.layered([(G.m, G.n)])
     sv = graph_state_vector(G).amplitudes
     for entries in itertools.product(range(G.m), repeat=G.n):
-        w = stabilizer_word(G, ModVec(G.m, entries))
+        w = stabilizer_error_word(sys1, (G,), (ModVec(G.m, entries),))
         got = apply_error(w, sys1, sv)
         np.testing.assert_allclose(got, sv, atol=1e-9)
 
@@ -124,7 +125,7 @@ def test_reduce_of_stabilizer_word_is_trivial():
     for G in (loop_graph(6, 2, 1), loop_graph(5, 3, 1), loop_graph(3, 3, 2)):
         for entries in itertools.product(range(G.m), repeat=G.n):
             s = ModVec(G.m, entries)
-            w = stabilizer_word(G, s)
+            w = stabilizer_error_word(MixedSystem.layered([(G.m, G.n)]), (G,), (s,))
             phi, c = reduce_to_phase_op(s, graph_action(s, G), G)
             # the word's own phase cancels the reduction phase exactly
             from mixedqec.algebra import phase_mul
