@@ -108,8 +108,8 @@ def projected_error(e: ErrorWord, P: ProjectorSpec) -> list[tuple[complex, Error
     off its coefficient table and the terms are combined as products.
     """
     per_particle = []
-    for c, xi, zi, p in zip(_particle_tables(P), e.x, e.z, P.kept_dims):
-        c = c[xi[0] % p, zi[0] % p]
+    for table, xi, zi, p in zip(_particle_tables(P), e.x, e.z, P.kept_dims):
+        c = table[xi[0] % p, zi[0] % p]
         per_particle.append([(c[ab], ab) for ab in _digits(np.abs(c) > _COEFF_TOL)])
     return [(complex(np.prod([c for c, _ in combo])), _word([ab for _, ab in combo]))
             for combo in itertools.product(*per_particle)]

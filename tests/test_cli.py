@@ -401,20 +401,13 @@ class TestEmittedReferences:
     @pytest.mark.parametrize("argv", [
         ["paste", str(FIXTURES / "3_4_2_q4.json")],
         ["search", "--graph-p", "unused.json"],
-    ])
-    def test_missing_out_dir_exit_2(self, argv, tmp_path, capsys):
-        rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "nowhere" / "x.json"))
-        assert rc == 2 and "output directory not found" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["paste", str(FIXTURES / "3_4_2_q4.json")],
         ["project", str(FIXTURES / "5_9_2_q3.json"), "--keep", '{"5": [0, 1]}'],
     ])
-    def test_missing_out_dir_rejected_before_building(self, argv, tmp_path,
-                                                       monkeypatch, capsys):
+    def test_missing_out_dir_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
             raise AssertionError("built a code for a missing --out directory")
 
+        # the directory is checked before any code is built
         monkeypatch.setattr("mixedqec.cli.build_code", unreachable)
         rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "nowhere" / "x.json"))
         assert rc == 2 and "output directory not found" in err
