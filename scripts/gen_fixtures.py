@@ -15,9 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from mixedqec.certificates import Certificate, build_code, verify_certificate  # noqa: E402
-from mixedqec.clique import CodingClique, closure  # noqa: E402
-from mixedqec.algebra import ModVec  # noqa: E402
+from mixedqec.certificates import Certificate, certify, verify_certificate  # noqa: E402
 from mixedqec.errors import MixedSystem  # noqa: E402
 from mixedqec.graphs import loop_graph  # noqa: E402
 
@@ -30,27 +28,32 @@ L6 = loop_graph(6, 2)
 L5Q3 = loop_graph(5, 3)
 
 
-def clique_cert(name, graphs, d, gen_rows, vectors=None):
+def clique_cons(graphs, generators=None, vectors=None) -> dict:
     cons = {"type": "composite_clique",
             "graphs": [g.to_json() for g in graphs]}
     if vectors is not None:
         cons["vectors"] = [[list(part) for part in v] for v in vectors]
-        vecs = tuple(
-            tuple(ModVec.of(g.m, tuple(part)) for g, part in zip(graphs, v))
-            for v in vectors)
     else:
-        cons["generators"] = [[list(part) for part in v] for v in gen_rows]
-        gens = [
-            tuple(ModVec.of(g.m, tuple(part)) for g, part in zip(graphs, v))
-            for v in gen_rows]
-        vecs = closure(gens)
-    cl = CodingClique(graphs=tuple(graphs), d=d, vectors=vecs)
-    return Certificate(name, cl.system(), cl.K, d, cons)
+        cons["generators"] = [[list(part) for part in v] for v in generators]
+    return cons
 
 
-def save(cert: Certificate, fname: str, distance: bool = False,
-         expect: str = "pass", directory: Path = OUT) -> None:
-    report = verify_certificate(cert, directory, distance=distance)
+def create(name: str, d: int, cons: dict, distance: bool = False,
+           expect: str = "pass", directory: Path = OUT) -> None:
+    """Build a code once, certify it and write ``<name>.json``."""
+    cert, report = certify(name, d, cons, directory, distance=distance)
+    # a pasting's rows stay out: fixtures hold the block verify writes back
+    cert.verification.pop("rows", None)
+    write(cert, report, expect, directory)
+
+
+def save(cert: Certificate, expect: str = "pass", directory: Path = OUT) -> None:
+    """Verify a certificate whose claim is given and write it."""
+    write(cert, verify_certificate(cert, directory), expect, directory)
+
+
+def write(cert: Certificate, report: dict, expect: str, directory: Path) -> None:
+    fname = f"{report['name']}.json"
     if report["verdict"] != expect:
         raise SystemExit(f"{fname}: expected {expect}, got "
                          f"{json.dumps(report, indent=2, sort_keys=True, default=str)}")
@@ -63,62 +66,47 @@ def main() -> None:
     OUT.mkdir(exist_ok=True)
     (OUT / "negatives").mkdir(exist_ok=True)
 
-    save(clique_cert("3_4_2_q4", (L3, L3), 2, [
+    create("3_4_2_q4", 2, clique_cons((L3, L3), [
         [[1, 0, 0], [0, 1, 0]],
         [[0, 1, 0], [0, 0, 1]],
-    ]), "3_4_2_q4.json", distance=True)
+    ]), distance=True)
 
-    save(clique_cert("6_16_3_q4", (L6, L6), 3, [
+    create("6_16_3_q4", 3, clique_cons((L6, L6), [
         [[1, 0, 0, 1, 0, 0], [0, 0, 1, 1, 0, 1]],
         [[0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 1, 1]],
         [[0, 0, 1, 1, 0, 1], [1, 0, 1, 0, 0, 1]],
         [[0, 0, 0, 1, 1, 0], [1, 1, 0, 0, 0, 0]],
-    ]), "6_16_3_q4.json")
+    ]))
 
-    save(clique_cert("6_8_3_mixed", (L6, L5), 3, [
+    create("6_8_3_mixed", 3, clique_cons((L6, L5), [
         [[1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1]],
         [[0, 1, 1, 1, 1, 0], [1, 0, 0, 0, 0]],
         [[0, 0, 0, 0, 1, 1], [0, 1, 0, 1, 0]],
-    ]), "6_8_3_mixed.json")
+    ]))
 
-    save(clique_cert("6_4_3_mixed", (L6, L4), 3, [
+    create("6_4_3_mixed", 3, clique_cons((L6, L4), [
         [[1, 1, 1, 0, 1, 0], [0, 1, 0, 1]],
         [[0, 1, 1, 1, 0, 1], [1, 0, 1, 0]],
-    ]), "6_4_3_mixed.json")
+    ]))
 
-    save(clique_cert("3_8_2_q8", (L3, L3, L3), 2, [
+    create("3_8_2_q8", 2, clique_cons((L3, L3, L3), [
         [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
         [[0, 1, 0], [0, 0, 0], [0, 0, 1]],
         [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
-    ]), "3_8_2_q8.json", distance=True)
+    ]), distance=True)
 
     ancilla_labels = ["00000", "01020", "02110", "11010", "10222",
                       "12200", "20210", "21102", "22120"]
     ancilla_vectors = [[[int(c) for c in s]] for s in ancilla_labels]
-    save(clique_cert("5_9_2_q3", (L5Q3,), 2, None, vectors=ancilla_vectors),
-         "5_9_2_q3.json", distance=True)
+    create("5_9_2_q3", 2, clique_cons((L5Q3,), vectors=ancilla_vectors),
+           distance=True)
 
-    proj = Certificate("5_9_2_proj", None, 9, 2,
-                       {"type": "projection", "ancilla": "5_9_2_q3.json",
-                        "projector": {"keep": {"5": [0, 1]}}})
-    code = build_code(proj, OUT)
-    proj = Certificate("5_9_2_proj", code.system, code.K, 2, proj.construction)
-    save(proj, "5_9_2_proj.json", distance=True)
-
-    paste = Certificate("5_16_2_paste", None, 16, 2,
-                        {"type": "pasting", "refs": ["3_4_2_q4.json"],
-                         "blocks": 1, "block_dim": 2})
-    code = build_code(paste, OUT)
-    paste = Certificate("5_16_2_paste", code.system, code.K, 2, paste.construction)
-    save(paste, "5_16_2_paste.json", distance=True)
-
-    product = Certificate("3_32_2_product", None, 32, 2,
-                          {"type": "product",
-                           "refs": ["3_4_2_q4.json", "3_8_2_q8.json"]})
-    code = build_code(product, OUT)
-    product = Certificate("3_32_2_product", code.system, code.K, 2,
-                          product.construction)
-    save(product, "3_32_2_product.json")
+    create("5_9_2_proj", 2, {"type": "projection", "ancilla": "5_9_2_q3.json",
+                             "projector": {"keep": {"5": [0, 1]}}}, distance=True)
+    create("5_16_2_paste", 2, {"type": "pasting", "refs": ["3_4_2_q4.json"],
+                               "blocks": 1, "block_dim": 2}, distance=True)
+    create("3_32_2_product", 2, {"type": "product",
+                                 "refs": ["3_4_2_q4.json", "3_8_2_q8.json"]})
 
     rows = [
         ["XZZXZZ", "XZIIIZ"],
@@ -134,39 +122,31 @@ def main() -> None:
     stab_sys = MixedSystem.layered([(2, 6), (2, 6)])
     stab = Certificate("6_16_3_stab", stab_sys, 16, 3,
                        {"type": "stabilizer", "rows": rows, "phases": phases})
-    save(stab, "6_16_3_stab.json")
+    save(stab)
 
     # --- negatives: each must fail verification or be rejected on load ---
     neg = OUT / "negatives"
 
-    bad_vec = clique_cert("neg_bad_vector", (L3, L3), 2, None, vectors=[
+    create("neg_bad_vector", 2, clique_cons((L3, L3), vectors=[
         [[0, 0, 0], [0, 0, 0]],
         [[1, 0, 0], [0, 1, 0]],
         [[0, 1, 0], [0, 0, 1]],
         [[1, 1, 0], [0, 1, 1]],
         [[0, 0, 1], [0, 0, 0]],
-    ])
-    save(bad_vec, "neg_bad_vector.json", expect="fail", directory=neg)
+    ]), expect="fail", directory=neg)
 
-    wrong_k = clique_cert("neg_wrong_K", (L3, L3), 2, [
-        [[1, 0, 0], [0, 1, 0]],
-        [[0, 1, 0], [0, 0, 1]],
-    ])
-    wrong_k = Certificate("neg_wrong_K", wrong_k.system, 8, 2,
-                          wrong_k.construction)
-    save(wrong_k, "neg_wrong_K.json", expect="fail", directory=neg)
+    gens_342 = [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]]
+    save(Certificate("neg_wrong_K", MixedSystem.layered([(2, 3), (2, 3)]), 8, 2,
+                     clique_cons((L3, L3), gens_342)), expect="fail", directory=neg)
 
-    wrong_d = clique_cert("neg_wrong_d", (L3, L3), 3, [
-        [[1, 0, 0], [0, 1, 0]],
-        [[0, 1, 0], [0, 0, 1]],
-    ])
-    save(wrong_d, "neg_wrong_d.json", expect="fail", directory=neg)
+    create("neg_wrong_d", 3, clique_cons((L3, L3), gens_342),
+           expect="fail", directory=neg)
 
     mutated = [["IZZXZZ", "XZIIIZ"]] + rows[1:]
     bad_row = Certificate("neg_bad_row", stab_sys, 16, 3,
                           {"type": "stabilizer", "rows": mutated,
                            "phases": phases})
-    save(bad_row, "neg_bad_row.json", expect="fail", directory=neg)
+    save(bad_row, expect="fail", directory=neg)
 
     good = json.loads((OUT / "3_4_2_q4.json").read_text())
     good["name"] = "neg_bad_hash"

@@ -181,60 +181,89 @@ def _stabilizer_rows(cert: Certificate):
     return rows, phases
 
 
-def _resolve(ref: str, base_dir: Path) -> Path:
-    p = Path(ref)
-    return p if p.is_absolute() else base_dir / p
-
-
-def build_code(cert: Certificate, base_dir: str | Path = ".",
-               cap: int | None = None, _seen: frozenset = frozenset()) -> Code:
-    """Construct the code a certificate describes.
+def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
+           tol: float) -> tuple[Code, tuple[Code, ProjectorSpec] | None,
+                                tuple[StabilizerRow, ...] | None]:
+    """Construct the code a certificate describes, with what its checks
+    and its emitted block need beyond the code: ``(code, projection,
+    rows)``, where ``projection`` is the built ancilla and its projector
+    for a projection and ``rows`` the new stabilizer rows for a pasting,
+    else None.  ``seen`` holds the referenced files above this one, and
+    ``tol`` is the tolerance of a pasting's check of its base.
 
     Structural problems raise CertificateError and values beyond the int64
     stabilizer tableau IntegerRangeError; mathematical failures
     (non-closing rows, vanishing codewords, eigenspace mismatch) raise
     ValueError and count as verification failures, not input errors.
     """
-    base_dir = Path(base_dir)
     cons = cert.construction
     kind = cons["type"]
     if kind == "composite_clique":
-        return Code.from_clique(_clique_from_construction(cons, cert.d))
+        return Code.from_clique(_clique_from_construction(cons, cert.d)), None, None
     if kind == "stabilizer":
         rows, phases = _stabilizer_rows(cert)
         B = stabilizer_eigenbasis(cert.system, rows, phases=phases, cap=cap)
-        return Code.from_basis(cert.system, B, cert.d)
+        return Code.from_basis(cert.system, B, cert.d), None, None
     if kind == "projection":
-        return project_code(*_projection_parts(cert, base_dir, cap, _seen))
+        ref = cons.get("ancilla")
+        if not isinstance(ref, str):
+            raise CertificateError("projection construction needs a 'ancilla' ref")
+        _, ancilla = _build_ref(ref, base_dir, cap, seen, tol)
+        try:
+            spec = ProjectorSpec.from_json(ancilla.system, cons["projector"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CertificateError(f"bad projector block: {exc}") from exc
+        return project_code(ancilla, spec), (ancilla, spec), None
     if kind == "product":
         refs = cons.get("refs")
         if not isinstance(refs, list) or len(refs) != 2:
             raise CertificateError("product construction needs two refs")
-        codes = []
-        for ref in refs:
-            sub, sub_dir, mark = _load_path(ref, base_dir, _seen)
-            codes.append(build_code(sub, sub_dir, cap=cap, _seen=_seen | {mark}))
-        a, b = codes
+        a, b = [_build_ref(ref, base_dir, cap, seen, tol)[1] for ref in refs]
         if (a.n, a.d) != (b.n, b.d):
             raise CertificateError(f"product needs codes of one length and one "
                                    f"claimed distance, got (n, d) = ({a.n}, {a.d}) "
                                    f"and ({b.n}, {b.d})")
-        return product_code(a, b, cap=cap)
+        return product_code(a, b, cap=cap), None, None
     if kind == "pasting":
         refs = cons.get("refs")
         if not isinstance(refs, list) or len(refs) != 1:
             raise CertificateError("pasting construction needs exactly one ref")
-        base_cert, sub_dir, mark = _load_path(refs[0], base_dir, _seen)
-        base_code = build_code(base_cert, sub_dir, cap=cap, _seen=_seen | {mark})
+        base_cert, base_code = _build_ref(refs[0], base_dir, cap, seen, tol)
         rows = base_stabilizer_rows(base_cert, base_code)
         try:
             blocks = int(cons["blocks"])
             block_dim = int(cons["block_dim"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad pasting block parameters: {exc}") from exc
-        res = paste_distance2(rows, base_code, blocks, block_dim, cap=cap)
-        return pasted_code(res, cap=cap)
+        res = paste_distance2(rows, base_code, blocks, block_dim, tol=tol, cap=cap)
+        return pasted_code(res, cap=cap), None, res.rows
     raise CertificateError(f"unknown construction type {kind!r}")
+
+
+def _build_ref(ref: str, base_dir: Path, cap: int | None, seen: frozenset,
+               tol: float) -> tuple[Certificate, Code]:
+    """Load a referenced certificate and build its code."""
+    if not isinstance(ref, str):
+        raise CertificateError(f"certificate reference must be a path string, got {ref!r}")
+    path = Path(ref)
+    if not path.is_absolute():
+        path = base_dir / path
+    marker = path.resolve()
+    if marker in seen:
+        raise CertificateError(f"circular certificate reference via {ref}")
+    sub = load_certificate(path)
+    return sub, _build(sub, path.parent, cap, seen | {marker}, tol)[0]
+
+
+def build_code(cert: Certificate, base_dir: str | Path = ".",
+               cap: int | None = None) -> Code:
+    """Construct the code a certificate describes.
+
+    Raises as verify_certificate's build does: CertificateError and
+    IntegerRangeError for bad input, ValueError for a construction that
+    fails mathematically.
+    """
+    return _build(cert, Path(base_dir), cap, frozenset(), 1e-9)[0]
 
 
 def base_stabilizer_rows(cert: Certificate, code: Code) -> tuple[StabilizerRow, ...]:
@@ -251,34 +280,6 @@ def base_stabilizer_rows(cert: Certificate, code: Code) -> tuple[StabilizerRow, 
     if code.clique is not None:
         return clique_stabilizer_rows(code.clique)
     raise CertificateError("pasting base must be clique or stabilizer form")
-
-
-def _projection_parts(cert: Certificate, base_dir: Path, cap: int | None,
-                      seen: frozenset = frozenset()) -> tuple[Code, ProjectorSpec]:
-    """The built ancilla code and the projector of a projection certificate."""
-    cons = cert.construction
-    ref = cons.get("ancilla")
-    if not isinstance(ref, str):
-        raise CertificateError("projection construction needs a 'ancilla' ref")
-    anc_cert, anc_dir, mark = _load_path(ref, base_dir, seen)
-    ancilla = build_code(anc_cert, anc_dir, cap=cap, _seen=seen | {mark})
-    try:
-        spec = ProjectorSpec.from_json(ancilla.system, cons["projector"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"bad projector block: {exc}") from exc
-    return ancilla, spec
-
-
-def _load_path(ref: str, base_dir: Path, seen: frozenset):
-    """Load a referenced certificate; returns (cert, its dir, cycle marker)."""
-    if not isinstance(ref, str):
-        raise CertificateError(f"certificate reference must be a path string, got {ref!r}")
-    path = _resolve(ref, base_dir)
-    marker = path.resolve()
-    if marker in seen:
-        raise CertificateError(f"circular certificate reference via {ref}")
-    sub = load_certificate(path)
-    return sub, path.parent, marker
 
 
 # --- verification --------------------------------------------------------
@@ -298,22 +299,53 @@ def verify_certificate(cert: Certificate, base_dir: str | Path = ".",
     decide whether to write it back.  Verdict is "pass" only if every
     check that ran succeeded and the claimed K matches the built code.
     """
+    try:
+        code, projection, _ = _build(cert, Path(base_dir), cap, frozenset(), tol)
+    except ValueError as exc:
+        return _construction_failed(cert, exc, tol)
+    return _check(cert, code, projection, tol, cap, run_symbolic, run_numeric, distance)
+
+
+def certify(name: str, d: int, construction: dict, base_dir: str | Path = ".",
+            tol: float = 1e-9, cap: int | None = None,
+            distance: bool = False) -> tuple[Certificate | None, dict]:
+    """Build a new code once and certify that same code.
+
+    The certificate claims the built code's system and K at distance d,
+    and its verification block comes from verify_certificate's checks run
+    on the built code, so it is the block verify_certificate writes for
+    the returned certificate.  A pasting's new stabilizer rows are added
+    to the block.  Returns (certificate, report); the certificate is None
+    when the construction fails.
+    """
+    if construction.get("type") == "stabilizer":
+        raise CertificateError("stabilizer rows are read against a claimed system; "
+                               "verify the certificate instead")
+    cert = Certificate(name, None, 0, d, construction)  # the claim is the built code's
+    try:
+        code, projection, rows = _build(cert, Path(base_dir), cap, frozenset(), tol)
+    except ValueError as exc:
+        return None, _construction_failed(cert, exc, tol)
+    cert.system, cert.K = code.system, code.K
+    report = _check(cert, code, projection, tol, cap, distance=distance)
+    if rows is not None:
+        cert.verification["rows"] = [list(r.text) for r in rows]
+    return cert, report
+
+
+def _construction_failed(cert: Certificate, exc: ValueError, tol: float) -> dict:
+    cert.verification = {"tol": _fmt(tol), "verdict": "fail"}
+    return {"name": cert.name, "verdict": "fail",
+            "error": f"construction failed: {exc}", "checks": {}}
+
+
+def _check(cert: Certificate, code: Code, projection: tuple[Code, ProjectorSpec] | None,
+           tol: float, cap: int | None, run_symbolic: bool = True,
+           run_numeric: bool = True, distance: bool = False) -> dict:
+    """The checks of a built code against its certificate's claim."""
     checks: dict = {}
     failures: list[str] = []
     record: dict = {"tol": _fmt(tol)}
-
-    projection = None
-    try:
-        if cert.construction["type"] == "projection":
-            projection = _projection_parts(cert, Path(base_dir), cap)
-            code = project_code(*projection)
-        else:
-            code = build_code(cert, base_dir, cap=cap)
-    except ValueError as exc:
-        report = {"name": cert.name, "verdict": "fail",
-                  "error": f"construction failed: {exc}", "checks": checks}
-        cert.verification = {**record, "verdict": "fail"}
-        return report
 
     if code.K != cert.K:
         failures.append(f"built K = {code.K}, claimed {cert.K}")

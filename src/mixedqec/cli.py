@@ -4,11 +4,13 @@ Subcommands: verify, search, bounds, project, product, paste,
 run-fixtures.  Exit codes: 0 success, 1 verification failed, 2 input
 error, 3 search found only the trivial clique.
 
-Commands that create a code (search, project, product, paste) print the
-new certificate as JSON on stdout after verifying it; diagnostics go to
-stderr.  Reference paths inside a certificate resolve relative to the
-certificate's own directory; the commands store them relative to the
-directory of --out, so emitted certificates re-verify from any directory.
+Commands that create a code (search, project, product, paste) build it
+once, run verify's checks on that same code, and print the new
+certificate as JSON on stdout; a failed build or check prints the
+failed report on stderr instead.  Diagnostics go to stderr.  Reference
+paths inside a certificate resolve relative to the certificate's own
+directory; the commands store them relative to the directory of --out,
+so emitted certificates re-verify from any directory.
 """
 from __future__ import annotations
 
@@ -20,19 +22,11 @@ import sys
 from pathlib import Path
 
 from .bounds import bound_report
-from .certificates import (
-    Certificate,
-    CertificateError,
-    base_stabilizer_rows,
-    build_code,
-    load_certificate,
-    verify_certificate,
-)
+from .certificates import CertificateError, certify, load_certificate, verify_certificate
 from .clique import search_clique
-from .compose import paste_distance2
-from .errors import DIM_CAP_ENV, DimensionCapError, IntegerRangeError, MixedSystem, dim_cap
+from .errors import DIM_CAP_ENV, DimensionCapError, IntegerRangeError, dim_cap
 from .graphs import WeightedGraph
-from .projection import ProjectorSpec, project_code
+from .projection import ProjectorSpec
 
 
 def _positive_int(text: str) -> int:
@@ -160,13 +154,6 @@ def _print_report(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _emit_certificate(cert: Certificate, out: str | None) -> None:
-    text = json.dumps(cert.to_json(), indent=2, sort_keys=True)
-    print(text)
-    if out:
-        Path(out).write_text(text + "\n")
-
-
 def _out_dir(args) -> Path:
     out_dir = Path(args.out).parent if args.out else Path(".")
     if not out_dir.is_dir():
@@ -181,15 +168,16 @@ def _ref(path: str, out_dir: Path) -> str:
     return os.path.relpath(path, out_dir)
 
 
-def _verify_and_emit(cert: Certificate, args, base_dir: str | Path = ".",
-                     extra: dict | None = None) -> int:
-    report = verify_certificate(cert, base_dir, tol=args.tol, cap=args.dim_cap)
+def _certify_and_emit(args, name: str, d: int, cons: dict,
+                      base_dir: str | Path = ".") -> int:
+    cert, report = certify(name, d, cons, base_dir, tol=args.tol, cap=args.dim_cap)
     if report["verdict"] != "pass":
         print(json.dumps(report, indent=2, sort_keys=True), file=sys.stderr)
         return 1
-    if extra:
-        cert.verification.update(extra)
-    _emit_certificate(cert, args.out)
+    text = json.dumps(cert.to_json(), indent=2, sort_keys=True)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     return 0
 
 
@@ -236,11 +224,10 @@ def cmd_search(args) -> int:
         "graphs": [g.to_json() for g in clique.graphs],
         "vectors": [[list(part.entries) for part in v] for v in clique.vectors],
     }
-    name = args.name or f"search_K{clique.K}_d{args.distance}"
-    cert = Certificate(name, clique.system(), clique.K, args.distance, cons)
     print(f"found K = {clique.K} after {res.nodes_used} nodes (flag {res.flag})",
           file=sys.stderr)
-    return _verify_and_emit(cert, args)
+    return _certify_and_emit(args, args.name or f"search_K{clique.K}_d{args.distance}",
+                             args.distance, cons)
 
 
 def cmd_bounds(args) -> int:
@@ -258,10 +245,9 @@ def cmd_project(args) -> int:
     except (json.JSONDecodeError, ValueError) as exc:
         raise CertificateError(f"bad --keep value: {exc}") from exc
     anc_cert = load_certificate(args.ancilla)
-    anc_dir = Path(args.ancilla).parent
-    ancilla = build_code(anc_cert, anc_dir, cap=args.dim_cap)
     try:
-        spec = ProjectorSpec.from_json(ancilla.system, {"keep": keep})
+        # against the claimed system, so the ancilla is built once, inside certify
+        spec = ProjectorSpec.from_json(anc_cert.system, {"keep": keep})
     except (TypeError, ValueError) as exc:
         raise CertificateError(f"bad --keep value: {exc}") from exc
     cons = {
@@ -269,10 +255,8 @@ def cmd_project(args) -> int:
         "ancilla": _ref(args.ancilla, out_dir),
         "projector": spec.to_json(),
     }
-    code = project_code(ancilla, spec)
-    name = args.name or f"{anc_cert.name}_projected"
-    cert = Certificate(name, code.system, code.K, anc_cert.d, cons)
-    return _verify_and_emit(cert, args, out_dir)
+    return _certify_and_emit(args, args.name or f"{anc_cert.name}_projected",
+                             anc_cert.d, cons, out_dir)
 
 
 def cmd_product(args) -> int:
@@ -281,30 +265,19 @@ def cmd_product(args) -> int:
     out_dir = _out_dir(args)
     cons = {"type": "product",
             "refs": [_ref(args.cert_a, out_dir), _ref(args.cert_b, out_dir)]}
-    tmp = Certificate("_", MixedSystem(((2,),)), 1, a.d, cons)
-    code = build_code(tmp, out_dir, cap=args.dim_cap)
-    name = args.name or f"{a.name}_x_{b.name}"
-    cert = Certificate(name, code.system, code.K, a.d, cons)
-    return _verify_and_emit(cert, args, out_dir)
+    return _certify_and_emit(args, args.name or f"{a.name}_x_{b.name}", a.d, cons, out_dir)
 
 
 def cmd_paste(args) -> int:
     out_dir = _out_dir(args)  # reject a missing --out directory before building
     base = load_certificate(args.base)
-    base_code = build_code(base, Path(args.base).parent, cap=args.dim_cap)
-    rows = base_stabilizer_rows(base, base_code)
-    res = paste_distance2(rows, base_code, args.blocks, args.block_dim,
-                          tol=args.tol, cap=args.dim_cap)
     cons = {
         "type": "pasting",
         "refs": [_ref(args.base, out_dir)],
         "blocks": args.blocks,
         "block_dim": args.block_dim,
     }
-    name = args.name or f"{base.name}_pasted"
-    cert = Certificate(name, res.system, res.K, 2, cons)
-    return _verify_and_emit(cert, args, out_dir,
-                            extra={"rows": [list(r.text) for r in res.rows]})
+    return _certify_and_emit(args, args.name or f"{base.name}_pasted", 2, cons, out_dir)
 
 
 def _default_fixture_dir() -> Path:

@@ -173,8 +173,8 @@ class PasteResult:
 
 
 def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
-                    blocks: int, block_dim: int, verify_base: bool = True,
-                    tol: float = 1e-9, cap: int | None = None) -> PasteResult:
+                    blocks: int, block_dim: int, tol: float = 1e-9,
+                    cap: int | None = None) -> PasteResult:
     """Extend a distance-2 stabilizer code by trivial two-particle
     blocks without adding rows.
 
@@ -207,17 +207,15 @@ def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
         raise ValueError(
             f"{2 * j} block generators cannot be absorbed by {len(base_rows)} rows")
 
-    words = [r.word for r in base_rows]
-    if verify_base:
-        rep = verify_stabilizer(base_rows, base_code, tol=tol, cap=cap)
-        if not rep.ok:
-            raise ValueError(f"base rows fail verification: {rep.witness}")
-        kl = kl_verify_numeric(base_code, d=2, tol=tol, cap=cap)
-        if not kl.ok:
-            raise ValueError(f"base code fails at distance 2: {kl.witness}")
-        # rows published up to phase are fixed to their exact stabilizing form
-        words = [ErrorWord(w.x, w.z, phase_mul(w.phase, lam))
-                 for w, lam in zip(words, rep.chosen_phases)]
+    rep = verify_stabilizer(base_rows, base_code, tol=tol, cap=cap)
+    if not rep.ok:
+        raise ValueError(f"base rows fail verification: {rep.witness}")
+    kl = kl_verify_numeric(base_code, d=2, tol=tol, cap=cap)
+    if not kl.ok:
+        raise ValueError(f"base code fails at distance 2: {kl.witness}")
+    # rows published up to phase are fixed to their exact stabilizing form
+    words = [ErrorWord(r.word.x, r.word.z, phase_mul(r.word.phase, lam))
+             for r, lam in zip(base_rows, rep.chosen_phases)]
 
     sys = MixedSystem(base_sys.factors + ((m,) * j,) * (2 * blocks))
     if sys.layers is None:

@@ -115,8 +115,7 @@ def projected_error(e: ErrorWord, P: ProjectorSpec) -> list[tuple[complex, Error
             for combo in itertools.product(*per_particle)]
 
 
-def required_detectable_set(P: ProjectorSpec, sys: MixedSystem | None = None,
-                            d: int = 2) -> list[ErrorWord]:
+def required_detectable_set(P: ProjectorSpec, d: int = 2) -> list[ErrorWord]:
     """Ancilla words the ancilla code must detect so that the projected
     code reaches distance d: the union of the Pauli supports of P^dag E P
     over the mixed-system errors E of weight below d.
@@ -129,8 +128,6 @@ def required_detectable_set(P: ProjectorSpec, sys: MixedSystem | None = None,
     if d < 2:
         raise ValueError("d must be >= 2")
     mixed = P.mixed_system()
-    if sys is not None and sys.dims != mixed.dims:
-        raise ValueError("system does not match the projector's kept dims")
     touched, untouched = [], []
     for c in _particle_tables(P):
         hit = np.abs(c) > _COEFF_TOL

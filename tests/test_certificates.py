@@ -12,6 +12,7 @@ from mixedqec.certificates import (
     base_stabilizer_rows,
     build_code,
     canonical_json,
+    certify,
     load_certificate,
     verify_certificate,
 )
@@ -300,3 +301,10 @@ class TestVerify:
         verify_certificate(cert)
         for v in cert.verification.values():
             assert isinstance(v, (str, int))
+
+
+class TestCertify:
+    def test_stabilizer_construction_rejected(self):
+        # its rows cannot be read without a claimed system
+        with pytest.raises(CertificateError, match="claimed system"):
+            certify("s", 3, {"type": "stabilizer", "rows": STAB_ROWS})

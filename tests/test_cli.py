@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON output, fixture suite."""
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from mixedqec.certificates import Certificate, build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir, main
-from mixedqec.compose import clique_stabilizer_rows
+from mixedqec.compose import clique_stabilizer_rows, paste_distance2, product_code
 from mixedqec.errors import MixedSystem
 from mixedqec.graphs import loop_graph
+from mixedqec.projection import project_code
 from mixedqec.verifier import verify_stabilizer
 
 FIXTURES = _default_fixture_dir()
@@ -402,13 +404,14 @@ class TestEmittedReferences:
         ["paste", str(FIXTURES / "3_4_2_q4.json")],
         ["search", "--graph-p", "unused.json"],
         ["project", str(FIXTURES / "5_9_2_q3.json"), "--keep", '{"5": [0, 1]}'],
+        ["product", str(FIXTURES / "3_4_2_q4.json"), str(FIXTURES / "3_8_2_q8.json")],
     ])
     def test_missing_out_dir_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
             raise AssertionError("built a code for a missing --out directory")
 
         # the directory is checked before any code is built
-        monkeypatch.setattr("mixedqec.cli.build_code", unreachable)
+        monkeypatch.setattr("mixedqec.certificates._build", unreachable)
         rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "nowhere" / "x.json"))
         assert rc == 2 and "output directory not found" in err
 
@@ -428,6 +431,56 @@ class TestEmittedReferences:
         # were made relative to the output directory
         assert cert["content_hash"] == (
             "sha256:8beab3464b1b716dcb3d8b131c4494917087d37207aa50ae4dfc68ef3ed53430")
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace every binding of ``fn`` in the mixedqec modules by a
+    wrapper that records each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "mixedqec" or name.startswith("mixedqec."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize("argv, constructor", [
+        (["paste", str(FIXTURES / "3_4_2_q4.json"), "--blocks", "3"], paste_distance2),
+        (["project", str(FIXTURES / "5_9_2_q3.json"), "--keep", '{"5": [0, 1]}'],
+         project_code),
+        (["product", str(FIXTURES / "3_4_2_q4.json"), str(FIXTURES / "3_8_2_q8.json")],
+         product_code),
+    ])
+    def test_constructor_runs_once(self, argv, constructor, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, constructor)
+        rc, _, _ = run(capsys, *argv)
+        assert rc == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--graph-p", "L3m2.json", "--graph-r", "L3m2.json", "--target", "4"],
+        ["project", "5_9_2_q3.json", "--keep", '{"5": [1, 0]}'],
+        ["product", "3_4_2_q4.json", "3_8_2_q8.json"],
+        ["paste", "3_4_2_q4.json", "--blocks", "2"],
+    ])
+    def test_emitted_block_is_the_one_verify_writes(self, argv, graph_file, tmp_path,
+                                                    monkeypatch, capsys):
+        for name in ("3_4_2_q4.json", "3_8_2_q8.json", "5_9_2_q3.json"):
+            (tmp_path / name).write_text((FIXTURES / name).read_text())
+        monkeypatch.chdir(tmp_path)
+        rc, _, _ = run(capsys, *argv, "--out", "new.json")
+        assert rc == 0
+        emitted = json.loads((tmp_path / "new.json").read_text())["verification"]
+        assert (emitted.pop("rows", None) is not None) == (argv[0] == "paste")
+        rc, _, _ = run(capsys, "verify", "new.json", "--update")
+        assert rc == 0
+        assert json.loads((tmp_path / "new.json").read_text())["verification"] == emitted
 
 
 class TestRunFixtures:
