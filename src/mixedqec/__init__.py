@@ -23,6 +23,7 @@ from mixedqec.clique import (
 )
 from mixedqec.compose import paste_distance2, pasted_code, product_code
 from mixedqec.errors import (
+    ConstructionInputError,
     DimensionCapError,
     ErrorWord,
     IntegerRangeError,
@@ -54,6 +55,7 @@ __all__ = [
     "Certificate",
     "Code",
     "CodingClique",
+    "ConstructionInputError",
     "DimensionCapError",
     "ErrorWord",
     "IntegerRangeError",

@@ -17,7 +17,7 @@ from .algebra import ModVec, Phase, phase_mul
 from .bounds import bound_report
 from .clique import CodingClique, check_clique, closure
 from .compose import clique_stabilizer_rows, paste_distance2, pasted_code, product_code
-from .errors import ErrorWord, MixedSystem, dim_cap
+from .errors import ConstructionInputError, ErrorWord, MixedSystem, dim_cap
 from .graphs import WeightedGraph
 from .projection import ProjectorSpec, project_code, required_detectable_set
 from .verifier import (
@@ -191,10 +191,12 @@ def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
     else None.  ``seen`` holds the referenced files above this one, and
     ``tol`` is the tolerance of a pasting's check of its base.
 
-    Structural problems raise CertificateError and values beyond the int64
-    stabilizer tableau IntegerRangeError; mathematical failures
-    (non-closing rows, vanishing codewords, eigenspace mismatch) raise
-    ValueError and count as verification failures, not input errors.
+    Structural problems, inputs that do not fit together included (a
+    pasting's block dimension and its base), raise CertificateError and
+    values beyond the int64 stabilizer tableau IntegerRangeError;
+    mathematical failures (non-closing rows, base rows that fail their
+    check, vanishing codewords, eigenspace mismatch) raise ValueError and
+    count as verification failures, not input errors.
     """
     cons = cert.construction
     kind = cons["type"]
@@ -202,8 +204,8 @@ def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
         return Code.from_clique(_clique_from_construction(cons, cert.d)), None, None
     if kind == "stabilizer":
         rows, phases = _stabilizer_rows(cert)
-        B = stabilizer_eigenbasis(cert.system, rows, phases=phases, cap=cap)
-        return Code.from_basis(cert.system, B, cert.d), None, None
+        form = stabilizer_eigenbasis(cert.system, rows, phases=phases, cap=cap)
+        return Code.from_monomial(cert.system, form, cert.d), None, None
     if kind == "projection":
         ref = cons.get("ancilla")
         if not isinstance(ref, str):
@@ -213,7 +215,11 @@ def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
             spec = ProjectorSpec.from_json(ancilla.system, cons["projector"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad projector block: {exc}") from exc
-        return project_code(ancilla, spec), (ancilla, spec), None
+        try:
+            code = project_code(ancilla, spec)
+        except ConstructionInputError as exc:
+            raise CertificateError(f"bad projection: {exc}") from exc
+        return code, (ancilla, spec), None
     if kind == "product":
         refs = cons.get("refs")
         if not isinstance(refs, list) or len(refs) != 2:
@@ -235,7 +241,10 @@ def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
             block_dim = int(cons["block_dim"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad pasting block parameters: {exc}") from exc
-        res = paste_distance2(rows, base_code, blocks, block_dim, tol=tol, cap=cap)
+        try:
+            res = paste_distance2(rows, base_code, blocks, block_dim, tol=tol, cap=cap)
+        except ConstructionInputError as exc:
+            raise CertificateError(f"bad pasting: {exc}") from exc
         return pasted_code(res, cap=cap), None, res.rows
     raise CertificateError(f"unknown construction type {kind!r}")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import ModVec, phase_mul
 from .clique import CodingClique
-from .errors import ErrorWord, MixedSystem, _check_cap
+from .errors import ConstructionInputError, ErrorWord, MixedSystem, _check_cap
 from .graphstate import stabilizer_error_word
 from .verifier import (
     Code,
@@ -33,8 +33,11 @@ def product_code(A: Code, B: Code, cap: int | None = None) -> Code:
 
     When both inputs are in clique form the product stays symbolic: the
     layer graphs concatenate and the vectors are all concatenated pairs.
-    Otherwise the basis is built as a Kronecker product and re-ordered
-    to the per-particle axis layout.
+    When both are in monomial form it stays monomial: the row of digits
+    (a, b) holds val_A[a] val_B[b] in column col_A[a] K_B + col_B[b], the
+    entries np.kron forms.  Otherwise the basis is built as a Kronecker
+    product.  Either way the rows are re-ordered to the per-particle axis
+    layout.
     """
     if A.n != B.n:
         raise ValueError(f"particle counts differ: {A.n} vs {B.n}")
@@ -50,9 +53,6 @@ def product_code(A: Code, B: Code, cap: int | None = None) -> Code:
     facs = tuple(fa + fb for fa, fb in zip(A.system.factors, B.system.factors))
     sys = MixedSystem(facs)
     _check_cap(sys.total_dim, cap)
-    BA = A.basis(cap=cap)
-    BB = B.basis(cap=cap)
-    full = np.kron(BA, BB)
     aflat = A.system.flat_dims()
     bflat = B.system.flat_dims()
     a_axes, off = [], 0
@@ -63,10 +63,23 @@ def product_code(A: Code, B: Code, cap: int | None = None) -> Code:
     for f in B.system.factors:
         b_axes.append(list(range(off, off + len(f))))
         off += len(f)
-    T = full.reshape(aflat + bflat + (A.K * B.K,))
     perm = [ax for i in range(A.n) for ax in a_axes[i] + b_axes[i]]
-    T = np.transpose(T, perm + [len(aflat) + len(bflat)])
-    return Code(sys, A.K * B.K, A.d, basis=T.reshape(sys.total_dim, A.K * B.K))
+
+    def particle_major(kron: np.ndarray) -> np.ndarray:
+        """Rows indexed (a, b) in Kronecker order, re-ordered per particle."""
+        T = kron.reshape(aflat + bflat + kron.shape[1:])
+        T = np.transpose(T, perm + list(range(len(perm), T.ndim)))
+        return T.reshape((sys.total_dim,) + kron.shape[1:])
+
+    K = A.K * B.K
+    if A.monomial is not None and B.monomial is not None:
+        (ca, va), (cb, vb) = A.monomial, B.monomial
+        col = np.where((ca[:, None] >= 0) & (cb >= 0), ca[:, None] * B.K + cb, -1)
+        val = va[:, None] * vb
+        return Code(sys, K, A.d, monomial=(particle_major(col.ravel()),
+                                           particle_major(val.ravel())))
+    full = np.kron(A.basis(cap=cap), B.basis(cap=cap))
+    return Code(sys, K, A.d, basis=particle_major(full))
 
 
 # --- stabilizer rows from a clique --------------------------------------
@@ -185,26 +198,29 @@ def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
     other and with everything on the old particles, so the merged rows
     stay a valid stabilizer; distance 2 of the result is a claim the
     caller re-verifies, not a theorem this function relies on.
+
+    Inputs that do not fit together raise ConstructionInputError; base
+    rows or a base code that fail their checks raise ValueError.
     """
     if blocks < 1:
-        raise ValueError("blocks must be >= 1")
+        raise ConstructionInputError("blocks must be >= 1")
     if base_code.d < 2:
-        raise ValueError("pasting requires a distance-2 base")
+        raise ConstructionInputError("pasting requires a distance-2 base")
     base_sys = base_code.system
     layers = base_sys.layers
     if layers is None:
-        raise ValueError("pasting requires a layered base system")
+        raise ConstructionInputError("pasting requires a layered base system")
     m = layers[0][0]
     if any(ml != m for ml, _ in layers):
-        raise ValueError("pasting requires a uniform layer modulus")
+        raise ConstructionInputError("pasting requires a uniform layer modulus")
     j, q = 0, 1
     while q < block_dim:
         q *= m
         j += 1
     if q != block_dim or j == 0:
-        raise ValueError(f"block dimension {block_dim} is not a power of {m}")
+        raise ConstructionInputError(f"block dimension {block_dim} is not a power of {m}")
     if 2 * j > len(base_rows):
-        raise ValueError(
+        raise ConstructionInputError(
             f"{2 * j} block generators cannot be absorbed by {len(base_rows)} rows")
 
     rep = verify_stabilizer(base_rows, base_code, tol=tol, cap=cap)
@@ -219,8 +235,8 @@ def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
 
     sys = MixedSystem(base_sys.factors + ((m,) * j,) * (2 * blocks))
     if sys.layers is None:
-        raise ValueError("pasted system is not layered; the base's deeper "
-                         "layers must cover every particle")
+        raise ConstructionInputError("pasted system is not layered; the base's "
+                                     "deeper layers must cover every particle")
 
     pad = tuple((0,) * j for _ in range(2 * blocks))
     tab = _Tableau(sys, [ErrorWord(w.x + pad, w.z + pad, w.phase) for w in words])
@@ -243,7 +259,8 @@ def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
 
 def pasted_code(res: PasteResult, tol: float = 1e-9, cap: int | None = None) -> Code:
     """The joint +1 eigenspace of a paste result as a distance-2 code."""
-    B = stabilizer_eigenbasis(res.system, res.rows, tol=tol, cap=cap)
-    if B.shape[1] != res.K:
-        raise ValueError(f"eigenspace dimension {B.shape[1]}, expected {res.K}")
-    return Code.from_basis(res.system, B, 2)
+    code = Code.from_monomial(res.system,
+                              stabilizer_eigenbasis(res.system, res.rows, tol=tol, cap=cap), 2)
+    if code.K != res.K:
+        raise ValueError(f"eigenspace dimension {code.K}, expected {res.K}")
+    return code

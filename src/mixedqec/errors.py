@@ -58,6 +58,12 @@ class IntegerRangeError(Exception):
     stabilizer tableau computes in: bad input, not a failed check."""
 
 
+class ConstructionInputError(ValueError):
+    """Raised when the inputs of a construction do not fit together (a
+    pasting's blocks and its base, a projector and its code): bad input,
+    not a failed check."""
+
+
 def _check_cap(total: int, cap: int | None) -> None:
     limit = dim_cap() if cap is None else cap
     if total > limit:

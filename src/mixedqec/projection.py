@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ErrorWord, MixedSystem, supports
+from .errors import ConstructionInputError, ErrorWord, MixedSystem, supports
 from .verifier import Code
 
 _COEFF_TOL = 1e-12
@@ -145,17 +145,36 @@ def project_code(ancilla_code: Code, P: ProjectorSpec,
                  tol: float = 1e-9) -> Code:
     """Renormalized projected codewords over the mixed system.
 
-    Fails if any codeword loses all its weight under the projector.
+    The projected rows are the ancilla's rows on the kept levels, so a
+    code in monomial form stays in it.  Fails if any codeword loses all
+    its weight under the projector.
     """
     if ancilla_code.system.dims != P.system.dims:
-        raise ValueError("projector system does not match the code")
-    B = ancilla_code.basis()
+        raise ConstructionInputError("projector system does not match the code")
     mixed = P.mixed_system()
     shape = tuple(f[0] for f in P.system.factors)
     grid = np.ix_(*[list(s) for s in P.keep])
+    rows = np.arange(P.system.total_dim).reshape(shape)[grid].reshape(-1)
+    K = ancilla_code.K
+    if ancilla_code.monomial is not None:
+        col, val = (a[rows] for a in ancilla_code.monomial)
+        # each norm over a full-length column, as a dense column sums it
+        order, buf = np.argsort(col, kind="stable"), np.zeros(len(rows), dtype=complex)
+        bounds = np.searchsorted(col, np.arange(K + 1), sorter=order).tolist()
+        out = np.zeros_like(val)
+        for l, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            at = order[a:b]
+            buf[at] = val[at]
+            norm2 = float(np.sum(np.abs(buf) ** 2))
+            buf[at] = 0
+            if norm2 <= tol:
+                raise ValueError(f"codeword {l} vanishes under the projector")
+            out[at] = val[at] / np.sqrt(norm2)
+        return Code(mixed, K, ancilla_code.d, monomial=(col, out))
+    B = ancilla_code.basis()
     cols = []
-    for l in range(ancilla_code.K):
-        amp = B[:, l].reshape(shape)[grid].reshape(-1)
+    for l in range(K):
+        amp = B[rows, l]
         norm2 = float(np.sum(np.abs(amp) ** 2))
         if norm2 <= tol:
             raise ValueError(f"codeword {l} vanishes under the projector")

@@ -11,10 +11,11 @@ must agree; tests enforce that.  Both take their error words from
 The numeric side is one engine: ``_SupportScan`` yields the K x K
 matrices of every error on a support, one shift at a time, for
 ``kl_verify_numeric`` and ``code_distance``; ``kl_verify_words`` applies
-each listed word instead.  The scan forms its Gram blocks by scatter-add
-when every row of the basis has at most one nonzero entry (any
-stabilizer eigenbasis) and by batched products otherwise; it reads only
-the basis, never how it was built.  ``_KLReducer`` is the only place f, the
+each listed word instead.  The form a ``Code`` is kept in picks how the
+scan forms its Gram blocks: by scatter-add from the monomial form (one
+column index and value per row, as ``stabilizer_eigenbasis`` returns and
+pastings, products and projections of such codes keep), and by batched
+products from a dense basis.  ``_KLReducer`` is the only place f, the
 deviation, their summaries and the witness are computed, and the
 scalar-row test of ``verify_stabilizer`` uses it too.
 
@@ -56,13 +57,31 @@ from .graphstate import codeword_state
 
 class Code:
     """A claimed ((n, K, d)) code: a clique over graphs, an explicit
-    basis, or both (the basis derived from the clique on demand)."""
+    basis, or both (the basis derived from the clique on demand).
+
+    A basis with at most one nonzero per row (a stabilizer eigenbasis, and
+    the pastings, products and projections built from one) is kept in its
+    monomial form ``(col, val)``: row r holds val[r] in column col[r], or
+    nothing when col[r] is -1.  Its columns are orthogonal by construction;
+    ``basis()`` builds the dense D x K array only when asked."""
 
     def __init__(self, system: MixedSystem, K: int, d: int,
                  clique: CodingClique | None = None,
-                 basis: np.ndarray | None = None):
-        if clique is None and basis is None:
+                 basis: np.ndarray | None = None,
+                 monomial: tuple[np.ndarray, np.ndarray] | None = None):
+        if clique is None and basis is None and monomial is None:
             raise ValueError("code needs a clique or a basis")
+        if monomial is not None:
+            col = np.asarray(monomial[0], dtype=np.int64)
+            val = np.asarray(monomial[1], dtype=complex)
+            if col.shape != (system.total_dim,) or val.shape != col.shape:
+                raise ValueError(f"monomial form needs {system.total_dim} rows")
+            if col.min() < -1 or col.max() >= K:
+                raise ValueError(f"monomial column index outside [-1, {K})")
+            norms = np.bincount(col + 1, np.abs(val) ** 2, K + 1)[1:]
+            if np.abs(norms - 1).max() > 1e-9:
+                raise ValueError("basis is not orthonormal")
+            monomial = col, val
         if basis is not None:
             basis = np.ascontiguousarray(basis, dtype=complex)
             if basis.ndim != 2 or basis.shape != (system.total_dim, K):
@@ -81,6 +100,7 @@ class Code:
         self.K = K
         self.d = d
         self.clique = clique
+        self.monomial = monomial
         self._basis = basis
 
     @property
@@ -97,7 +117,22 @@ class Code:
         basis = np.asarray(basis, dtype=complex)
         return Code(system, basis.shape[1], d, basis=basis)
 
+    @staticmethod
+    def from_monomial(system: MixedSystem, monomial: tuple[np.ndarray, np.ndarray],
+                      d: int) -> "Code":
+        """A code from its monomial form; K is one more than the largest
+        column index."""
+        return Code(system, int(np.max(monomial[0])) + 1, d, monomial=monomial)
+
     def basis(self, cap: int | None = None) -> np.ndarray:
+        """The dense D x K basis; built afresh on each call for a code in
+        monomial form."""
+        if self.monomial is not None:
+            col, val = self.monomial
+            B = np.zeros((self.system.total_dim, self.K), dtype=complex)
+            rows = np.flatnonzero(col >= 0)
+            B[rows, col[rows]] = val[rows]
+            return B
         if self._basis is None:
             _check_cap(self.system.total_dim, cap)
             cols = [codeword_state(list(v), list(self.clique.graphs), cap=cap).amplitudes
@@ -268,37 +303,33 @@ class _SupportScan:
     flat x and z indices of the enumerator's rows, in ``enumerate_errors``
     order.
 
-    G_x is formed one of two ways, chosen by the basis itself:
+    G_x is formed one of two ways, chosen by the form the code is kept
+    in:
 
-    * monomial rows (every row of B has at most one nonzero entry, as in
-      any basis whose columns lie on disjoint sets of standard basis
-      states, e.g. a stabilizer eigenbasis): only the column index and
-      value of each row are kept, and G_x[u]_ij is the sum of
+    * a code in monomial form (``Code.monomial``: each row's column index
+      and value, as for a stabilizer eigenbasis): G_x[u]_ij is the sum of
       conj(A[u + x, r, i]) A[u, r, j] over the rows r where both are the
       nonzero entries, scattered into its (u, i, j) bin by one
-      ``np.bincount``; O(dS D) work per shift and no D x K copy;
-    * otherwise dense batched products.  Shifts come in adjoint pairs,
-      G_{-x}[u + x] = G_x[u]^dag, so one batched product serves both x
-      and -x; a shift with x = -x != 0 forms only the u with u < u + x
-      and fills in the rest the same way, and x = 0 is one product of A
-      with its own adjoint.
+      ``np.bincount``; O(dS D) work per shift and no D x K array;
+    * any other code, through its dense basis, by batched products.
+      Shifts come in adjoint pairs, G_{-x}[u + x] = G_x[u]^dag, so one
+      batched product serves both x and -x; a shift with x = -x != 0
+      forms only the u with u < u + x and fills in the rest the same way,
+      and x = 0 is one product of A with its own adjoint.
     """
 
-    def __init__(self, sys: MixedSystem, B: np.ndarray):
+    def __init__(self, code: Code, cap: int | None = None):
+        sys = code.system
         self.sys = sys
-        self.K = B.shape[1]
+        self.K = code.K
         self.flat = sys.flat_dims()
         self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
         self.radices = word_radices(sys)
-        nonzero = B != 0
-        if nonzero.sum(axis=1).max() <= 1:
-            # column of each row's nonzero entry, -1 (and value 0) if none
-            col = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
-            self.col = col.reshape(self.flat)
-            self.val = B[np.arange(len(B)), col].reshape(self.flat)
+        if code.monomial is not None:
+            self.col, self.val = (a.reshape(self.flat) for a in code.monomial)
             self.Bt = None
         else:
-            self.Bt = B.reshape(self.flat + (self.K,))
+            self.Bt = code.basis(cap=cap).reshape(self.flat + (self.K,))
 
     def _layout(self, supp: tuple[int, ...]):
         """The flat tensor axes of S, their dimensions, and the digits
@@ -406,7 +437,7 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
     """Direct KL check: for every error of weight below d, the K x K
     matrix of inner products must be f times the identity within tol."""
     d = code.d if d is None else d
-    scan = _SupportScan(code.system, code.basis(cap=cap))
+    scan = _SupportScan(code, cap)
     reducer = _KLReducer(code.system, tol)
     for supp in supports(code.n, d - 1):
         pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
@@ -431,7 +462,7 @@ def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
     """Smallest error weight at which KL fails; w_cap + 1 if none found
     up to w_cap."""
     w_cap = code.n if w_cap is None else w_cap
-    scan = _SupportScan(code.system, code.basis(cap=cap))
+    scan = _SupportScan(code, cap)
     for supp in supports(code.n, w_cap):
         # supports come by size: the first failing shift settles the weight
         if any((dev > tol).any() for _, _, dev in scan.fits(supp)):
@@ -708,9 +739,11 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
 
 def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
                           phases: Sequence[Phase] | None = None,
-                          tol: float = 1e-9, cap: int | None = None) -> np.ndarray:
+                          tol: float = 1e-9, cap: int | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the joint +1 eigenspace, built by projecting
-    standard basis vectors through the group average.
+    standard basis vectors through the group average, in the monomial
+    form ``(col, val)`` that ``Code.from_monomial`` takes.
 
     Every group element is a monomial matrix mapping each orbit j + H of
     the shifts H the rows generate onto itself, entry by entry, so one
@@ -718,7 +751,8 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
     and each entry sees the float operations of its own seed column.  In
     ascending order of seed, each orbit with norm above 1e-6 becomes the
     next column, normalised, up to K: the basis that seed-by-seed
-    Gram-Schmidt over 0..D-1 gives."""
+    Gram-Schmidt over 0..D-1 gives.  Orbits are disjoint, so each row
+    lies in at most one column; rows of no kept orbit get column -1."""
     _check_cap(sys.total_dim, cap)
     words = list(r.word for r in rows)
     if phases is not None:
@@ -757,7 +791,8 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
             col[r], kept = kept, kept + 1
     if kept != K:
         raise ValueError("failed to span the eigenspace from standard seeds")
-    i = np.flatnonzero(col[low] >= 0)
-    basis = np.zeros((D, K), dtype=complex)
-    basis[i, col[low[i]]] = proj[i] / norm[low[i]]
-    return basis
+    col = col[low]
+    i = np.flatnonzero(col >= 0)
+    val = np.zeros(D, dtype=complex)
+    val[i] = proj[i] / norm[low[i]]
+    return col, val

@@ -1,5 +1,8 @@
 """End-to-end CLI behavior: exit codes, JSON output, fixture suite."""
+import contextlib
+import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -11,7 +14,7 @@ from mixedqec.certificates import Certificate, build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir, main
 from mixedqec.compose import clique_stabilizer_rows, paste_distance2, product_code
 from mixedqec.errors import MixedSystem
-from mixedqec.graphs import loop_graph
+from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.projection import project_code
 from mixedqec.verifier import verify_stabilizer
 
@@ -237,10 +240,63 @@ class TestCompositions:
             ["ZZXXZ", "III"], ["IIIII", "XZZ"],
             ["XZZZX", "ZXZ"], ["ZXZII", "ZZX"]]
 
-    def test_paste_block_too_large_exit_1(self, capsys):
+    def test_paste_block_too_large_exit_2(self, capsys):
         rc, _, err = run(capsys, "paste", str(FIXTURES / "3_4_2_q4.json"),
                          "--blocks", "1", "--block-dim", "8")
-        assert rc == 1 and "absorbed" in err
+        assert rc == 2 and "absorbed" in err
+
+    @pytest.mark.parametrize("block_dim, message", [
+        ("3", "block dimension 3 is not a power of 2"),
+        ("16", "8 block generators cannot be absorbed by 4 rows"),
+    ])
+    def test_paste_block_dim_mismatch_exit_2(self, block_dim, message, capsys):
+        rc, out, err = run(capsys, "paste", str(FIXTURES / "3_4_2_q4.json"),
+                           "--blocks", "1", "--block-dim", block_dim)
+        assert rc == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"block_dim": 3}, "block dimension 3 is not a power of 2"),
+        ({"blocks": 0}, "blocks must be >= 1"),
+        ({"refs": ["base_d1.json"]}, "pasting requires a distance-2 base"),
+    ])
+    def test_pasting_certificate_input_mismatch_exit_2(self, change, message,
+                                                       tmp_path, capsys):
+        base = json.loads((FIXTURES / "3_4_2_q4.json").read_text())
+        del base["content_hash"]
+        base["claimed"]["d"] = 1
+        (tmp_path / "base_d1.json").write_text(json.dumps(base))
+        obj = json.loads((FIXTURES / "5_16_2_paste.json").read_text())
+        del obj["content_hash"]
+        obj["construction"]["refs"] = [str(FIXTURES / "3_4_2_q4.json")]
+        obj["construction"].update(change)
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "verify", str(target))
+        assert rc == 2 and out == "" and message in err
+
+    def test_base_failing_its_distance_exit_1(self, tmp_path, capsys):
+        # Z Z I and I Z Z: a single Z is a logical error, so the claimed
+        # d = 2 fails; a failed check, through paste and through verify
+        sys3 = MixedSystem.layered([(2, 3)])
+        Certificate("rep3", sys3, 2, 2, {"type": "stabilizer",
+                                         "rows": [["ZZI"], ["IZZ"]]}
+                    ).save(tmp_path / "rep3.json")
+        rc, out, err = run(capsys, "paste", str(tmp_path / "rep3.json"))
+        assert rc == 1 and out == "" and "base code fails at distance 2" in err
+        Certificate("rep3_pasted", MixedSystem(sys3.factors + ((2,), (2,))), 8, 2,
+                    {"type": "pasting", "refs": ["rep3.json"], "blocks": 1,
+                     "block_dim": 2}).save(tmp_path / "pasted.json")
+        rc, out, _ = run(capsys, "verify", str(tmp_path / "pasted.json"))
+        assert rc == 1 and "base code fails at distance 2" in json.loads(out)["error"]
+
+    def test_projected_codeword_vanishing_exit_1(self, tmp_path, capsys):
+        # Z I fixes qutrit 1 at level 0, which keeping levels {1, 2} removes
+        Certificate("z_qutrits", MixedSystem.layered([(3, 2)]), 3, 1,
+                    {"type": "stabilizer", "rows": [["ZI"]]}
+                    ).save(tmp_path / "z_qutrits.json")
+        rc, out, err = run(capsys, "project", str(tmp_path / "z_qutrits.json"),
+                           "--keep", '{"1": [1, 2]}')
+        assert rc == 1 and out == "" and "codeword 0 vanishes" in err
 
 
 class TestMalformedCertificates:
@@ -448,6 +504,79 @@ def count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def run_in(cwd: Path, *argv) -> tuple[int, str]:
+    """main(argv) from the directory cwd; the exit code and stdout."""
+    back = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(list(argv))
+    finally:
+        os.chdir(back)
+    return rc, out.getvalue()
+
+
+@st.composite
+def creating_commands(draw, kind):
+    """A small search, paste, product or project command line, reading
+    its inputs from certs/."""
+    if kind == "search":
+        m, n = draw(st.sampled_from([2, 3])), draw(st.integers(3, 4))
+        weights = iter(draw(st.lists(st.integers(0, m - 1), min_size=n * n, max_size=n * n)))
+        adj = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                adj[i][j] = adj[j][i] = next(weights)
+        graph = json.dumps(WeightedGraph(n, m, tuple(map(tuple, adj))).to_json())
+        return {"certs/g.json": graph}, [
+            "search", "--graph-p", "certs/g.json", "--distance", "2",
+            "--target", str(draw(st.integers(2, 8))), "--budget", "200",
+            "--mode", draw(st.sampled_from(["group", "set"]))]
+    if kind == "paste":
+        base, blocks, block_dim = draw(st.sampled_from([
+            ("3_4_2_q4", 1, 2), ("3_4_2_q4", 2, 2), ("3_4_2_q4", 1, 4),
+            ("3_8_2_q8", 1, 2)]))
+        return {}, ["paste", f"certs/{base}.json", "--blocks", str(blocks),
+                    "--block-dim", str(block_dim)]
+    if kind == "product":
+        return {}, ["product", "certs/3_4_2_q4.json", "certs/3_4_2_q4.json"]
+    keep = draw(st.dictionaries(st.sampled_from("12345"),
+                                st.sampled_from([[0, 1], [0, 2], [1, 2], [0, 1, 2]]),
+                                min_size=1, max_size=2))
+    return {}, ["project", "certs/5_9_2_q3.json", "--keep", json.dumps(keep)]
+
+
+@pytest.mark.parametrize("kind", ["search", "paste", "product", "project"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_emitted_certificates_reverify_from_another_directory(kind, data):
+    """Whatever a creating command emits with --out verifies again, run
+    from another directory, with the verdict and the verification block
+    (less a pasting's rows) it was emitted with."""
+    files, argv = data.draw(creating_commands(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for sub in ("certs", "out", "elsewhere"):
+            (root / sub).mkdir()
+        for name in ("3_4_2_q4.json", "3_8_2_q8.json", "5_9_2_q3.json"):
+            (root / "certs" / name).write_text((FIXTURES / name).read_text())
+        for name, text in files.items():
+            (root / name).write_text(text)
+        rc, _ = run_in(root, *argv, "--out", "out/new.json")
+        emitted = root / "out" / "new.json"
+        assert rc in (0, 1, 3)
+        if rc != 0:  # nothing verified, nothing emitted
+            assert not emitted.exists()
+            return
+        block = json.loads(emitted.read_text())["verification"]
+        assert block["verdict"] == "pass"
+        block.pop("rows", None)
+        rc, out = run_in(root / "elsewhere", "verify", "../out/new.json", "--update")
+        assert rc == 0 and json.loads(out)["verdict"] == "pass"
+        assert json.loads(emitted.read_text())["verification"] == block
 
 
 class TestBuiltOnce:

@@ -6,7 +6,7 @@ stabilizer exactly, text and eigenspace both.
 import numpy as np
 import pytest
 
-from mixedqec.algebra import PHASE_ONE, ModVec
+from mixedqec.algebra import PHASE_MINUS_ONE, PHASE_ONE, ModVec
 from mixedqec.clique import CodingClique, closure
 from mixedqec.compose import (
     PasteResult,
@@ -15,14 +15,18 @@ from mixedqec.compose import (
     pasted_code,
     product_code,
 )
+from mixedqec.errors import ConstructionInputError, ErrorWord, MixedSystem
 from mixedqec.graphs import loop_graph
+from mixedqec.projection import ProjectorSpec, project_code
 from mixedqec.verifier import (
     Code,
+    StabilizerRow,
     code_distance,
     kl_verify_numeric,
     kl_verify_symbolic,
     _Tableau,
     parse_stabilizer_row,
+    stabilizer_eigenbasis,
     verify_stabilizer,
 )
 
@@ -209,18 +213,87 @@ class TestPaste:
 
     def test_zero_blocks_rejected(self):
         rows, code = base_rows_and_code()
-        with pytest.raises(ValueError, match="blocks"):
+        with pytest.raises(ConstructionInputError, match="blocks"):
             paste_distance2(rows, code, blocks=0, block_dim=2)
 
     def test_bad_block_dimension_rejected(self):
         rows, code = base_rows_and_code()
-        with pytest.raises(ValueError, match="power"):
+        with pytest.raises(ConstructionInputError, match="power"):
             paste_distance2(rows, code, blocks=1, block_dim=3)
-        with pytest.raises(ValueError, match="absorbed"):
+        with pytest.raises(ConstructionInputError, match="absorbed"):
             paste_distance2(rows, code, blocks=1, block_dim=8)
 
+    @pytest.mark.parametrize("base, message", [
+        ("distance_1", "distance-2 base"),
+        ("not_layered", "layered base"),
+        ("two_moduli", "uniform layer modulus"),
+    ])
+    def test_mismatched_base_rejected_as_input(self, base, message):
+        rows, code = base_rows_and_code()
+        base = {
+            "distance_1": lambda: Code(code.system, code.K, 1, clique=code.clique),
+            "not_layered": lambda: Code.from_basis(MixedSystem(((3,), (2,))),
+                                                   np.eye(6)[:, :1], 2),
+            "two_moduli": lambda: Code.from_basis(MixedSystem.layered([(2, 2), (3, 2)]),
+                                                  np.eye(36)[:, :1], 2),
+        }[base]()
+        with pytest.raises(ConstructionInputError, match=message):
+            paste_distance2(rows, base, blocks=1, block_dim=2)
+
     def test_unverified_base_rejected(self):
+        # a failed check, not bad input
         rows, code = base_rows_and_code()
         wrong = Code.from_basis(code.system, np.eye(64)[:, :4], 2)
-        with pytest.raises(ValueError, match="fail"):
+        with pytest.raises(ValueError, match="fail") as info:
             paste_distance2(rows, wrong, blocks=1, block_dim=2)
+        assert not isinstance(info.value, ConstructionInputError)
+
+
+def pasted_qubit_pair(phase):
+    """The ((4, 4, 2))_2 code pasted from the two-qubit code of XX and
+    phase * ZZ, in monomial form."""
+    sys = MixedSystem.layered([(2, 2)])
+    rows = [parse_stabilizer_row(sys, ("XX",)), parse_stabilizer_row(sys, ("ZZ",), phase)]
+    base = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows), 2)
+    return pasted_code(paste_distance2(rows, base, blocks=1, block_dim=2))
+
+
+QUTRITS = MixedSystem(((3,),) * 3)
+
+
+def qutrit_ancilla():
+    """The K = 3 qutrit code of X X^2 I and Z Z Z, in monomial form: each
+    codeword keeps one digit of particle 3 and runs over every digit of
+    particles 1 and 2."""
+    rows = [StabilizerRow(("",), ErrorWord(((1,), (2,), (0,)), ((0,),) * 3)),
+            StabilizerRow(("",), ErrorWord(((0,),) * 3, ((1,),) * 3))]
+    return Code.from_monomial(QUTRITS, stabilizer_eigenbasis(QUTRITS, rows), 2)
+
+
+class TestMonomialForm:
+    def test_product_of_pasted_codes_stays_monomial(self):
+        A, B = pasted_qubit_pair(PHASE_ONE), pasted_qubit_pair(PHASE_MINUS_ONE)
+        assert A.monomial is not None and A.K == B.K == 4
+        prod = product_code(A, B)
+        assert prod.monomial is not None and prod.K == 16
+        # the dense product: np.kron, then the rows in particle-major order
+        want = np.kron(A.basis(), B.basis()).reshape((2,) * 8 + (16,))
+        want = want.transpose(0, 4, 1, 5, 2, 6, 3, 7, 8).reshape(256, 16)
+        assert np.array_equal(prod.basis(), want)
+        assert kl_verify_numeric(prod, 2).ok
+
+    def test_projecting_monomial_ancilla_keeps_form(self):
+        anc = qutrit_ancilla()
+        spec = ProjectorSpec(QUTRITS, ((0, 1), (0, 1, 2), (0, 1, 2)))
+        out = project_code(anc, spec)
+        assert out.monomial is not None and out.system.dims == (2, 3, 3)
+        # bit for bit the projection of the dense basis
+        dense = project_code(Code.from_basis(QUTRITS, anc.basis(), 2), spec)
+        assert out.basis().tobytes() == dense.basis().tobytes()
+
+    def test_vanishing_codeword_of_monomial_ancilla_rejected(self):
+        anc = qutrit_ancilla()
+        spec = ProjectorSpec(QUTRITS, ((0, 1, 2), (0, 1, 2), (0, 1)))
+        for code in (anc, Code.from_basis(QUTRITS, anc.basis(), 2)):
+            with pytest.raises(ValueError, match="codeword 1 vanishes"):
+                project_code(code, spec)

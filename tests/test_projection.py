@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedqec.algebra import ModVec
-from mixedqec.errors import ErrorWord, MixedSystem, enumerate_errors, error_matrix
+from mixedqec.errors import (
+    ConstructionInputError, ErrorWord, MixedSystem, enumerate_errors, error_matrix,
+)
 from mixedqec.graphs import loop_graph
 from mixedqec.clique import CodingClique
 from mixedqec.verifier import Code, kl_verify_numeric, kl_verify_words
@@ -276,7 +278,7 @@ class TestProjectCode:
     def test_system_mismatch_rejected(self):
         anc = ancilla_code_ex5()
         other = ProjectorSpec(MixedSystem(((3,),) * 4), ((0, 1),) * 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionInputError, match="does not match"):
             project_code(anc, other)
 
 

@@ -266,7 +266,7 @@ class TestStabilizer:
         code = Code.from_clique(clique_6163())
         rows = [parse_stabilizer_row(code.system, t) for t in STAB_ROWS_6163]
         rep = verify_stabilizer(rows, code)
-        basis = stabilizer_eigenbasis(code.system, rows, rep.chosen_phases)
+        basis = eigenbasis(code.system, rows, rep.chosen_phases)
         assert basis.shape == (4096, 16)
         sv = np.linalg.svd(code.basis().conj().T @ basis, compute_uv=False)
         assert np.allclose(sv, 1.0, atol=1e-9)
@@ -527,15 +527,25 @@ def random_monomial_basis(rng, sys, K, zero_rows):
     return B / np.linalg.norm(B, axis=0)
 
 
-def assert_scan_matches_oracle(sys, B, w_max, monomial):
+def monomial_form(B):
+    """(col, val) of a dense basis with at most one nonzero per row:
+    each row's nonzero column and value, -1 and 0 for an empty row."""
+    nonzero = B != 0
+    assert nonzero.sum(axis=1).max() <= 1
+    col = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
+    return col, B[np.arange(len(B)), col]
+
+
+def assert_scan_matches_oracle(code, w_max):
     """The Gram blocks G_x[u] = A[u + x]^dag A[u] of every support of at
     most w_max particles, from the basis gathered as A[u, r, k]; and f
     and the deviation of every error there, against <i|E|j> with the
-    word applied to the basis directly.  monomial says which way the
-    scan must form its Gram blocks."""
-    K = B.shape[1]
-    scan = _SupportScan(sys, B)
-    assert (scan.Bt is None) == monomial
+    word applied to the basis directly.  The scan must form its Gram
+    blocks the way the code's form says: scatter-add from a monomial
+    form, products from a dense basis."""
+    sys, B, K = code.system, code.basis(), code.K
+    scan = _SupportScan(code)
+    assert (scan.Bt is None) == (code.monomial is not None)
     flat = sys.flat_dims()
     first = np.cumsum([0] + [len(f) for f in sys.factors])
     for k in range(1, w_max + 1):
@@ -587,8 +597,8 @@ class TestNumericOracle:
         # branch included
         sys = ORACLE_SYSTEMS[sys_index]
         rng = np.random.default_rng(300 + sys_index)
-        assert_scan_matches_oracle(sys, random_basis(rng, sys, 3, False), sys.n,
-                                   monomial=False)
+        assert_scan_matches_oracle(Code.from_basis(sys, random_basis(rng, sys, 3, False), 2),
+                                   sys.n)
 
     @pytest.mark.parametrize("case", ["6_16_3_stab", "3_4_2_q4_paste1",
                                       "orbits_to_zero", "qutrit_x2"])
@@ -596,9 +606,9 @@ class TestNumericOracle:
         # stabilizer eigenbases have monomial rows; the last two also
         # have all-zero rows, from orbits that project to zero
         sys, rows, phases = EIGENBASIS_CASES[case]()
-        B = stabilizer_eigenbasis(sys, rows, phases)
+        code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
         w_max = {"6_16_3_stab": 2, "3_4_2_q4_paste1": 3}.get(case, sys.n)
-        assert_scan_matches_oracle(sys, B, w_max, monomial=True)
+        assert_scan_matches_oracle(code, w_max)
 
     @pytest.mark.parametrize("sys_index", [2, 3])
     @pytest.mark.parametrize("zero_rows", [False, True])
@@ -608,17 +618,19 @@ class TestNumericOracle:
         rng = np.random.default_rng(700 + 10 * sys_index + zero_rows)
         for K in (1, 2, 5):
             B = random_monomial_basis(rng, sys, K, zero_rows)
-            assert_scan_matches_oracle(sys, B, sys.n, monomial=True)
+            assert_scan_matches_oracle(Code(sys, K, 2, monomial=monomial_form(B)), sys.n)
 
     def test_row_with_two_nonzeros_takes_dense_products(self):
+        # a dense basis takes the products, monomial rows or not
         sys = ORACLE_SYSTEMS[3]
         rng = np.random.default_rng(17)
         B = random_monomial_basis(rng, sys, 4, True)
+        assert_scan_matches_oracle(Code.from_basis(sys, B, 2), sys.n)
         # a unitary on two rows that belong to different columns keeps
         # the basis orthonormal and leaves both rows with two nonzeros
         r, s = (int(np.flatnonzero(B[:, k])[0]) for k in (0, 1))
         B[[r, s]] = np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ B[[r, s]]
-        assert_scan_matches_oracle(sys, B, sys.n, monomial=False)
+        assert_scan_matches_oracle(Code.from_basis(sys, B, 2), sys.n)
 
     def test_fit_equals_full_deviation_formula_bitwise(self):
         # f = tr(M)/K and max |M - f I| with M - f I formed in full
@@ -691,7 +703,79 @@ class TestNumericOracle:
                                               "numeric"))
 
 
+def random_tableau_codes():
+    """Codes in monomial form from random commuting rows over Z_2 and Z_3
+    particles, claimed at distance 2."""
+    codes = []
+    for factors in (((2,),) * 5, ((3,),) * 4, ((2,), (3,), (2,), (3,))):
+        sys = MixedSystem(factors)
+        rng = np.random.default_rng(sys.total_dim)
+        for count in (1, 2, 2, 3, 3):
+            try:
+                form = stabilizer_eigenbasis(sys, commuting_rows(rng, sys, count))
+            except ValueError:  # phases with an empty joint eigenspace
+                continue
+            codes.append(Code.from_monomial(sys, form, 2))
+    return codes
+
+
+@pytest.mark.parametrize("case", ["6_16_3_stab", "5_16_2_paste", "random"])
+def test_scatter_and_product_engines_agree(case):
+    # the same code in monomial form (scatter-add) and as a dense basis
+    # (batched products): one verdict, one error count, one witness
+    if case == "random":
+        codes = random_tableau_codes()
+        assert len(codes) >= 10
+    else:
+        root = _default_fixture_dir()
+        codes = [build_code(load_certificate(root / f"{case}.json"), root)]
+    for code in codes:
+        dense = Code.from_basis(code.system, code.basis(), code.d)
+        assert code.monomial is not None and dense.monomial is None
+        for d in (code.d, code.d + 1):
+            got, want = kl_verify_numeric(code, d), kl_verify_numeric(dense, d)
+            assert (got.ok, got.checked_errors) == (want.ok, want.checked_errors)
+            assert abs(got.max_deviation - want.max_deviation) <= 1e-12
+            assert (got.witness or {}).get("error") == (want.witness or {}).get("error")
+
+
+class TestMonomialCode:
+    @staticmethod
+    def form():
+        sys, rows, phases = stab_fixture_rows()
+        col, val = stabilizer_eigenbasis(sys, rows, phases)
+        return sys, col.copy(), val.copy()
+
+    def test_eigenbasis_is_accepted(self):
+        sys, col, val = self.form()
+        code = Code(sys, 16, 3, monomial=(col, val))
+        assert code.K == 16 and code.basis().shape == (4096, 16)
+
+    def test_scaled_value_rejected(self):
+        sys, col, val = self.form()
+        val[np.argmax(np.abs(val))] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="orthonormal"):
+            Code(sys, 16, 3, monomial=(col, val))
+
+    def test_empty_column_rejected(self):
+        sys, col, val = self.form()
+        col[col == 5] = -1
+        with pytest.raises(ValueError, match="orthonormal"):
+            Code(sys, 16, 3, monomial=(col, val))
+
+    def test_column_index_at_K_rejected(self):
+        sys, col, val = self.form()
+        col[col == 15] = 16
+        with pytest.raises(ValueError, match="column index"):
+            Code(sys, 16, 3, monomial=(col, val))
+
+
 # --- oracle for the stabilizer eigenbasis -----------------------------------
+
+
+def eigenbasis(sys, rows, phases=None):
+    """The stabilizer eigenbasis as a dense array."""
+    return Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 1).basis()
 
 
 def gram_schmidt_eigenbasis(sys, rows, phases=None):
@@ -788,7 +872,7 @@ class TestEigenbasisOracle:
     @pytest.mark.parametrize("case", sorted(EIGENBASIS_CASES))
     def test_matches_gram_schmidt(self, case):
         sys, rows, phases = EIGENBASIS_CASES[case]()
-        got = stabilizer_eigenbasis(sys, rows, phases)
+        got = eigenbasis(sys, rows, phases)
         want = gram_schmidt_eigenbasis(sys, rows, phases)
         assert got.shape == want.shape and np.array_equal(got, want)
         if case == "orbits_to_zero":
@@ -808,23 +892,24 @@ class TestEigenbasisOracle:
                 with pytest.raises(ValueError):
                     stabilizer_eigenbasis(sys, rows)
                 continue
-            assert np.array_equal(stabilizer_eigenbasis(sys, rows), want)
+            assert np.array_equal(eigenbasis(sys, rows), want)
             built += 1
         assert built >= 3
 
 
 def test_eigenbasis_memory_stays_near_the_basis():
-    # one projected D-vector and O(D) index arrays beside the D x K basis
-    # (D 4096, K 256: 16 MB), no D x 64 blocks of seeds
+    # one projected D-vector and O(D) index arrays, and the basis as one
+    # column index and one value per row: at most 256 bytes a row (D 4096,
+    # K 256: 1 MB, where a dense basis alone is 16 MB)
     sys, rows, phases = pasted_rows(3)
     tracemalloc.start()
     try:
-        basis = stabilizer_eigenbasis(sys, rows, phases)
+        col, val = stabilizer_eigenbasis(sys, rows, phases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert basis.shape == (4096, 256)
-    assert peak <= 1.25 * basis.nbytes
+    assert col.shape == val.shape == (4096,) and col.max() + 1 == 256
+    assert peak <= 256 * len(col)
 
 
 systems = st.lists(st.lists(st.integers(2, 5), min_size=1, max_size=2),
