@@ -34,7 +34,6 @@ from mixedqec.errors import (
     weight,
 )
 from mixedqec.graphs import WeightedGraph, loop_graph
-from mixedqec.graphstate import codeword_state, graph_state_vector, reduce_to_phase_op
 from mixedqec.projection import ProjectorSpec, project_code, required_detectable_set
 from mixedqec.verifier import (
     Code,
@@ -73,11 +72,9 @@ __all__ = [
     "classify",
     "closure",
     "code_distance",
-    "codeword_state",
     "covered_differences",
     "dim_cap",
     "format_word",
-    "graph_state_vector",
     "hamming_bound",
     "kl_verify_numeric",
     "kl_verify_symbolic",

@@ -192,7 +192,8 @@ def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
     ``tol`` is the tolerance of a pasting's check of its base.
 
     Structural problems, inputs that do not fit together included (a
-    pasting's block dimension and its base), raise CertificateError and
+    pasting's block dimension and its base, a base clique with no
+    stabilizer rows), raise CertificateError and
     values beyond the int64 stabilizer tableau IntegerRangeError;
     mathematical failures (non-closing rows, base rows that fail their
     check, vanishing codewords, eigenspace mismatch) raise ValueError and
@@ -235,13 +236,13 @@ def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
         if not isinstance(refs, list) or len(refs) != 1:
             raise CertificateError("pasting construction needs exactly one ref")
         base_cert, base_code = _build_ref(refs[0], base_dir, cap, seen, tol)
-        rows = base_stabilizer_rows(base_cert, base_code)
         try:
             blocks = int(cons["blocks"])
             block_dim = int(cons["block_dim"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad pasting block parameters: {exc}") from exc
         try:
+            rows = base_stabilizer_rows(base_cert, base_code)
             res = paste_distance2(rows, base_code, blocks, block_dim, tol=tol, cap=cap)
         except ConstructionInputError as exc:
             raise CertificateError(f"bad pasting: {exc}") from exc

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import ModVec, phase_mul
 from .clique import CodingClique
 from .errors import ConstructionInputError, ErrorWord, MixedSystem, _check_cap
-from .graphstate import stabilizer_error_word
+from .graphs import stabilizer_error_word
 from .verifier import (
     Code,
     StabilizerRow,
@@ -149,20 +149,21 @@ def clique_stabilizer_rows(clique: CodingClique) -> tuple[StabilizerRow, ...]:
     when prod_l w_m^{s_l . c_l} = 1, so the stabilizer labels are the
     kernel of the clique-vector matrix over GF(m).  The basis comes out
     in free-column order of the row reduction, which is the order the
-    published row lists follow.
+    published row lists follow.  A clique with mixed or non-prime layer
+    moduli, or one that is not a subgroup, raises ConstructionInputError.
     """
     ms = {g.m for g in clique.graphs}
     if len(ms) != 1:
-        raise ValueError("stabilizer rows require a uniform layer modulus")
+        raise ConstructionInputError("stabilizer rows require a uniform layer modulus")
     m = ms.pop()
     if not _is_prime(m):
-        raise ValueError(f"stabilizer rows require a prime modulus, got {m}")
+        raise ConstructionInputError(f"stabilizer rows require a prime modulus, got {m}")
     widths = [g.n for g in clique.graphs]
     ncols = sum(widths)
     mat = [[a for part in v for a in part.entries] for v in clique.vectors]
     kernel, rank = _nullspace_mod_prime(mat, m, ncols)
     if m ** rank != clique.K:
-        raise ValueError("clique is not a subgroup; stabilizer form needs one")
+        raise ConstructionInputError("clique is not a subgroup; stabilizer form needs one")
     sys = clique.system()
     rows = []
     for flat in kernel:

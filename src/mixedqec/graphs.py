@@ -2,13 +2,19 @@
 
 A weighted graph plays two roles here: its controlled-phase pattern
 defines a graph state, and its adjacency matrix converts bit-shift
-labels into phase-shift labels on that state.
+labels into phase-shift labels on that state.  The state |G> has
+amplitude m^{-n/2} w_m^{Q(j)} on |j>, Q(j) = sum_{a<b} Gamma_ab j_a j_b,
+and every shift/phase word reduces on it, with an exact phase, to a
+pure phase word: X^s Z^t |G> = w_m^{Q(s) - t.s} Z^{t - s.Gamma} |G>.
+That identity lets the verifier treat errors symbolically.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .algebra import ModVec
+from .algebra import ModVec, omega, phase_mul
+from .errors import ErrorWord, MixedSystem
 
 
 @dataclass(frozen=True)
@@ -76,3 +82,16 @@ def quadratic_form(s: ModVec, G: WeightedGraph) -> int:
         for b in range(a + 1, G.n):
             tot += G.adj[a][b] * s[a] * s[b]
     return tot % G.m
+
+
+def stabilizer_error_word(sys: MixedSystem, graphs: Sequence[WeightedGraph],
+                          ss: Sequence[ModVec]) -> ErrorWord:
+    """The exact joint stabilizer element for per-layer labels ss, as an
+    error word over the layered system of the graphs."""
+    phase = omega(1, 0)
+    xs, zs = [], []
+    for s, g in zip(ss, graphs):
+        phase = phase_mul(phase, omega(g.m, quadratic_form(s, g)))
+        xs.append(s)
+        zs.append(graph_action(s, g))
+    return ErrorWord.from_layers(sys, xs, zs, phase)

@@ -52,7 +52,6 @@ from .errors import (
     word_from_row,
     word_radices,
 )
-from .graphstate import codeword_state
 
 
 class Code:
@@ -134,10 +133,27 @@ class Code:
             B[rows, col[rows]] = val[rows]
             return B
         if self._basis is None:
-            _check_cap(self.system.total_dim, cap)
-            cols = [codeword_state(list(v), list(self.clique.graphs), cap=cap).amplitudes
-                    for v in self.clique.vectors]
-            self._basis = np.stack(cols, axis=1)
+            D = self.system.total_dim
+            _check_cap(D, cap)
+            graphs = self.clique.graphs
+            L = math.lcm(*(g.m for g in graphs))
+            # codeword c is D^{-1/2} w_L^e on |j>, where layer l adds
+            # (L/m_l)(Q_l(j_l) + c_l.j_l), Q_l(j) = j.Gamma_l.j / 2: summed
+            # over the layers' digits in layer order, then moved to the
+            # per-particle axis layout and looked up among the L roots of unity
+            expo = np.zeros((1, self.K), dtype=np.int64)
+            for l, g in enumerate(graphs):
+                j = np.indices((g.m,) * g.n).reshape(g.n, -1)
+                c = np.array([v[l].entries for v in self.clique.vectors], dtype=np.int64)
+                q = (j * (np.array(g.adj) @ j)).sum(axis=0) // 2
+                e = (q[:, None] + j.T @ c.T) * (L // g.m)
+                expo = (expo[:, None] + e).reshape(-1, self.K)
+            expo %= L
+            axes = [(i, l) for l, g in enumerate(graphs) for i in range(g.n)]
+            perm = sorted(range(len(axes)), key=axes.__getitem__)
+            expo = expo.reshape([graphs[l].m for _, l in axes] + [self.K])
+            expo = expo.transpose(perm + [len(axes)]).reshape(D, self.K)
+            self._basis = (np.exp(2j * np.pi * np.arange(L) / L) / math.sqrt(D))[expo]
         return self._basis
 
 

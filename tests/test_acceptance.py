@@ -24,8 +24,7 @@ from mixedqec.clique import (
 )
 from mixedqec.compose import clique_stabilizer_rows, paste_distance2, pasted_code, product_code
 from mixedqec.errors import MixedSystem, weight
-from mixedqec.graphs import loop_graph
-from mixedqec.graphstate import reduce_to_phase_op, stabilizer_error_word
+from mixedqec.graphs import graph_action, loop_graph, stabilizer_error_word
 from mixedqec.projection import ProjectorSpec, project_code, required_detectable_set
 from mixedqec.verifier import (
     Code,
@@ -316,8 +315,7 @@ def test_criterion_9c_purity_and_coverage_match_exhaustive_scans():
                 if size >= d:
                     break
                 deltas = tuple(
-                    reduce_to_phase_op(ModVec(g.m, tuple(x)),
-                                       ModVec(g.m, tuple(z)), g)[1]
+                    ModVec(g.m, tuple(z)) - graph_action(ModVec(g.m, tuple(x)), g)
                     for g, x, z in zip(graphs, xs, zs))
                 covered.add(deltas)
             assert covered_differences(graphs, d) == covered, (graphs, d)

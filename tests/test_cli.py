@@ -254,6 +254,26 @@ class TestCompositions:
                            "--blocks", "1", "--block-dim", block_dim)
         assert rc == 2 and out == "" and message in err
 
+    @pytest.mark.parametrize("graphs, vectors, block_dim, message", [
+        ((loop_graph(3, 2), loop_graph(3, 3)),
+         [[[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 2]], [[0, 0, 0], [0, 2, 1]]],
+         "2", "stabilizer rows require a uniform layer modulus"),
+        ((loop_graph(3, 4),), [[[0, 0, 0]], [[0, 1, 2]], [[0, 2, 1]]],
+         "4", "stabilizer rows require a prime modulus, got 4"),
+        ((loop_graph(3, 3),), [[[0, 0, 0]], [[0, 1, 2]]],
+         "3", "clique is not a subgroup"),
+    ], ids=["mixed_moduli", "composite_modulus", "not_a_subgroup"])
+    def test_paste_clique_base_without_stabilizer_rows_exit_2(
+            self, graphs, vectors, block_dim, message, tmp_path, capsys):
+        # distance-2 cliques whose codes have no stabilizer rows to paste
+        Certificate("base", MixedSystem.layered([(g.m, g.n) for g in graphs]),
+                    len(vectors), 2,
+                    {"type": "composite_clique", "graphs": [g.to_json() for g in graphs],
+                     "vectors": vectors}).save(tmp_path / "base.json")
+        rc, out, err = run(capsys, "paste", str(tmp_path / "base.json"),
+                           "--block-dim", block_dim)
+        assert rc == 2 and out == "" and message in err
+
     @pytest.mark.parametrize("change, message", [
         ({"block_dim": 3}, "block dimension 3 is not a power of 2"),
         ({"blocks": 0}, "blocks must be >= 1"),

@@ -18,12 +18,12 @@ import numpy as np
 from mixedqec.algebra import ModVec, PHASE_ONE, dot_mod, omega, phase_as_complex, phase_mul
 from mixedqec.bounds import singleton_bound
 from mixedqec.errors import MixedSystem, apply_error, enumerate_errors, weight
-from mixedqec.graphs import WeightedGraph, loop_graph, graph_action
-from mixedqec.graphstate import codeword_state, stabilizer_error_word
+from mixedqec.graphs import WeightedGraph, loop_graph, graph_action, stabilizer_error_word
 from mixedqec.clique import (
     CliqueReport, CodingClique, check_clique, closure,
     covered_differences, purity_set, search_clique,
 )
+from mixedqec.verifier import Code
 
 L3 = loop_graph(3, 2)
 L6 = loop_graph(6, 2)
@@ -331,7 +331,8 @@ def stabilizer_expectation(graphs, ss, cs):
     """<c| S_s |c> for the codeword Z^c |G> and the exact stabilizer
     element of label s: the conjugate of the condition-(ii) phase."""
     sys = layer_system(graphs)
-    psi = codeword_state(list(cs), list(graphs)).amplitudes
+    cl = CodingClique(graphs=tuple(graphs), d=1, vectors=(tuple(cs),))
+    psi = Code.from_clique(cl).basis()[:, 0]
     return np.vdot(psi, apply_error(stabilizer_error_word(sys, graphs, ss), sys, psi))
 
 

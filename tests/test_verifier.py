@@ -22,8 +22,7 @@ from mixedqec.errors import (
     ErrorWord, MixedSystem, apply_error, count_errors, enumerate_errors,
     error_matrix, format_word, weight,
 )
-from mixedqec.graphs import WeightedGraph, loop_graph
-from mixedqec.graphstate import reduce_to_phase_op
+from mixedqec.graphs import WeightedGraph, graph_action, loop_graph
 from mixedqec.clique import (
     CodingClique, check_clique, closure, covered_differences, search_clique,
 )
@@ -361,7 +360,7 @@ def symbolic_oracle(code, d):
     witness = None
     for e in enumerate_errors(sys, d - 1):
         checked += 1
-        deltas = tuple(reduce_to_phase_op(layer(e.x, l), layer(e.z, l), g)[1]
+        deltas = tuple(layer(e.z, l) - graph_action(layer(e.x, l), g)
                        for l, g in enumerate(cl.graphs))
         if not any(any(c.entries) for c in deltas):
             diagonal += 1
