@@ -87,7 +87,7 @@ class Certificate:
         return out
 
     @staticmethod
-    def from_json(obj: dict, check_hash: bool = True) -> "Certificate":
+    def from_json(obj: dict) -> "Certificate":
         if not isinstance(obj, dict):
             raise CertificateError("certificate must be a JSON object")
         if obj.get("schema") != SCHEMA:
@@ -124,7 +124,7 @@ class Certificate:
         cert = Certificate(str(obj["name"]), system, K, d, cons, dict(verification),
                            str(obj.get("toolkit_version", TOOLKIT_VERSION)))
         stored = obj.get("content_hash")
-        if check_hash and stored is not None and stored != cert.hash:
+        if stored is not None and stored != cert.hash:
             raise CertificateError("content hash mismatch")
         return cert
 
@@ -132,7 +132,7 @@ class Certificate:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
 
-def load_certificate(path: str | Path, check_hash: bool = True) -> Certificate:
+def load_certificate(path: str | Path) -> Certificate:
     p = Path(path)
     try:
         obj = json.loads(p.read_text())
@@ -140,7 +140,7 @@ def load_certificate(path: str | Path, check_hash: bool = True) -> Certificate:
         raise CertificateError(f"certificate not found: {p}") from exc
     except json.JSONDecodeError as exc:
         raise CertificateError(f"invalid JSON in {p}: {exc}") from exc
-    return Certificate.from_json(obj, check_hash=check_hash)
+    return Certificate.from_json(obj)
 
 
 # --- construction -> Code ------------------------------------------------

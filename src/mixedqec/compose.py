@@ -258,10 +258,10 @@ def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
     return PasteResult(sys, rows, base_code.K * block_dim ** (2 * blocks))
 
 
-def pasted_code(res: PasteResult, tol: float = 1e-9, cap: int | None = None) -> Code:
+def pasted_code(res: PasteResult, cap: int | None = None) -> Code:
     """The joint +1 eigenspace of a paste result as a distance-2 code."""
     code = Code.from_monomial(res.system,
-                              stabilizer_eigenbasis(res.system, res.rows, tol=tol, cap=cap), 2)
+                              stabilizer_eigenbasis(res.system, res.rows, cap=cap), 2)
     if code.K != res.K:
         raise ValueError(f"eigenspace dimension {code.K}, expected {res.K}")
     return code

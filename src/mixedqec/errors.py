@@ -146,11 +146,6 @@ class MixedSystem:
             if len(mods) != 1:
                 return None
             out.append((mods.pop(), len(cov)))
-        for l in range(1, depth):
-            if out[l][1] > out[l - 1][1]:
-                return None
-        if out[0][1] != self.n:
-            return None
         return tuple(out)
 
     def flat_dims(self) -> tuple[int, ...]:

@@ -18,6 +18,7 @@ from .errors import ConstructionInputError, ErrorWord, MixedSystem, supports
 from .verifier import Code
 
 _COEFF_TOL = 1e-12
+_VANISH_TOL = 1e-9  # a projected codeword's squared norm at or below this vanishes
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,7 @@ def required_detectable_set(P: ProjectorSpec, d: int = 2) -> list[ErrorWord]:
     return sorted(map(_word, seen), key=lambda w: (w.x, w.z))
 
 
-def project_code(ancilla_code: Code, P: ProjectorSpec,
-                 tol: float = 1e-9) -> Code:
+def project_code(ancilla_code: Code, P: ProjectorSpec) -> Code:
     """Renormalized projected codewords over the mixed system.
 
     The projected rows are the ancilla's rows on the kept levels, so a
@@ -167,7 +167,7 @@ def project_code(ancilla_code: Code, P: ProjectorSpec,
             buf[at] = val[at]
             norm2 = float(np.sum(np.abs(buf) ** 2))
             buf[at] = 0
-            if norm2 <= tol:
+            if norm2 <= _VANISH_TOL:
                 raise ValueError(f"codeword {l} vanishes under the projector")
             out[at] = val[at] / np.sqrt(norm2)
         return Code(mixed, K, ancilla_code.d, monomial=(col, out))
@@ -176,7 +176,7 @@ def project_code(ancilla_code: Code, P: ProjectorSpec,
     for l in range(K):
         amp = B[rows, l]
         norm2 = float(np.sum(np.abs(amp) ** 2))
-        if norm2 <= tol:
+        if norm2 <= _VANISH_TOL:
             raise ValueError(f"codeword {l} vanishes under the projector")
         cols.append(amp / np.sqrt(norm2))
     return Code.from_basis(mixed, np.stack(cols, axis=1), ancilla_code.d)

@@ -27,6 +27,10 @@ eigenspace comes from growing the group the rows generate, coset by
 coset.  ``verify_stabilizer``, ``stabilizer_eigenbasis`` and
 ``compose.paste_distance2`` all use it; ``ErrorWord`` appears only where
 rows come in and go out, and where the projector applies them.
+
+``stabilizer_eigenbasis`` builds its columns by one integer walk over the
+orbits of the rows' shifts; ``verify_stabilizer`` applies its own float
+projector instead, so the check does not share that construction.
 """
 from __future__ import annotations
 
@@ -662,23 +666,6 @@ def _project_columns(sys: MixedSystem, words: Sequence[ErrorWord],
     return out
 
 
-def _orbit_minima(sys: MixedSystem, shifts: np.ndarray) -> np.ndarray:
-    """The smallest flat index in the orbit of each flat index under the
-    x-shifts (one row per generator) on the standard basis: a running
-    minimum over rolls by each shift, repeated until it is stable."""
-    flat = sys.flat_dims()
-    axes = tuple(range(len(flat)))
-    shifts = [x for x in shifts.tolist() if any(x)]
-    low = np.arange(sys.total_dim).reshape(flat)
-    while True:
-        nxt = low
-        for x in shifts:
-            nxt = np.minimum(nxt, np.roll(nxt, x, axis=axes))
-        if np.array_equal(nxt, low):
-            return low.ravel()
-        low = nxt
-
-
 @dataclass(frozen=True)
 class StabilizerReport:
     ok: bool
@@ -755,28 +742,29 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
 
 def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
                           phases: Sequence[Phase] | None = None,
-                          tol: float = 1e-9, cap: int | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the joint +1 eigenspace, built by projecting
-    standard basis vectors through the group average, in the monomial
-    form ``(col, val)`` that ``Code.from_monomial`` takes.
+                          cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the joint +1 eigenspace, in the monomial form
+    ``(col, val)`` that ``Code.from_monomial`` takes, from one walk over
+    the standard basis in exact integers.
 
-    Every group element is a monomial matrix mapping each orbit j + H of
-    the shifts H the rows generate onto itself, entry by entry, so one
-    vector holding the smallest index of every orbit is projected at once
-    and each entry sees the float operations of its own seed column.  In
-    ascending order of seed, each orbit with norm above 1e-6 becomes the
-    next column, normalised, up to K: the basis that seed-by-seed
-    Gram-Schmidt over 0..D-1 gives.  Orbits are disjoint, so each row
-    lies in at most one column; rows of no kept orbit get column -1."""
+    Row r maps |j> to w_N^(P_r + sum_f w_f Z[r, f] j_f) |j + x_r>, so a
+    joint eigenvector on the orbit j + H of the shifts H the rows generate
+    is fixed by its entry at the orbit's smallest index s: walking from s
+    along the rows adds each step's exponent.  A running minimum over
+    rolls by each shift, repeated until stable, finds s for every index
+    and carries the exponent e of one walk from s.  The orbit spans an
+    eigenvector when every row maps those exponents onto themselves;
+    otherwise some element of the group acts on it as a nontrivial
+    scalar.  The surviving orbits, in ascending order of s, are the
+    columns, each entry w_N^e / sqrt(|H|); rows of no such orbit get
+    column -1."""
     _check_cap(sys.total_dim, cap)
     words = list(r.word for r in rows)
     if phases is not None:
         words = [ErrorWord(w.x, w.z, phase_mul(w.phase, p))
                  for w, p in zip(words, phases, strict=True)]
     tab = _Tableau(sys, words)
-    orders = tab.orders.tolist()
-    for i, (ordw, c) in enumerate(zip(orders, tab.closing().tolist())):
+    for i, (ordw, c) in enumerate(zip(tab.orders.tolist(), tab.closing().tolist())):
         if c:
             raise ValueError(
                 f"row {i} does not close: its power of order {ordw} is a "
@@ -785,30 +773,34 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
     pair = tab.noncommuting_pair()
     if pair is not None:
         raise ValueError(f"rows {pair[0]} and {pair[1]} do not commute")
-    dim = tab.eigenspace_dim()
-    K = round(dim)
-    if abs(dim - K) > tol or K == 0:
-        raise ValueError(f"eigenspace dimension {dim} is not a positive integer")
-    D = sys.total_dim
-    low = _orbit_minima(sys, tab.X)
-    reps = np.flatnonzero(low == np.arange(D))
-    proj = _project_columns(sys, words, orders, low == np.arange(D))
-    # norms of full-length columns: a sum over the orbit alone rounds otherwise
-    order, buf = np.argsort(low, kind="stable"), np.zeros(D, dtype=complex)
-    bounds = np.searchsorted(low, reps, sorter=order).tolist() + [D]
-    col, norm, kept = np.full(D, -1), np.ones(D), 0
-    for r, a, b in zip(reps.tolist(), bounds, bounds[1:]):
-        if kept == K:
+    flat, N, D = sys.flat_dims(), tab.N, sys.total_dim
+    axes = tuple(range(len(flat)))
+    digits = np.ogrid[tuple(slice(m) for m in flat)]
+    # per row, its shift and the exponent it adds on leaving each index
+    steps = [(x, (p + sum(c * j for c, j in zip(zw, digits))) % N)
+             for x, zw, p in zip(tab.X.tolist(), (tab.Z * tab.w).tolist(),
+                                 tab.P.tolist())]
+    low = np.arange(D).reshape(flat)
+    e = np.zeros(flat, dtype=np.int64)
+    while True:
+        moved, clash = False, np.zeros(flat, dtype=bool)
+        for x, step in steps:
+            to_low = np.roll(low, x, axis=axes)
+            to_e = np.roll((e + step) % N, x, axis=axes)
+            better = to_low < low
+            if better.any():
+                low, e = np.where(better, to_low, low), np.where(better, to_e, e)
+                moved = True
+            clash |= to_e != e  # settles in the last pass, when nothing moves
+        if not moved:
             break
-        buf[order[a:b]] = proj[order[a:b]]
-        norm[r] = np.linalg.norm(buf)
-        buf[order[a:b]] = 0
-        if norm[r] > 1e-6:
-            col[r], kept = kept, kept + 1
-    if kept != K:
-        raise ValueError("failed to span the eigenspace from standard seeds")
-    col = col[low]
+    low, e = low.ravel(), e.ravel()
+    seed = low == np.arange(D)
+    seed[low[clash.ravel()]] = False
+    if not seed.any():
+        raise ValueError("eigenspace dimension 0.0 is not a positive integer")
+    col = np.where(seed, np.cumsum(seed) - 1, -1)[low]
     i = np.flatnonzero(col >= 0)
     val = np.zeros(D, dtype=complex)
-    val[i] = proj[i] / norm[low[i]]
+    val[i] = np.exp(2j * np.pi / N * e[i]) / np.sqrt(np.bincount(low)[low[i]])
     return col, val

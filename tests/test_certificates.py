@@ -124,19 +124,19 @@ class TestRejection:
         obj = cert_342().to_json()
         obj["system"]["dims"] = [4, 4, 2]
         with pytest.raises(CertificateError, match="dims"):
-            Certificate.from_json(obj, check_hash=False)
+            Certificate.from_json(obj)
 
     def test_unknown_construction(self):
         obj = cert_342().to_json()
         obj["construction"] = {"type": "telepathy"}
         with pytest.raises(CertificateError, match="construction"):
-            Certificate.from_json(obj, check_hash=False)
+            Certificate.from_json(obj)
 
     def test_nonpositive_claims(self):
         obj = cert_342().to_json()
         obj["claimed"]["d"] = 0
         with pytest.raises(CertificateError, match="positive"):
-            Certificate.from_json(obj, check_hash=False)
+            Certificate.from_json(obj)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CertificateError, match="not found"):

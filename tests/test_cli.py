@@ -240,6 +240,17 @@ class TestCompositions:
             ["ZZXXZ", "III"], ["IIIII", "XZZ"],
             ["XZZZX", "ZXZ"], ["ZXZII", "ZZX"]]
 
+    def test_paste_stabilizer_base_with_phases(self, tmp_path, capsys):
+        # 6_16_3_stab stores a phase multiplier per row, folded into the
+        # pasting's base rows; the emitted certificate re-verifies
+        rc, out, _ = run(capsys, "paste", str(FIXTURES / "6_16_3_stab.json"),
+                         "--blocks", "1", "--block-dim", "2",
+                         "--out", str(tmp_path / "pasted.json"))
+        assert rc == 0
+        assert json.loads(out)["claimed"]["K"] == 64
+        rc, out, _ = run(capsys, "verify", str(tmp_path / "pasted.json"))
+        assert rc == 0 and json.loads(out)["verdict"] == "pass"
+
     def test_paste_block_too_large_exit_2(self, capsys):
         rc, _, err = run(capsys, "paste", str(FIXTURES / "3_4_2_q4.json"),
                          "--blocks", "1", "--block-dim", "8")
@@ -642,7 +653,8 @@ class TestRunFixtures:
     def test_broken_positive_fails_suite(self, tmp_path, capsys):
         obj = json.loads((FIXTURES / "3_4_2_q4.json").read_text())
         obj["claimed"]["K"] = 8
-        cert = Certificate.from_json(obj, check_hash=False)
+        obj.pop("content_hash")
+        cert = Certificate.from_json(obj)
         cert.save(tmp_path / "broken.json")
         rc, out, _ = run(capsys, "run-fixtures", "--dir", str(tmp_path))
         assert rc == 1 and "FAIL broken.json" in out

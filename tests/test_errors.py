@@ -57,6 +57,10 @@ class TestMixedSystem:
         with pytest.raises(ValueError):
             format_word(s, ErrorWord.identity(s))
 
+    def test_second_layer_off_the_prefix_has_no_layer_view(self):
+        # layer 1 exists on particle 1 but not on particle 0
+        assert MixedSystem(((2,), (2, 3))).layers is None
+
     def test_layer_nesting_enforced(self):
         with pytest.raises(ValueError):
             MixedSystem.layered([(2, 3), (2, 4)])

@@ -26,7 +26,7 @@ from mixedqec.graphs import WeightedGraph, graph_action, loop_graph
 from mixedqec.clique import (
     CodingClique, check_clique, closure, covered_differences, search_clique,
 )
-from mixedqec.compose import paste_distance2
+from mixedqec.compose import clique_stabilizer_rows, paste_distance2
 from mixedqec.verifier import (
     Code, StabilizerRow, _KLReducer, _SupportScan, _Tableau, _project_columns,
     code_distance, kl_verify_numeric, kl_verify_symbolic, kl_verify_words,
@@ -277,6 +277,15 @@ class TestStabilizer:
         rep = verify_stabilizer([row], c)
         assert not rep.ok
         assert rep.eigenspace_dim == 2.0
+
+    def test_missing_row_leaves_eigenspace_too_large(self):
+        # without its last row the clique's rows fix an 8-dimensional
+        # space around the 4 codewords, while each row is still +1 on them
+        code = Code.from_clique(clique_342())
+        rows = clique_stabilizer_rows(code.clique)[:-1]
+        rep = verify_stabilizer(rows, code)
+        assert not rep.ok and rep.commuting
+        assert rep.witness == {"eigenspace_dim": 8.0, "projector_diff": 2.0}
 
     def test_noncommuting_rows_reported(self):
         sys = MixedSystem(((2,), (2,)))
@@ -777,6 +786,14 @@ def eigenbasis(sys, rows, phases=None):
     return Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 1).basis()
 
 
+def assert_matches_oracle(got, want):
+    """Same shape and nonzero pattern, and every entry within 1e-12: the
+    walk computes each amplitude directly, the oracle by projection."""
+    assert got.shape == want.shape
+    assert np.array_equal(got != 0, want != 0)
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def gram_schmidt_eigenbasis(sys, rows, phases=None):
     """The eigenbasis seed by seed: every standard basis vector in index
     order, projected in blocks of 64, orthogonalised against the columns
@@ -873,7 +890,7 @@ class TestEigenbasisOracle:
         sys, rows, phases = EIGENBASIS_CASES[case]()
         got = eigenbasis(sys, rows, phases)
         want = gram_schmidt_eigenbasis(sys, rows, phases)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert_matches_oracle(got, want)
         if case == "orbits_to_zero":
             assert got.shape[1] == 2
 
@@ -891,15 +908,15 @@ class TestEigenbasisOracle:
                 with pytest.raises(ValueError):
                     stabilizer_eigenbasis(sys, rows)
                 continue
-            assert np.array_equal(eigenbasis(sys, rows), want)
+            assert_matches_oracle(eigenbasis(sys, rows), want)
             built += 1
         assert built >= 3
 
 
 def test_eigenbasis_memory_stays_near_the_basis():
-    # one projected D-vector and O(D) index arrays, and the basis as one
-    # column index and one value per row: at most 256 bytes a row (D 4096,
-    # K 256: 1 MB, where a dense basis alone is 16 MB)
+    # the walk's O(D) integer arrays, one step exponent array per row, and
+    # the basis as one column index and one value per row: at most 256
+    # bytes a row (D 4096, K 256: 1 MB, where a dense basis alone is 16 MB)
     sys, rows, phases = pasted_rows(3)
     tracemalloc.start()
     try:
