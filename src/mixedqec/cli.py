@@ -210,6 +210,9 @@ def cmd_search(args) -> int:
     if args.graph_r is not None:
         graphs.append(_load_graph(args.graph_r))
     n = graphs[0].n
+    if graphs[-1].n > n:
+        raise CertificateError(f"--graph-r has {graphs[-1].n} vertices, more than "
+                               f"the {n} of --graph-p; its layer must cover a prefix")
     if args.distance > n + 1:
         raise CertificateError(f"--distance {args.distance} exceeds n + 1 = {n + 1}")
     res = search_clique(graphs, d=args.distance, target_K=args.target,

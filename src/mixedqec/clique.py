@@ -13,18 +13,21 @@ vectors c = (c_1, ..., c_k) claimed to satisfy three conditions:
 check_clique tests exactly these; search_clique looks for large sets
 satisfying them.
 
-Internally every label is one int64 row, layer after layer, with one
-column per (layer, particle).  The graph action s -> s.Gamma is one
+This module owns the one label layout, ``LabelLayout``, that the clique
+conditions, the symbolic KL check, the clique basis and the stabilizer
+rows all read.  Every label is one int64 row, layer after layer, with
+one column per (layer, particle).  The graph action s -> s.Gamma is one
 matrix product with the block-diagonal adjacency, reduced mod the
 column moduli, and a label's key is its row read as a mixed-radix
 number, first column most significant, so key order is the
-lexicographic order of the flattened entries.  ModVec appears only at
-the API boundary.
+lexicographic order of the flattened entries.  A ``CodingClique``
+encodes its vectors once into such rows, ``labels``; ModVec appears
+only where labels enter and leave.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm, prod
 from typing import Sequence
@@ -32,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import ModVec
-from .errors import MixedSystem, error_blocks, word_radices
+from .errors import IntegerRangeError, MixedSystem, error_blocks, word_radices
 from .graphs import WeightedGraph
 
 LayerVecs = tuple[ModVec, ...]
@@ -46,23 +49,37 @@ def _layer_system(graphs: Sequence[WeightedGraph]) -> MixedSystem:
     return MixedSystem.layered([(g.m, g.n) for g in graphs])
 
 
-class _Space:
-    """The label rows and keys of one layout [(modulus, length), ...]."""
+class LabelLayout:
+    """The label rows and keys of layers [(modulus, length), ...], and,
+    for the layers of graphs, their block-diagonal adjacency ``gamma``:
+    ``rows @ gamma % mods`` is s.Gamma on every layer at once.  A label
+    space of 2^63 labels or more is refused, since keys are int64."""
 
-    def __init__(self, layout: tuple[tuple[int, int], ...]) -> None:
-        self.layout = layout
-        self.starts = tuple(itertools.accumulate((n for _, n in layout), initial=0))[:-1]
-        self.width = sum(n for _, n in layout)
-        self.size = prod(m ** n for m, n in layout)
+    def __init__(self, layers: tuple[tuple[int, int], ...],
+                 adjs: tuple[tuple[tuple[int, ...], ...], ...] | None = None) -> None:
+        self.layers = layers
+        self.starts = tuple(itertools.accumulate((n for _, n in layers), initial=0))[:-1]
+        self.width = sum(n for _, n in layers)
+        self.size = prod(m ** n for m, n in layers)
         if self.size >= 2 ** 63:
-            raise ValueError(f"label space of {self.size} labels exceeds int64 keys")
-        self.mods = np.repeat([m for m, _ in layout], [n for _, n in layout]).astype(np.int64)
+            raise IntegerRangeError(f"label space of {self.size} labels exceeds int64 keys")
+        self.mods = np.repeat([m for m, _ in layers], [n for _, n in layers]).astype(np.int64)
         weights = np.ones(self.width, dtype=np.int64)
         for j in range(self.width - 2, -1, -1):
             weights[j] = weights[j + 1] * self.mods[j + 1]
         self.weights = weights
-        self.modulus = lcm(*(m for m, _ in layout))
-        for arr in (self.mods, self.weights):
+        self.modulus = lcm(*(m for m, _ in layers))
+        # the label column of every factor, particle after particle: the
+        # flat factor order of the layered system
+        self.factor_columns = np.array(self.columns(range(max(n for _, n in layers))),
+                                       dtype=np.int64)
+        self.gamma = None
+        if adjs is not None:
+            self.gamma = np.zeros((self.width, self.width), dtype=np.int64)
+            for adj, a, (_, n) in zip(adjs, self.starts, layers):
+                self.gamma[a:a + n, a:a + n] = adj
+            self.gamma.flags.writeable = False
+        for arr in (self.mods, self.weights, self.factor_columns):
             arr.flags.writeable = False
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
@@ -71,43 +88,37 @@ class _Space:
     def rows(self, keys: np.ndarray) -> np.ndarray:
         return keys[:, None] // self.weights % self.mods
 
+    def columns(self, supp: Sequence[int]) -> list[int]:
+        """The label column of each factor of the particles of supp, in
+        the particle-after-particle order of ``support_rows``."""
+        return [a + i for i in supp for (_, nl), a in zip(self.layers, self.starts) if i < nl]
+
     def encode(self, vecs: Sequence[LayerVecs]) -> np.ndarray:
-        flat = []
         for v in vecs:
-            if len(v) != len(self.layout) or any(
-                    part.m != m or len(part) != n for part, (m, n) in zip(v, self.layout)):
-                raise ValueError("vector does not match the label layout")
-            flat.append([a for part in v for a in part.entries])
-        return np.array(flat, dtype=np.int64).reshape(len(flat), self.width)
+            if len(v) != len(self.layers):
+                raise ValueError("vector layer count does not match the layers")
+            if any(part.m != m or len(part) != n for part, (m, n) in zip(v, self.layers)):
+                raise ValueError("vector does not match its layer")
+        flat = [a for v in vecs for part in v for a in part.entries]
+        return np.array(flat, dtype=np.int64).reshape(len(vecs), self.width)
 
     def split(self, row: np.ndarray) -> list[list[int]]:
-        return [row[a:a + n].tolist() for (_, n), a in zip(self.layout, self.starts)]
+        return [row[a:a + n].tolist() for (_, n), a in zip(self.layers, self.starts)]
 
     def decode(self, rows: np.ndarray) -> tuple[LayerVecs, ...]:
-        return tuple(tuple(ModVec(m, tuple(part)) for (m, _), part in zip(self.layout, self.split(row)))
+        return tuple(tuple(ModVec(m, tuple(part)) for (m, _), part in zip(self.layers, self.split(row)))
                      for row in rows)
 
 
 @lru_cache(maxsize=64)
-def _space(layout: tuple[tuple[int, int], ...]) -> _Space:
-    return _Space(layout)
-
-
-def _graph_space(graphs: tuple[WeightedGraph, ...]) -> _Space:
-    _layer_system(graphs)  # rejects layers that do not nest
-    return _space(tuple((g.m, g.n) for g in graphs))
+def _layout(layers: tuple[tuple[int, int], ...]) -> LabelLayout:
+    return LabelLayout(layers)
 
 
 @lru_cache(maxsize=64)
-def _gamma(graphs: tuple[WeightedGraph, ...]) -> np.ndarray:
-    """Block-diagonal adjacency: rows @ gamma % mods is s.Gamma on every
-    layer at once."""
-    sp = _graph_space(graphs)
-    out = np.zeros((sp.width, sp.width), dtype=np.int64)
-    for g, a in zip(graphs, sp.starts):
-        out[a:a + g.n, a:a + g.n] = g.adj
-    out.flags.writeable = False
-    return out
+def _graph_layout(graphs: tuple[WeightedGraph, ...]) -> LabelLayout:
+    _layer_system(graphs)  # rejects layers that do not nest
+    return LabelLayout(tuple((g.m, g.n) for g in graphs), tuple(g.adj for g in graphs))
 
 
 def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
@@ -117,17 +128,11 @@ def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-def _label_columns(sp: _Space, supp: Sequence[int]) -> list[int]:
-    """The label column of each factor of the particles of supp, in the
-    particle-after-particle order of ``support_rows``."""
-    return [a + i for i in supp for (_, nl), a in zip(sp.layout, sp.starts) if i < nl]
-
-
-def _word_weights(sp: _Space, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _word_weights(sp: LabelLayout, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Particles hit by each word X^x Z^z, one word per row pair."""
     nz = (X != 0) | (Z != 0)
-    hit = nz[:, :sp.layout[0][1]].copy()
-    for (_, n), a in zip(sp.layout[1:], sp.starts[1:]):
+    hit = nz[:, :sp.layers[0][1]].copy()
+    for (_, n), a in zip(sp.layers[1:], sp.starts[1:]):
         hit[:, :n] |= nz[:, a:a + n]
     return hit.sum(axis=1)
 
@@ -137,16 +142,16 @@ def _purity_rows(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
     """The purity set as rows in key order.  Only labels whose own
     support spans fewer than d particles can qualify, because the shift
     support is part of the word's support."""
-    sp = _graph_space(graphs)
+    sp = _graph_layout(graphs)
     sys = _layer_system(graphs)
     found = [np.zeros((1, sp.width), dtype=np.int64)]
     # a label has one digit per factor: the x digits of an error word
     for supp, block in error_blocks(sys.factors, min(d - 1, sys.n)):
         rows = np.zeros((len(block), sp.width), dtype=np.int64)
-        rows[:, _label_columns(sp, supp)] = block
+        rows[:, sp.columns(supp)] = block
         found.append(rows)
     X = np.concatenate(found)
-    X = X[_word_weights(sp, X, X @ _gamma(graphs) % sp.mods) < d]
+    X = X[_word_weights(sp, X, X @ sp.gamma % sp.mods) < d]
     X = X[np.argsort(sp.keys(X))]
     X.flags.writeable = False
     return X
@@ -156,12 +161,11 @@ def _purity_rows(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
 def _covered_keys(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
     """Sorted keys of t - s.Gamma over every error word X^s Z^t of
     weight in (0, d)."""
-    sp = _graph_space(graphs)
-    gamma = _gamma(graphs)
+    sp = _graph_layout(graphs)
     found = [np.zeros(0, dtype=np.int64)]
     for supp, E in error_blocks(word_radices(_layer_system(graphs)), d - 1):
-        cols = _label_columns(sp, supp)
-        diff = -(E[:, 0::2] @ gamma[cols])
+        cols = sp.columns(supp)
+        diff = -(E[:, 0::2] @ sp.gamma[cols])
         diff[:, cols] += E[:, 1::2]
         found.append(np.unique(sp.keys(diff % sp.mods)))
     keys = np.unique(np.concatenate(found))
@@ -169,7 +173,7 @@ def _covered_keys(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
     return keys
 
 
-def _phase_exponents(sp: _Space, S: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _phase_exponents(sp: LabelLayout, S: np.ndarray, V: np.ndarray) -> np.ndarray:
     """E[a, b] with prod_l w_{m_l}^{S_a,l . V_b,l} = w_M^E[a, b], M the
     lcm of the layer moduli."""
     return (S * (sp.modulus // sp.mods)) @ V.T % sp.modulus
@@ -182,7 +186,7 @@ def purity_set(graphs: Sequence[WeightedGraph], d: int) -> tuple[LayerVecs, ...]
     if d < 1:
         raise ValueError("d must be >= 1")
     graphs = tuple(graphs)
-    return _graph_space(graphs).decode(_purity_rows(graphs, d))
+    return _graph_layout(graphs).decode(_purity_rows(graphs, d))
 
 
 def covered_differences(graphs: Sequence[WeightedGraph], d: int) -> frozenset[LayerVecs]:
@@ -192,17 +196,20 @@ def covered_differences(graphs: Sequence[WeightedGraph], d: int) -> frozenset[La
     if d < 1:
         raise ValueError("d must be >= 1")
     graphs = tuple(graphs)
-    sp = _graph_space(graphs)
+    sp = _graph_layout(graphs)
     return frozenset(sp.decode(sp.rows(_covered_keys(graphs, d))))
 
 
 @dataclass(frozen=True)
 class CodingClique:
-    """A claimed coding clique; check_clique is the judge."""
+    """A claimed coding clique; check_clique is the judge.  ``labels``
+    holds the vectors as read-only rows of ``layout``, in the order
+    given."""
 
     graphs: tuple[WeightedGraph, ...]
     d: int
     vectors: tuple[LayerVecs, ...]
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.graphs:
@@ -215,18 +222,18 @@ class CodingClique:
         vecs = tuple(tuple(v) for v in self.vectors)
         if not vecs:
             raise ValueError("clique needs at least one vector")
-        seen = set()
-        for v in vecs:
-            if len(v) != len(self.graphs):
-                raise ValueError("vector layer count does not match graphs")
-            for part, g in zip(v, self.graphs):
-                if part.m != g.m or len(part) != g.n:
-                    raise ValueError("vector does not match its layer graph")
-            if v in seen:
-                raise ValueError("clique vectors must be distinct")
-            seen.add(v)
         object.__setattr__(self, "graphs", tuple(self.graphs))
         object.__setattr__(self, "vectors", vecs)
+        sp = self.layout
+        labels = sp.encode(vecs)
+        if len(np.unique(sp.keys(labels))) < len(labels):
+            raise ValueError("clique vectors must be distinct")
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def layout(self) -> LabelLayout:
+        return _graph_layout(self.graphs)
 
     @property
     def K(self) -> int:
@@ -260,7 +267,7 @@ class CliqueReport:
         return out
 
 
-def _first_covered_pair(sp: _Space, V: np.ndarray,
+def _first_covered_pair(sp: LabelLayout, V: np.ndarray,
                         covered: np.ndarray) -> tuple[int, int] | None:
     """First (i, j), i != j, in row-major order with V[i] - V[j] covered."""
     K = len(V)
@@ -281,8 +288,8 @@ def check_clique(C: CodingClique) -> CliqueReport:
     first offending object in deterministic enumeration order: purity
     labels in lexicographic order, then clique vectors in the order
     given, and ordered pairs of vectors row by row."""
-    sp = _graph_space(C.graphs)
-    V = sp.encode(C.vectors)
+    sp = C.layout
+    V = C.labels
     zero_ok = bool((~V.any(axis=1)).any())
     witness = None
     if not zero_ok:
@@ -313,7 +320,7 @@ def check_clique(C: CodingClique) -> CliqueReport:
     return CliqueReport(ok, zero_ok, phases_ok, diffs_ok, len(pure), witness)
 
 
-def _join(sp: _Space, rows: np.ndarray, keys: set[int],
+def _join(sp: LabelLayout, rows: np.ndarray, keys: set[int],
           g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The subgroup generated by the subgroup `rows` (key set `keys`)
     and g, grown by cosets G + k.g up to the first k with k.g in G.
@@ -331,7 +338,7 @@ def closure(generators: Sequence[LayerVecs]) -> tuple[LayerVecs, ...]:
     """The additive group generated, sorted lexicographically."""
     if not generators:
         raise ValueError("need at least one generator")
-    sp = _space(tuple((part.m, len(part)) for part in generators[0]))
+    sp = _layout(tuple((part.m, len(part)) for part in generators[0]))
     rows = np.zeros((1, sp.width), dtype=np.int64)
     keys = {0}
     for g in sp.encode(generators):
@@ -347,7 +354,7 @@ class SearchResult:
     flag: str  # "ok" | "target" | "budget" | "trivial"
 
 
-def _candidates(sp: _Space, pure: np.ndarray, covered: np.ndarray) -> np.ndarray:
+def _candidates(sp: LabelLayout, pure: np.ndarray, covered: np.ndarray) -> np.ndarray:
     """Nonzero labels satisfying condition (ii) over the purity set and
     outside the covered set, as rows in key order."""
     out = [np.zeros((0, sp.width), dtype=np.int64)]
@@ -378,7 +385,7 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
     if d < 1:
         raise ValueError("d must be >= 1")
     graphs = tuple(graphs)
-    sp = _graph_space(graphs)
+    sp = _graph_layout(graphs)
     covered = _covered_keys(graphs, d)
     cands = _candidates(sp, _purity_rows(graphs, d), covered)
     zero = np.zeros(sp.width, dtype=np.int64)

@@ -13,10 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ModVec, phase_mul
+from .algebra import Phase, phase_mul
 from .clique import CodingClique
-from .errors import ConstructionInputError, ErrorWord, MixedSystem, _check_cap
-from .graphs import stabilizer_error_word
+from .errors import ConstructionInputError, ErrorWord, MixedSystem, _check_cap, word_from_row
 from .verifier import (
     Code,
     StabilizerRow,
@@ -129,14 +128,15 @@ def _nullspace_mod_prime(mat: Sequence[Sequence[int]], m: int,
 def _row_text(sys: MixedSystem, w: ErrorWord) -> tuple[str, ...]:
     """Per-layer symbol strings for a word with digits in {0, 1}.  A
     factor carrying both a shift and a phase prints as Y; the exact
-    phase lives in the word, not the text."""
+    phase lives in the word, not the text.  A larger digit has no
+    symbol, which makes the rows bad input to a pasting."""
     out = []
     for l, (_, nl) in enumerate(sys.layers):
         syms = []
         for i in range(nl):
             a, b = w.x[i][l], w.z[i][l]
             if a > 1 or b > 1:
-                raise ValueError("symbol notation only covers digits 0/1")
+                raise ConstructionInputError("symbol notation only covers digits 0/1")
             syms.append("IXZY"[a + 2 * b])
         out.append("".join(syms))
     return tuple(out)
@@ -158,20 +158,19 @@ def clique_stabilizer_rows(clique: CodingClique) -> tuple[StabilizerRow, ...]:
     m = ms.pop()
     if not _is_prime(m):
         raise ConstructionInputError(f"stabilizer rows require a prime modulus, got {m}")
-    widths = [g.n for g in clique.graphs]
-    ncols = sum(widths)
-    mat = [[a for part in v for a in part.entries] for v in clique.vectors]
-    kernel, rank = _nullspace_mod_prime(mat, m, ncols)
+    sp = clique.layout
+    kernel, rank = _nullspace_mod_prime(clique.labels.tolist(), m, sp.width)
     if m ** rank != clique.K:
         raise ConstructionInputError("clique is not a subgroup; stabilizer form needs one")
+    # label s gives the graph-state stabilizer w_m^(s.Gamma.s / 2) X^s Z^(s.Gamma),
+    # exact because s.Gamma.s is even; digits go to the per-particle layout
+    S = np.array(kernel, dtype=np.int64).reshape(len(kernel), sp.width)
+    SG = S @ sp.gamma
+    XZ = np.stack([S, SG % m], axis=2)[:, sp.factor_columns].reshape(len(S), 2 * sp.width)
     sys = clique.system()
     rows = []
-    for flat in kernel:
-        ss, pos = [], 0
-        for g in clique.graphs:
-            ss.append(ModVec(m, tuple(flat[pos:pos + g.n])))
-            pos += g.n
-        w = stabilizer_error_word(sys, clique.graphs, ss)
+    for xz, k in zip(XZ.tolist(), ((S * SG).sum(axis=1) // 2).tolist()):
+        w = word_from_row(sys, range(sys.n), xz, Phase(k, m))
         rows.append(StabilizerRow(_row_text(sys, w), w))
     return tuple(rows)
 

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import PHASE_ONE, ModVec, Phase
+from .algebra import PHASE_ONE, Phase
 
 DEFAULT_DIM_CAP = 65536
 DIM_CAP_ENV = "MIXEDQEC_DIM_CAP"
@@ -55,7 +55,8 @@ class DimensionCapError(Exception):
 
 class IntegerRangeError(Exception):
     """Raised when input values exceed the int64 range that the integer
-    stabilizer tableau computes in: bad input, not a failed check."""
+    stabilizer tableau or the label keys compute in: bad input, not a
+    failed check."""
 
 
 class ConstructionInputError(ValueError):
@@ -184,28 +185,6 @@ class ErrorWord:
         zero = tuple(tuple(0 for _ in f) for f in sys.factors)
         return ErrorWord(zero, zero)
 
-    @staticmethod
-    def from_layers(sys: MixedSystem, xs: Sequence[ModVec | None],
-                    zs: Sequence[ModVec | None], phase: Phase = PHASE_ONE) -> "ErrorWord":
-        """Assemble from per-layer vectors (None = zero on that layer)."""
-        layers = sys.layers
-        if layers is None:
-            raise ValueError("system is not layered")
-        if len(xs) != len(layers) or len(zs) != len(layers):
-            raise ValueError(f"expected {len(layers)} layer vectors")
-        x = [[0] * len(f) for f in sys.factors]
-        z = [[0] * len(f) for f in sys.factors]
-        for l, (m, nl) in enumerate(layers):
-            for vecs, tgt in ((xs, x), (zs, z)):
-                v = vecs[l]
-                if v is None:
-                    continue
-                if v.m != m or len(v) != nl:
-                    raise ValueError(f"layer {l} vector does not match ({m},{nl})")
-                for i in range(nl):
-                    tgt[i][l] = v[i]
-        return ErrorWord(tuple(tuple(r) for r in x), tuple(tuple(r) for r in z), phase)
-
     def label_is_identity(self) -> bool:
         return all(a == 0 for xi in self.x for a in xi) and \
                all(a == 0 for zi in self.z for a in zi)
@@ -284,8 +263,9 @@ def error_blocks(radices: Sequence[Sequence[int]],
 
 
 def word_from_row(sys: MixedSystem, supp: Sequence[int],
-                  row: Sequence[int]) -> ErrorWord:
-    """The error word of one ``word_radices`` row on support supp."""
+                  row: Sequence[int], phase: Phase = PHASE_ONE) -> ErrorWord:
+    """The error word of one ``word_radices`` row on support supp, times
+    phase."""
     x = [(0,) * len(f) for f in sys.factors]
     z = list(x)
     a = 0
@@ -293,7 +273,7 @@ def word_from_row(sys: MixedSystem, supp: Sequence[int],
         b = a + 2 * len(sys.factors[i])
         x[i], z[i] = tuple(row[a:b:2]), tuple(row[a + 1:b:2])
         a = b
-    return ErrorWord(tuple(x), tuple(z))
+    return ErrorWord(tuple(x), tuple(z), phase)
 
 
 def enumerate_errors(sys: MixedSystem, w_max: int) -> Iterator[ErrorWord]:

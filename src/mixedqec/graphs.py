@@ -6,15 +6,12 @@ labels into phase-shift labels on that state.  The state |G> has
 amplitude m^{-n/2} w_m^{Q(j)} on |j>, Q(j) = sum_{a<b} Gamma_ab j_a j_b,
 and every shift/phase word reduces on it, with an exact phase, to a
 pure phase word: X^s Z^t |G> = w_m^{Q(s) - t.s} Z^{t - s.Gamma} |G>.
-That identity lets the verifier treat errors symbolically.
+That identity lets the verifier treat errors symbolically; the label
+engine in ``clique`` applies it to whole arrays of labels at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-from .algebra import ModVec, omega, phase_mul
-from .errors import ErrorWord, MixedSystem
 
 
 @dataclass(frozen=True)
@@ -60,38 +57,3 @@ def loop_graph(n: int, m: int, w: int = 1) -> WeightedGraph:
         adj[i][j] = w % m
         adj[j][i] = w % m
     return WeightedGraph(n, m, tuple(tuple(row) for row in adj))
-
-
-def graph_action(s: ModVec, G: WeightedGraph) -> ModVec:
-    """(s.Gamma)_j = sum_i s_i Gamma_ij mod m."""
-    if s.m != G.m or len(s) != G.n:
-        raise ValueError("vector does not match graph dimensions")
-    return ModVec(G.m, tuple(sum(s[i] * G.adj[i][j] for i in range(G.n)) for j in range(G.n)))
-
-
-def quadratic_form(s: ModVec, G: WeightedGraph) -> int:
-    """sum_{a<b} Gamma_ab s_a s_b mod m; the exponent of the exact
-    phase picked up when X^s is commuted through the graph-state
-    entangling pattern."""
-    if s.m != G.m or len(s) != G.n:
-        raise ValueError("vector does not match graph dimensions")
-    tot = 0
-    for a in range(G.n):
-        if s[a] == 0:
-            continue
-        for b in range(a + 1, G.n):
-            tot += G.adj[a][b] * s[a] * s[b]
-    return tot % G.m
-
-
-def stabilizer_error_word(sys: MixedSystem, graphs: Sequence[WeightedGraph],
-                          ss: Sequence[ModVec]) -> ErrorWord:
-    """The exact joint stabilizer element for per-layer labels ss, as an
-    error word over the layered system of the graphs."""
-    phase = omega(1, 0)
-    xs, zs = [], []
-    for s, g in zip(ss, graphs):
-        phase = phase_mul(phase, omega(g.m, quadratic_form(s, g)))
-        xs.append(s)
-        zs.append(graph_action(s, g))
-    return ErrorWord.from_layers(sys, xs, zs, phase)

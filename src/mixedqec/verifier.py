@@ -6,7 +6,10 @@ an exact phase times a pure phase word, so the KL inner products are
 roots of unity that either cancel or match exactly.  The numeric one
 builds the basis and measures max |<i|E|j> - f delta_ij| directly.  They
 must agree; tests enforce that.  Both take their error words from
-``errors.error_blocks`` and share nothing else, nor the clique checks.
+``errors.error_blocks`` and share nothing else.  The symbolic check and
+the clique checks also read one label layout, ``clique.LabelLayout``,
+and a clique's ``labels``: a shared data format, with no decision logic
+shared.
 
 The numeric side is one engine: ``_SupportScan`` yields the K x K
 matrices of every error on a support, one shift at a time, for
@@ -139,24 +142,21 @@ class Code:
         if self._basis is None:
             D = self.system.total_dim
             _check_cap(D, cap)
-            graphs = self.clique.graphs
-            L = math.lcm(*(g.m for g in graphs))
+            sp, V = self.clique.layout, self.clique.labels
+            L = sp.modulus
             # codeword c is D^{-1/2} w_L^e on |j>, where layer l adds
             # (L/m_l)(Q_l(j_l) + c_l.j_l), Q_l(j) = j.Gamma_l.j / 2: summed
-            # over the layers' digits in layer order, then moved to the
-            # per-particle axis layout and looked up among the L roots of unity
+            # over the layers' digits in label column order, then moved to
+            # the per-particle axis layout and looked up among the L roots
+            # of unity
             expo = np.zeros((1, self.K), dtype=np.int64)
-            for l, g in enumerate(graphs):
-                j = np.indices((g.m,) * g.n).reshape(g.n, -1)
-                c = np.array([v[l].entries for v in self.clique.vectors], dtype=np.int64)
-                q = (j * (np.array(g.adj) @ j)).sum(axis=0) // 2
-                e = (q[:, None] + j.T @ c.T) * (L // g.m)
+            for (m, n), a in zip(sp.layers, sp.starts):
+                j = np.indices((m,) * n).reshape(n, -1)
+                q = (j * (sp.gamma[a:a + n, a:a + n] @ j)).sum(axis=0) // 2
+                e = (q[:, None] + j.T @ V[:, a:a + n].T) * (L // m)
                 expo = (expo[:, None] + e).reshape(-1, self.K)
-            expo %= L
-            axes = [(i, l) for l, g in enumerate(graphs) for i in range(g.n)]
-            perm = sorted(range(len(axes)), key=axes.__getitem__)
-            expo = expo.reshape([graphs[l].m for _, l in axes] + [self.K])
-            expo = expo.transpose(perm + [len(axes)]).reshape(D, self.K)
+            expo = (expo % L).reshape(tuple(sp.mods) + (self.K,))
+            expo = expo.transpose(sp.factor_columns.tolist() + [sp.width]).reshape(D, self.K)
             self._basis = (np.exp(2j * np.pi * np.arange(L) / L) / math.sqrt(D))[expo]
         return self._basis
 
@@ -208,41 +208,28 @@ def kl_verify_symbolic(code: Code, d: int | None = None) -> KLReport:
     d = code.d if d is None else d
     cl = code.clique
     sys = code.system
-    graphs = cl.graphs
-
-    # labels as int64 rows, layer after layer, one column per (layer, particle)
-    starts = np.cumsum([0] + [g.n for g in graphs])
-    mods = np.repeat([g.m for g in graphs], [g.n for g in graphs])
-    if math.prod(mods.tolist()) >= 2 ** 63:
-        raise ValueError("label space exceeds int64 keys")
-    gamma = np.zeros((starts[-1], starts[-1]), dtype=np.int64)
-    for g, a in zip(graphs, starts):
-        gamma[a:a + g.n, a:a + g.n] = g.adj
-    radix = np.cumprod(np.append(1, mods[:0:-1]))[::-1]  # key = row @ radix
-    L = math.lcm(*mods.tolist())
-    V = np.array([[a for part in v for a in part.entries] for v in cl.vectors],
-                 dtype=np.int64)
+    sp, V, L = cl.layout, cl.labels, cl.layout.modulus
     K = len(V)
     # the key of every c_i - c_j; -1 on the diagonal, which no delta has
     pair_keys = np.zeros((K, K), dtype=np.int64)
-    for col in range(len(mods)):
-        pair_keys += (V[:, None, col] - V[None, :, col]) % mods[col] * radix[col]
+    for col in range(sp.width):
+        pair_keys += (V[:, None, col] - V[None, :, col]) % sp.mods[col] * sp.weights[col]
     np.fill_diagonal(pair_keys, -1)
     diff_keys, first_pair = np.unique(pair_keys, return_index=True)
 
     checked = diagonal = 0
     witness = None
     for supp, E in error_blocks(word_radices(sys), d - 1):
-        cols = [starts[l] + i for i in supp for l in range(len(sys.factors[i]))]
+        cols = sp.columns(supp)
         X = E[:, 0::2]
-        delta = -(X @ gamma[cols])
+        delta = -(X @ sp.gamma[cols])
         delta[:, cols] += E[:, 1::2]
-        delta %= mods
+        delta %= sp.mods
         diag = ~delta.any(axis=1)
         # prod_l w_{m_l}^(s_l . c_l) = w_L^phase
-        phase = (X * (L // mods[cols])) @ V[:, cols].T % L
+        phase = (X * (L // sp.mods[cols])) @ V[:, cols].T % L
         split = diag & (phase != phase[:, :1]).any(axis=1)
-        keys = delta @ radix
+        keys = sp.keys(delta)
         at = np.minimum(np.searchsorted(diff_keys, keys), len(diff_keys) - 1)
         collide = ~diag & (diff_keys[at] == keys)
         failing = np.flatnonzero(split | collide)
@@ -253,8 +240,8 @@ def kl_verify_symbolic(code: Code, d: int | None = None) -> KLReport:
             r = stop - 1
             witness = {"error": _word_json(sys, word_from_row(sys, supp, E[r].tolist()))}
             if diag[r]:
-                c = cl.vectors[int((phase[r] != phase[r, 0]).argmax())]
-                witness.update(kind="diagonal", vector=[list(p.entries) for p in c])
+                c = V[int((phase[r] != phase[r, 0]).argmax())]
+                witness.update(kind="diagonal", vector=sp.split(c))
             else:
                 i, j = divmod(int(first_pair[at[r]]), K)
                 witness.update(kind="offdiagonal", pair=[i, j])

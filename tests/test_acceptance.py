@@ -24,7 +24,7 @@ from mixedqec.clique import (
 )
 from mixedqec.compose import clique_stabilizer_rows, paste_distance2, pasted_code, product_code
 from mixedqec.errors import MixedSystem, weight
-from mixedqec.graphs import graph_action, loop_graph, stabilizer_error_word
+from mixedqec.graphs import loop_graph
 from mixedqec.projection import ProjectorSpec, project_code, required_detectable_set
 from mixedqec.verifier import (
     Code,
@@ -36,6 +36,7 @@ from mixedqec.verifier import (
     parse_stabilizer_row,
     verify_stabilizer,
 )
+from oracles import graph_action, stabilizer_error_word
 
 L3 = loop_graph(3, 2)
 L4 = loop_graph(4, 2)

@@ -14,7 +14,8 @@ from mixedqec.algebra import (
     phase_as_complex,
     phase_mul,
 )
-from mixedqec.errors import ErrorWord, MixedSystem, weight
+from mixedqec.errors import MixedSystem, weight
+from oracles import word_from_layers
 
 phases = st.builds(Phase, st.integers(-200, 200), st.integers(1, 96))
 
@@ -117,7 +118,7 @@ def word_weight(x, z=None):
     """Particles touched by the single-layer word X^x Z^z: the support
     of a label vector is measured by ``weight``."""
     sys = MixedSystem.layered([(x.m, len(x))])
-    return weight(ErrorWord.from_layers(sys, [x], [z]), sys)
+    return weight(word_from_layers(sys, [x], [z]), sys)
 
 
 def test_support():

@@ -174,6 +174,15 @@ class TestSearch:
         assert rc == 2 and out == ""
         assert f"--distance {distance} exceeds n + 1 = 4" in err
 
+    def test_graph_r_wider_than_graph_p_exit_2(self, graph_file, tmp_path, capsys):
+        # the second layer must cover a prefix of the first layer's particles
+        wide = tmp_path / "L5m2.json"
+        wide.write_text(json.dumps(loop_graph(5, 2).to_json()))
+        rc, out, err = run(capsys, "search", "--graph-p", graph_file,
+                           "--graph-r", str(wide))
+        assert rc == 2 and out == ""
+        assert "--graph-r has 5 vertices, more than the 3 of --graph-p" in err
+
     def test_distance_n_plus_1_exit_3(self, graph_file, capsys):
         # d = n + 1 is a valid request that only the trivial clique meets
         rc, _, err = run(capsys, "search", "--graph-p", graph_file,
@@ -285,6 +294,17 @@ class TestCompositions:
                            "--block-dim", block_dim)
         assert rc == 2 and out == "" and message in err
 
+    def test_paste_qutrit_clique_exit_2(self, tmp_path, capsys):
+        # its rows carry digit 2, which the row text cannot spell: bad input
+        g = tmp_path / "L3m3.json"
+        g.write_text(json.dumps(loop_graph(3, 3).to_json()))
+        rc, _, _ = run(capsys, "search", "--graph-p", str(g), "--distance", "2",
+                       "--target", "3", "--mode", "set", "--out", str(tmp_path / "s.json"))
+        assert rc == 0
+        rc, out, err = run(capsys, "paste", str(tmp_path / "s.json"), "--block-dim", "3")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: bad pasting: symbol notation only covers digits 0/1")
+
     @pytest.mark.parametrize("change, message", [
         ({"block_dim": 3}, "block dimension 3 is not a power of 2"),
         ({"blocks": 0}, "blocks must be >= 1"),
@@ -367,6 +387,18 @@ class TestMalformedCertificates:
         rc, out, err = run(capsys, "verify", str(target))
         assert rc == 2 and out == "" and "Traceback" not in err
         assert err.startswith("error: phase exponents exceed int64") and "2^63" in err
+
+    def test_label_space_beyond_int64_exit_2(self, tmp_path, capsys):
+        # loop_graph(64, 2) has 2^64 labels, past the int64 keys: bad input,
+        # not a failed check, whichever check runs
+        g = loop_graph(64, 2)
+        Certificate("big", MixedSystem.layered([(2, 64)]), 1, 1,
+                    {"type": "composite_clique", "graphs": [g.to_json()],
+                     "vectors": [[[0] * 64]]}).save(tmp_path / "big.json")
+        rc, out, err = run(capsys, "verify", "--symbolic", str(tmp_path / "big.json"))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: label space of 18446744073709551616 labels "
+                              "exceeds int64 keys")
 
     def test_claimed_d_above_n_plus_1_exit_2(self, tmp_path, capsys):
         # re-hashed, so only the claimed distance is wrong

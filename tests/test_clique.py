@@ -17,13 +17,14 @@ import numpy as np
 
 from mixedqec.algebra import ModVec, PHASE_ONE, dot_mod, omega, phase_as_complex, phase_mul
 from mixedqec.bounds import singleton_bound
-from mixedqec.errors import MixedSystem, apply_error, enumerate_errors, weight
-from mixedqec.graphs import WeightedGraph, loop_graph, graph_action, stabilizer_error_word
+from mixedqec.errors import IntegerRangeError, MixedSystem, apply_error, enumerate_errors, weight
+from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
     CliqueReport, CodingClique, check_clique, closure,
     covered_differences, purity_set, search_clique,
 )
 from mixedqec.verifier import Code
+from oracles import graph_action, stabilizer_error_word
 
 L3 = loop_graph(3, 2)
 L6 = loop_graph(6, 2)
@@ -286,6 +287,52 @@ class TestCheckClique:
         assert set(js["conditions"]) == {"zero_member", "purity_phases_trivial",
                                          "differences_uncoverable"}
         assert js["purity_size"] == 1
+
+
+class TestLabels:
+    """``CodingClique.labels``: the vectors as int64 rows, layer after
+    layer, against the per-layer flattening of ``vectors``."""
+
+    @pytest.mark.parametrize("graphs, gens", [
+        ((L6, L6), EX1_GENS),
+        ((L3,), [(ModVec(2, (1, 1, 0)),)]),
+        ((loop_graph(4, 4), loop_graph(3, 2)), [(ModVec(4, (1, 2, 3, 0)), ModVec(2, (1, 0, 1)))]),
+        ((loop_graph(5, 3), loop_graph(3, 2)), [(ModVec(3, (2, 0, 1, 0, 0)), ModVec(2, (0, 1, 1)))]),
+    ])
+    def test_labels_are_the_flattened_vectors(self, graphs, gens):
+        c = CodingClique(graphs=graphs, d=1, vectors=closure(gens))
+        flat = [[a for part in v for a in part.entries] for v in c.vectors]
+        assert c.labels.dtype == np.int64
+        assert c.labels.tolist() == flat
+        assert not c.labels.flags.writeable
+
+    def test_equality_and_hash_ignore_labels(self):
+        a = CodingClique(graphs=(L6, L6), d=3, vectors=closure(EX1_GENS))
+        b = CodingClique(graphs=(L6, L6), d=3, vectors=closure(EX1_GENS))
+        assert a.labels is not b.labels
+        assert a == b and hash(a) == hash(b)
+        assert "labels" not in repr(a)
+
+    def test_duplicate_vectors_rejected(self):
+        v = (ModVec(2, (1, 0, 1)), ModVec(2, (0, 1, 1)))
+        zero = (ModVec.zeros(2, 3), ModVec.zeros(2, 3))
+        with pytest.raises(ValueError, match="clique vectors must be distinct"):
+            CodingClique(graphs=(L3, L3), d=2, vectors=(zero, v, v))
+
+    @pytest.mark.parametrize("vector, message", [
+        ((ModVec.zeros(2, 3),), "layer count"),
+        ((ModVec.zeros(2, 3), ModVec.zeros(3, 3)), "does not match its layer"),
+        ((ModVec.zeros(2, 3), ModVec.zeros(2, 4)), "does not match its layer"),
+    ])
+    def test_mismatched_vectors_rejected(self, vector, message):
+        with pytest.raises(ValueError, match=message):
+            CodingClique(graphs=(L3, L3), d=2, vectors=(vector,))
+
+    def test_label_space_beyond_int64_refused(self):
+        # 2^64 labels: the keys would overflow, which is bad input
+        with pytest.raises(IntegerRangeError, match="exceeds int64 keys"):
+            CodingClique(graphs=(loop_graph(64, 2),), d=1,
+                         vectors=((ModVec.zeros(2, 64),),))
 
 
 class TestSearch:

@@ -3,20 +3,26 @@
 The pasted five-particle code must reproduce the published four-row
 stabilizer exactly, text and eigenspace both.
 """
+import random
+
 import numpy as np
 import pytest
 
+from mixedqec import compose
 from mixedqec.algebra import PHASE_MINUS_ONE, PHASE_ONE, ModVec
+from mixedqec.certificates import build_code, load_certificate
+from mixedqec.cli import _default_fixture_dir
 from mixedqec.clique import CodingClique, closure
 from mixedqec.compose import (
     PasteResult,
+    _nullspace_mod_prime,
     clique_stabilizer_rows,
     paste_distance2,
     pasted_code,
     product_code,
 )
 from mixedqec.errors import ConstructionInputError, ErrorWord, MixedSystem
-from mixedqec.graphs import loop_graph
+from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.projection import ProjectorSpec, project_code
 from mixedqec.verifier import (
     Code,
@@ -29,7 +35,9 @@ from mixedqec.verifier import (
     stabilizer_eigenbasis,
     verify_stabilizer,
 )
+from oracles import stabilizer_error_word
 
+FIXTURES = _default_fixture_dir()
 L3 = loop_graph(3, 2)
 L5 = loop_graph(5, 2)
 L6 = loop_graph(6, 2)
@@ -117,6 +125,100 @@ class TestStabilizerRows:
         cl = CodingClique(graphs=(g,), d=1, vectors=((ModVec.zeros(4, 3),),))
         with pytest.raises(ValueError, match="prime"):
             clique_stabilizer_rows(cl)
+
+
+def oracle_rows(cl: CodingClique):
+    """The stabilizer rows of a subgroup clique, layer by layer: the
+    kernel of the per-layer flattening of the vectors, each kernel
+    vector cut into per-layer labels and turned into a word by
+    ``oracles.stabilizer_error_word``; the text as "IXZY"[x + 2z] per
+    layer and particle, None where a digit exceeds 1."""
+    m = cl.graphs[0].m
+    flat = [[a for part in v for a in part.entries] for v in cl.vectors]
+    kernel, _ = _nullspace_mod_prime(flat, m, sum(g.n for g in cl.graphs))
+    sys = cl.system()
+    out = []
+    for s in kernel:
+        ss, pos = [], 0
+        for g in cl.graphs:
+            ss.append(ModVec(m, tuple(s[pos:pos + g.n])))
+            pos += g.n
+        w = stabilizer_error_word(sys, cl.graphs, ss)
+        digits = [(w.x[i][l], w.z[i][l]) for l, g in enumerate(cl.graphs) for i in range(g.n)]
+        text = None
+        if max(max(d) for d in digits) <= 1:
+            it = iter("IXZY"[a + 2 * b] for a, b in digits)
+            text = tuple("".join(next(it) for _ in range(g.n)) for g in cl.graphs)
+        out.append((w.x, w.z, w.phase, text))
+    return out
+
+
+def subgroup_fixtures():
+    """Every packaged clique fixture whose clique is a subgroup over one
+    prime modulus, built."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        if load_certificate(path).construction["type"] != "composite_clique":
+            continue
+        cl = build_code(load_certificate(path), FIXTURES).clique
+        m = cl.graphs[0].m
+        flat = [[a for part in v for a in part.entries] for v in cl.vectors]
+        if all(g.m == m for g in cl.graphs) and m in (2, 3, 5, 7) and \
+                m ** _nullspace_mod_prime(flat, m, len(flat[0]))[1] == cl.K:
+            out.append(pytest.param(cl, id=path.stem))
+    return out
+
+
+def random_subgroup_clique(rng: random.Random, layers):
+    """A random subgroup clique over random weighted graphs, one per
+    (modulus, width) layer."""
+    graphs = []
+    for m, n in layers:
+        adj = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                adj[a][b] = adj[b][a] = rng.randrange(m)
+        graphs.append(WeightedGraph(n, m, tuple(map(tuple, adj))))
+    gens = [tuple(ModVec(m, tuple(rng.randrange(m) for _ in range(n))) for m, n in layers)
+            for _ in range(rng.randint(1, 3))]
+    return CodingClique(graphs=tuple(graphs), d=1, vectors=closure(gens))
+
+
+class TestRowsMatchPerLayerOracle:
+    """``clique_stabilizer_rows`` builds every row from the label arrays
+    in one pass; the per-layer oracle builds them vector by vector."""
+
+    def assert_rows_match(self, cl, monkeypatch):
+        expected = oracle_rows(cl)
+        if all(text is not None for *_, text in expected):
+            rows = clique_stabilizer_rows(cl)
+            assert [r.text for r in rows] == [text for *_, text in expected]
+        else:
+            with pytest.raises(ConstructionInputError, match="only covers digits 0/1"):
+                clique_stabilizer_rows(cl)
+            # the words themselves are defined; only their text is not
+            monkeypatch.setattr(compose, "_row_text", lambda sys, w: None)
+            rows = clique_stabilizer_rows(cl)
+            monkeypatch.undo()
+        assert [(r.word.x, r.word.z, r.word.phase) for r in rows] == \
+            [(x, z, phase) for x, z, phase, _ in expected]
+
+    @pytest.mark.parametrize("cl", subgroup_fixtures())
+    def test_fixture_cliques(self, cl, monkeypatch):
+        self.assert_rows_match(cl, monkeypatch)
+
+    @pytest.mark.parametrize("layers", [
+        [(2, 3)], [(2, 5)], [(2, 6)], [(3, 3)], [(3, 4)],
+        [(2, 5), (2, 3)], [(2, 6), (2, 4)], [(2, 4), (2, 4)],
+    ], ids=str)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_subgroup_cliques(self, layers, seed, monkeypatch):
+        rng = random.Random(f"{layers}{seed}")
+        self.assert_rows_match(random_subgroup_clique(rng, layers), monkeypatch)
+
+    def test_fixtures_cover_qubit_and_ragged_layers(self):
+        names = [p.id for p in subgroup_fixtures()]
+        assert {"3_4_2_q4", "6_4_3_mixed", "6_8_3_mixed"} <= set(names)
 
 
 class TestProduct:

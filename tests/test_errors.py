@@ -22,6 +22,7 @@ from mixedqec.errors import (
     word_radices,
 )
 from mixedqec.verifier import _Tableau
+from oracles import word_from_layers
 
 
 def two_layer(n, p, r, n1):
@@ -85,7 +86,7 @@ class TestWeight:
 
     def test_union_across_layers(self):
         s = two_layer(6, 2, 2, 5)
-        e = ErrorWord.from_layers(
+        e = word_from_layers(
             s,
             [ModVec(2, (1, 0, 0, 1, 0, 0)), ModVec.zeros(2, 5)],
             [ModVec.zeros(2, 6), ModVec(2, (0, 0, 1, 1, 0))],
@@ -94,7 +95,7 @@ class TestWeight:
 
     def test_union_within_full_layers(self):
         s = two_layer(6, 2, 2, 6)
-        e = ErrorWord.from_layers(
+        e = word_from_layers(
             s,
             [ModVec.zeros(2, 6), ModVec(2, (1, 0, 1, 0, 0, 1))],
             [ModVec(2, (0, 0, 1, 1, 0, 1)), ModVec.zeros(2, 6)],

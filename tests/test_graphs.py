@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixedqec.algebra import ModVec, dot_mod
-from mixedqec.graphs import WeightedGraph, graph_action, loop_graph, quadratic_form
+from mixedqec.graphs import WeightedGraph, loop_graph
+from oracles import graph_action, quadratic_form
 
 
 def unit(m, n, i):

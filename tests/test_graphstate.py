@@ -10,15 +10,10 @@ from mixedqec.algebra import PHASE_ONE, ModVec, dot_mod, omega, phase_as_complex
 from mixedqec.certificates import build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.clique import CodingClique
-from mixedqec.errors import ErrorWord, MixedSystem, apply_error
-from mixedqec.graphs import (
-    WeightedGraph,
-    graph_action,
-    loop_graph,
-    quadratic_form,
-    stabilizer_error_word,
-)
+from mixedqec.errors import MixedSystem, apply_error
+from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.verifier import Code
+from oracles import graph_action, quadratic_form, stabilizer_error_word, word_from_layers
 
 FIXTURES = _default_fixture_dir()
 W4 = WeightedGraph(3, 4, ((0, 2, 1), (2, 0, 3), (1, 3, 0)))
@@ -162,9 +157,9 @@ def test_reduce_matches_numeric_action(G):
         for t_ent in itertools.product(range(G.m), repeat=G.n):
             s, t = ModVec(G.m, s_ent), ModVec(G.m, t_ent)
             phi, c = reduce_word(s, t, G)
-            word = ErrorWord.from_layers(sys1, [s], [t])
+            word = word_from_layers(sys1, [s], [t])
             lhs = apply_error(word, sys1, sv)
-            rhs_word = ErrorWord.from_layers(sys1, [ModVec.zeros(G.m, G.n)], [c])
+            rhs_word = word_from_layers(sys1, [ModVec.zeros(G.m, G.n)], [c])
             rhs = phase_as_complex(phi) * apply_error(rhs_word, sys1, sv)
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 

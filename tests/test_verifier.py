@@ -22,7 +22,7 @@ from mixedqec.errors import (
     ErrorWord, MixedSystem, apply_error, count_errors, enumerate_errors,
     error_matrix, format_word, weight,
 )
-from mixedqec.graphs import WeightedGraph, graph_action, loop_graph
+from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
     CodingClique, check_clique, closure, covered_differences, search_clique,
 )
@@ -32,6 +32,7 @@ from mixedqec.verifier import (
     code_distance, kl_verify_numeric, kl_verify_symbolic, kl_verify_words,
     parse_stabilizer_row, stabilizer_eigenbasis, verify_stabilizer,
 )
+from oracles import graph_action
 
 L3 = loop_graph(3, 2)
 L4 = loop_graph(4, 2)
