@@ -197,11 +197,14 @@ def cmd_verify(args) -> int:
 
 def _load_graph(path: str) -> WeightedGraph:
     try:
-        return WeightedGraph.from_json(json.loads(Path(path).read_text()))
+        g = WeightedGraph.from_json(json.loads(Path(path).read_text()))
     except FileNotFoundError as exc:
         raise CertificateError(f"graph file not found: {path}") from exc
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad graph file {path}: {exc}") from exc
+    if g.n < 1:
+        raise CertificateError(f"bad graph file {path}: a layer needs at least one vertex")
+    return g
 
 
 def cmd_search(args) -> int:

@@ -174,6 +174,15 @@ class TestSearch:
         assert rc == 2 and out == ""
         assert f"--distance {distance} exceeds n + 1 = 4" in err
 
+    @pytest.mark.parametrize("layer", ["--graph-p", "--graph-r"])
+    def test_empty_graph_exit_2(self, layer, graph_file, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(WeightedGraph(0, 2, ()).to_json()))
+        files = {"--graph-p": graph_file, "--graph-r": graph_file, layer: str(empty)}
+        rc, out, err = run(capsys, "search", *(a for kv in files.items() for a in kv),
+                           "--distance", "1")
+        assert rc == 2 and out == "" and "a layer needs at least one vertex" in err
+
     def test_graph_r_wider_than_graph_p_exit_2(self, graph_file, tmp_path, capsys):
         # the second layer must cover a prefix of the first layer's particles
         wide = tmp_path / "L5m2.json"
