@@ -23,6 +23,7 @@ from .projection import ProjectorSpec, project_code, required_detectable_set
 from .verifier import (
     Code,
     StabilizerRow,
+    check_tol,
     code_distance,
     kl_verify_numeric,
     kl_verify_symbolic,
@@ -309,6 +310,7 @@ def verify_certificate(cert: Certificate, base_dir: str | Path = ".",
     decide whether to write it back.  Verdict is "pass" only if every
     check that ran succeeded and the claimed K matches the built code.
     """
+    check_tol(tol)
     try:
         code, projection, _ = _build(cert, Path(base_dir), cap, frozenset(), tol)
     except ValueError as exc:
@@ -328,6 +330,7 @@ def certify(name: str, d: int, construction: dict, base_dir: str | Path = ".",
     to the block.  Returns (certificate, report); the certificate is None
     when the construction fails.
     """
+    check_tol(tol)
     if construction.get("type") == "stabilizer":
         raise CertificateError("stabilizer rows are read against a claimed system; "
                                "verify the certificate instead")

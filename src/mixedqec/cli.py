@@ -27,6 +27,7 @@ from .clique import search_clique
 from .errors import DIM_CAP_ENV, DimensionCapError, IntegerRangeError, dim_cap
 from .graphs import WeightedGraph
 from .projection import ProjectorSpec
+from .verifier import check_tol
 
 
 def _positive_int(text: str) -> int:
@@ -49,6 +50,13 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _dims_list(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p) for p in text.split(","))
@@ -69,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "threaded and output does not depend on this value")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="numeric tolerance (default 1e-9)")
     common.add_argument("--dim-cap", type=_positive_int, default=None,
                         help=f"state-vector dimension cap (default from "

@@ -18,7 +18,7 @@ each listed word instead.  The form a ``Code`` is kept in picks how the
 scan forms its Gram blocks: by scatter-add from the monomial form (one
 column index and value per row, as ``stabilizer_eigenbasis`` returns and
 pastings, products and projections of such codes keep), and by batched
-products from a dense basis.  ``_KLReducer`` is the only place f, the
+products of slabs of a dense basis.  ``_KLReducer`` is the only place f, the
 deviation, their summaries and the witness are computed, and the
 scalar-row test of ``verify_stabilizer`` uses it too.
 
@@ -318,11 +318,21 @@ class _SupportScan:
       conj(A[u + x, r, i]) A[u, r, j] over the rows r where both are the
       nonzero entries, scattered into its (u, i, j) bin by one
       ``np.bincount``; O(dS D) work per shift and no D x K array;
-    * any other code, through its dense basis, by batched products.
-      Shifts come in adjoint pairs, G_{-x}[u + x] = G_x[u]^dag, so one
-      batched product serves both x and -x; a shift with x = -x != 0
-      forms only the u with u < u + x and fills in the rest the same way,
-      and x = 0 is one product of A with its own adjoint.
+    * any other code, through its dense basis, by batched products of
+      slabs.  The flat axes of S split into leading ones, flat index b,
+      and the longest run of trailing ones, of dimension product h, with
+      8 h K <= R = D / dS (h = 1 when the last axis alone is wider).
+      Slab A[b] is the R x hK matrix of the rows r and the pairs (t, k),
+      and one product P_y[b] = A[b + y]^dag A[b] holds the blocks
+      G_x[(b, t)] = P_y[b][(t + s, .), (t, .)] of all h shifts
+      x = (y, s), each stack taken out by one gather; at h = 1, P_y is
+      G_y itself.  Leading shifts come in adjoint pairs,
+      P_{-y}[b + y] = P_y[b]^dag, so one batched product serves both y
+      and -y; a shift with y = -y != 0 forms only the b with b < b + y
+      and fills in the rest the same way, and y = 0 is one product of A
+      with its own adjoint.  The bound on h keeps the blocks of one pair
+      of shifts, 2 dS h K^2 entries, within a quarter of the basis, and
+      makes each product large enough to run at full BLAS speed.
     """
 
     def __init__(self, code: Code, cap: int | None = None):
@@ -386,8 +396,20 @@ class _SupportScan:
             col = np.moveaxis(self.col, axes, front).reshape(dS, -1)
             val = np.moveaxis(self.val, axes, front).reshape(dS, -1)
             return self._scatter_grams(col, val, shifted)
-        A = np.moveaxis(self.Bt, axes, front).reshape(dS, -1, self.K)
-        return self._product_grams(A, shifted, np.ravel_multi_index(-U % moduli, dimsS))
+        negate = np.ravel_multi_index(-U % moduli, dimsS)
+        # the last axes of S, of dimension product h, join K in each
+        # slab's columns while 8 h K <= R, the length of a slab
+        K, R = self.K, math.prod(self.flat) // dS
+        cut = len(axes)
+        while cut and 8 * math.prod(dimsS[cut - 1:]) * K <= R:
+            cut -= 1
+        h = math.prod(dimsS[cut:])
+        rest = [a for a in range(len(self.flat)) if a not in axes]
+        A = self.Bt.transpose(axes[:cut] + rest + axes[cut:] + [len(self.flat)])
+        A = A.reshape(dS // h, R, h * K)
+        if h == 1:
+            return self._product_grams(A, shifted, negate)
+        return self._slab_grams(A, h, shifted, negate)
 
     def _scatter_grams(self, col, val, shifted):
         """G_x from the monomial rows col and val, one bincount per shift."""
@@ -409,7 +431,8 @@ class _SupportScan:
 
     @staticmethod
     def _product_grams(A, shifted, negate):
-        """G_x by batched products, one per pair {x, -x}."""
+        """The products A[u + x]^dag A[u] over the first axis of A, batched,
+        one batch per pair {x, -x}."""
         dS, _, K = A.shape
         Ah = np.ascontiguousarray(A.conj().transpose(0, 2, 1))
         for x in range(dS):
@@ -433,16 +456,40 @@ class _SupportScan:
             G_minus[plus_x] = G.conj().transpose(0, 2, 1)
             yield minus, G_minus
 
+    def _slab_grams(self, A, h, shifted, negate):
+        """G_x from the slab products P_y[b] = A[b + y]^dag A[b] over the
+        leading flat index b: x = (y, s) with s on the last axes, of
+        dimension product h, and G_x[(b, t)] = P_y[b][(t + s, .), (t, .)]."""
+        K = self.K
+        dB = len(A)
+        b, t = np.arange(dB)[:, None], np.arange(h)
+        # shifts and indices whose trailing digits are 0 move only b
+        lead = lambda y: shifted(y * h)[::h] // h
+        for y, P in self._product_grams(A, lead, negate[::h] // h):
+            P = P.reshape(dB, h, K, h, K)
+            for s in range(h):
+                yield y * h + s, P[b, shifted(s)[:h], :, t, :].reshape(dB * h, K, K)
+
     def word(self, supp: tuple[int, ...], j: int) -> ErrorWord:
         """The j-th error of weight |S| on S, in enumerate_errors order."""
         return word_from_row(self.sys, supp,
                              support_rows(self.radices, supp, j, j + 1)[0].tolist())
 
 
+def check_tol(tol: float) -> float:
+    """``tol`` itself if it is a finite number > 0, else ValueError: no
+    deviation exceeds a NaN or infinite tolerance, so every check would
+    pass."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tol!r}")
+    return tol
+
+
 def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
                       cap: int | None = None) -> KLReport:
     """Direct KL check: for every error of weight below d, the K x K
     matrix of inner products must be f times the identity within tol."""
+    check_tol(tol)
     d = code.d if d is None else d
     scan = _SupportScan(code, cap)
     reducer = _KLReducer(code.system, tol)
@@ -456,6 +503,7 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
 def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9,
                     cap: int | None = None) -> KLReport:
     """KL check for an explicit word list instead of a weight ball."""
+    check_tol(tol)
     B = code.basis(cap=cap)
     reducer = _KLReducer(code.system, tol)
     for e in words:
@@ -468,6 +516,7 @@ def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
                   cap: int | None = None) -> int:
     """Smallest error weight at which KL fails; w_cap + 1 if none found
     up to w_cap."""
+    check_tol(tol)
     w_cap = code.n if w_cap is None else w_cap
     scan = _SupportScan(code, cap)
     for supp in supports(code.n, w_cap):
@@ -686,6 +735,7 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
     The phase of each published row is only defined up to its cyclic
     order; the verified multiplier per row is reported.
     """
+    check_tol(tol)
     sys = code.system
     words = [r.word for r in rows]
     tab = _Tableau(sys, words)

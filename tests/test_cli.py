@@ -120,6 +120,18 @@ class TestVerify:
                          "--dim-cap", "64")
         assert rc == 2 and "MIXEDQEC_DIM_CAP" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_not_finite_positive_exit_2(self, tol, capsys):
+        # a NaN or infinite tolerance would pass every numeric check
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tol", tol, str(FIXTURES / "3_4_2_q4.json")])
+        assert exc.value.code == 2
+        assert "finite number > 0" in capsys.readouterr().err
+
+    def test_tolerance_small_positive_accepted(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--tol", "1e-6", str(FIXTURES / "3_4_2_q4.json"))
+        assert rc == 0 and json.loads(out)["verdict"] == "pass"
+
 
 class TestSearch:
     def test_finds_group_clique(self, graph_file, tmp_path, capsys):

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from mixedqec.algebra import (
     ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, dot_mod, omega, phase_mul,
 )
-from mixedqec.certificates import base_stabilizer_rows, build_code, load_certificate
+from mixedqec.certificates import (
+    base_stabilizer_rows, build_code, certify, load_certificate, verify_certificate,
+)
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
     ErrorWord, MixedSystem, apply_error, count_errors, enumerate_errors,
@@ -249,6 +251,42 @@ class TestDistance:
     def test_cap_marker(self):
         code = Code.from_clique(clique_342())
         assert code_distance(code, w_cap=1) == 2  # no weight-1 failure
+
+
+class TestTolerance:
+    # no deviation exceeds a NaN or infinite tolerance, so a check taking
+    # one would pass any code; 0 or below would fail exact codes
+    ENTRY_POINTS = {
+        "kl_verify_numeric": lambda c, code, rows, tol: kl_verify_numeric(code, 3, tol=tol),
+        "code_distance": lambda c, code, rows, tol: code_distance(code, tol=tol),
+        "kl_verify_words": lambda c, code, rows, tol: kl_verify_words(code, [], tol=tol),
+        "verify_stabilizer": lambda c, code, rows, tol: verify_stabilizer(rows, code, tol=tol),
+        "paste_distance2": lambda c, code, rows, tol: paste_distance2(rows, code, 1, 2,
+                                                                       tol=tol),
+        "verify_certificate": lambda c, code, rows, tol: verify_certificate(c, FIXTURE_DIR,
+                                                                             tol=tol),
+        "certify": lambda c, code, rows, tol: certify(
+            "p", 2, {"type": "product", "refs": ["3_4_2_q4.json", "3_4_2_q4.json"]},
+            FIXTURE_DIR, tol=tol),
+    }
+
+    @staticmethod
+    def fixture():
+        cert = load_certificate(FIXTURE_DIR / "3_4_2_q4.json")
+        code = build_code(cert, FIXTURE_DIR)
+        return cert, code, base_stabilizer_rows(cert, code)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_not_finite_or_not_positive_rejected(self, entry, tol):
+        with pytest.raises(ValueError, match="finite number > 0"):
+            self.ENTRY_POINTS[entry](*self.fixture(), tol)
+
+    def test_default_tolerance_finds_the_failure(self):
+        # the distance-2 code fails at weight 2, the check a NaN would pass
+        _, code, _ = self.fixture()
+        assert not kl_verify_numeric(code, 3).ok
+        assert code_distance(code) == 2
 
 
 class TestStabilizer:
@@ -563,8 +601,9 @@ def assert_scan_matches_oracle(code, w_max):
             dims = [flat[a] for a in axes]
             A = np.moveaxis(B.reshape(flat + (K,)), axes, range(len(axes)))
             A = A.reshape(dims + [-1, K])
-            grams = dict(scan.grams(supp))
-            assert sorted(grams) == list(range(len(grams)))
+            pairs = list(scan.grams(supp))
+            assert sorted(x for x, _ in pairs) == list(range(math.prod(dims)))
+            grams = dict(pairs)
             for x, G in grams.items():
                 shift = np.unravel_index(x, dims)
                 for u in itertools.product(*map(range, dims)):
@@ -608,6 +647,33 @@ class TestNumericOracle:
         rng = np.random.default_rng(300 + sys_index)
         assert_scan_matches_oracle(Code.from_basis(sys, random_basis(rng, sys, 3, False), 2),
                                    sys.n)
+
+    @pytest.mark.parametrize("case", ["leading_z4", "h_equals_dS", "wide"])
+    def test_slab_grams_match_dense_oracle(self, case, monkeypatch):
+        # a dense basis takes slabs: the last axes of S, of dimension
+        # product h, join K while 8 h K <= R; the shape (dB, R, h K) of
+        # each slab stack the products get tells which split was taken
+        sys, K, w_max, want = {
+            # S = particle 0, dims (4, 2), R = 32: h = 2 behind a Z_4 axis,
+            # whose shifts y = 1, 3 pair up and y = 2 takes the half product
+            "leading_z4": (MixedSystem(((4, 2), (4,), (2, 4))), 2, 1, (4, 32, 2)),
+            # S = particle 0, dims (2, 2), R = 64: one slab, h = dS = 4
+            "h_equals_dS": (MixedSystem(((2, 2), (4,), (4,), (4,))), 2, 1, (1, 64, 4)),
+            # S = particles 0 and 1, dS = 32 and K dS > R = 8: h = 1
+            "wide": (MixedSystem(((4, 2), (4,), (2, 4))), 2, 2, (32, 8, 1)),
+        }[case]
+        seen = []
+        products = _SupportScan._product_grams
+
+        def spy(A, shifted, negate):
+            seen.append((A.shape[0], A.shape[1], A.shape[2] // K))
+            return products(A, shifted, negate)
+
+        monkeypatch.setattr(_SupportScan, "_product_grams", staticmethod(spy))
+        rng = np.random.default_rng(sum(map(ord, case)))
+        assert_scan_matches_oracle(Code.from_basis(sys, random_basis(rng, sys, K, False), 2),
+                                   w_max)
+        assert want in seen
 
     @pytest.mark.parametrize("case", ["6_16_3_stab", "3_4_2_q4_paste1",
                                       "orbits_to_zero", "qutrit_x2"])
