@@ -18,8 +18,8 @@ each listed word instead.  The form a ``Code`` is kept in picks how the
 scan forms its Gram blocks: by scatter-add from the monomial form (one
 column index and value per row, as ``stabilizer_eigenbasis`` returns and
 pastings, products and projections of such codes keep), and by batched
-products of slabs of a dense basis.  ``_KLReducer`` is the only place f, the
-deviation, their summaries and the witness are computed, and the
+products of slabs of a dense basis.  ``_KLReducer`` is the only place f,
+the deviation, their summaries and the witness are computed, and the
 scalar-row test of ``verify_stabilizer`` uses it too.
 
 Stabilizer rows are judged in one integer tableau, ``_Tableau``: the x
