@@ -33,11 +33,6 @@ PHASE_MINUS_ONE = Phase(1, 2)
 PHASE_I = Phase(1, 4)
 
 
-def omega(order: int, power: int = 1) -> Phase:
-    """e^{2*pi*i*power/order}."""
-    return Phase(power, order)
-
-
 def phase_mul(a: Phase, b: Phase) -> Phase:
     M = lcm(a.L, b.L)
     return Phase(a.k * (M // a.L) + b.k * (M // b.L), M)
@@ -89,8 +84,3 @@ class ModVec:
             raise ValueError(f"modulus mismatch: {self.m} vs {other.m}")
         if len(self.entries) != len(other.entries):
             raise ValueError(f"length mismatch: {len(self.entries)} vs {len(other.entries)}")
-
-
-def dot_mod(u: ModVec, v: ModVec) -> int:
-    u._check(v)
-    return sum(a * b for a, b in zip(u.entries, v.entries)) % u.m

@@ -185,10 +185,6 @@ class ErrorWord:
         zero = tuple(tuple(0 for _ in f) for f in sys.factors)
         return ErrorWord(zero, zero)
 
-    def label_is_identity(self) -> bool:
-        return all(a == 0 for xi in self.x for a in xi) and \
-               all(a == 0 for zi in self.z for a in zi)
-
     def label(self) -> tuple:
         """Hashable (x, z) pair ignoring the phase."""
         return (self.x, self.z)
@@ -311,12 +307,6 @@ def apply_error(e: ErrorWord, sys: MixedSystem, vec: np.ndarray) -> np.ndarray:
     if e.phase != PHASE_ONE:
         out = out * complex(np.exp(2j * np.pi * e.phase.k / e.phase.L))
     return out.reshape(shape)
-
-
-def error_matrix(e: ErrorWord, sys: MixedSystem, cap: int | None = None) -> np.ndarray:
-    """Dense unitary of the word.  Columns each have one nonzero entry."""
-    _check_cap(sys.total_dim, cap)
-    return apply_error(e, sys, np.eye(sys.total_dim, dtype=complex))
 
 
 def format_word(sys: MixedSystem, e: ErrorWord) -> str:

@@ -102,20 +102,6 @@ def _word(digits: Sequence[tuple[int, int]]) -> ErrorWord:
     return ErrorWord(tuple((a,) for a, _ in digits), tuple((b,) for _, b in digits))
 
 
-def projected_error(e: ErrorWord, P: ProjectorSpec) -> list[tuple[complex, ErrorWord]]:
-    """Expansion of P^dag E P over the ancilla Pauli words.
-
-    Everything factorizes per particle, so each particle's terms are read
-    off its coefficient table and the terms are combined as products.
-    """
-    per_particle = []
-    for table, xi, zi, p in zip(_particle_tables(P), e.x, e.z, P.kept_dims):
-        c = table[xi[0] % p, zi[0] % p]
-        per_particle.append([(c[ab], ab) for ab in _digits(np.abs(c) > _COEFF_TOL)])
-    return [(complex(np.prod([c for c, _ in combo])), _word([ab for _, ab in combo]))
-            for combo in itertools.product(*per_particle)]
-
-
 def required_detectable_set(P: ProjectorSpec, d: int = 2) -> list[ErrorWord]:
     """Ancilla words the ancilla code must detect so that the projected
     code reaches distance d: the union of the Pauli supports of P^dag E P

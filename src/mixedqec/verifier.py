@@ -14,13 +14,13 @@ shared.
 The numeric side is one engine: ``_SupportScan`` yields the K x K
 matrices of every error on a support, one shift at a time, for
 ``kl_verify_numeric`` and ``code_distance``; ``kl_verify_words`` applies
-each listed word instead.  The form a ``Code`` is kept in picks how the
-scan forms its Gram blocks: by scatter-add from the monomial form (one
+each listed word instead.  The form a ``Code`` is kept in picks the
+path: sums over the pairs of nonzero entries of the monomial form (one
 column index and value per row, as ``stabilizer_eigenbasis`` returns and
-pastings, products and projections of such codes keep), and by batched
-products of slabs of a dense basis.  ``_KLReducer`` is the only place f,
-the deviation, their summaries and the witness are computed, and the
-scalar-row test of ``verify_stabilizer`` uses it too.
+pastings, products and projections of such codes keep), and Gram blocks
+from batched products of slabs of a dense basis.  ``_KLReducer`` is the
+only place f, the deviation, their summaries and the witness are
+computed, and the scalar-row test of ``verify_stabilizer`` uses it too.
 
 Stabilizer rows are judged in one integer tableau, ``_Tableau``: the x
 and z digits of every row per flat factor and one phase exponent per
@@ -276,6 +276,19 @@ class _KLReducer:
         diag = np.abs(np.diagonal(M, axis1=-2, axis2=-1) - f[..., None])
         return f, np.maximum(off.max(axis=(-2, -1)), diag.max(axis=-1))
 
+    @staticmethod
+    def fit_pairs(M: np.ndarray, pairs: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+        """f and the deviation of n K x K matrices given by their entries
+        M[p] (shape (len(pairs), n)) at the flat positions pairs[p] = i K + j,
+        every other entry 0; a zero diagonal entry deviates by |f|."""
+        on = pairs // K == pairs % K
+        f = M[on].sum(axis=0) / K
+        dev = np.maximum(np.abs(M[~on]).max(axis=0, initial=0.0),
+                         np.abs(M[on] - f).max(axis=0, initial=0.0))
+        if on.sum() < K:
+            dev = np.maximum(dev, np.abs(f))
+        return f, dev
+
     def add(self, f: np.ndarray, dev: np.ndarray, word_at) -> None:
         """Fold in one batch; ``word_at(j)`` is the error word of entry j."""
         self.checked += len(dev)
@@ -305,34 +318,34 @@ class _SupportScan:
     With the basis gathered as A[u, r, k] (u the digits on S, r the rest)
     an error X^x Z^z on S maps |u> to chi_z(u) |u + x>, so
     <i|E|j> = sum_u chi_z(u) G_x[u]_ij with G_x[u] = A[u + x]^dag A[u].
-    One product of G_x with the character table of S gives every phase z
-    at once; the errors of weight exactly |S| are picked out with the
-    flat x and z indices of the enumerator's rows, in ``enumerate_errors``
-    order.
-
-    G_x is formed one of two ways, chosen by the form the code is kept
-    in:
+    One product with the character table of S gives every phase z at
+    once; the errors of weight exactly |S| are picked out with the flat x
+    and z indices of the enumerator's rows, in ``enumerate_errors`` order.
+    The form the code is kept in picks one of two paths:
 
     * a code in monomial form (``Code.monomial``: each row's column index
-      and value, as for a stabilizer eigenbasis): G_x[u]_ij is the sum of
-      conj(A[u + x, r, i]) A[u, r, j] over the rows r where both are the
-      nonzero entries, scattered into its (u, i, j) bin by one
-      ``np.bincount``; O(dS D) work per shift and no D x K array;
-    * any other code, through its dense basis, by batched products of
-      slabs.  The flat axes of S split into leading ones, flat index b,
+      and value, as for a stabilizer eigenbasis): G_x[u]_ij is nonzero
+      only at the pairs (i, j) of the columns of rows u + x and u where
+      both hold an entry, at most D pairs and, for a stabilizer code, at
+      most K.  ``pair_sums`` sums conj(A[u + x, r, i]) A[u, r, j] into
+      T[pair, u] with one ``np.bincount``, and ``_KLReducer.fit_pairs``
+      fits T chi^T: O(dS D) work per shift for the keys, pairs dS per
+      error, and no D x K array or K x K block;
+    * any other code forms G_x through its dense basis, by batched products
+      of slabs.  The flat axes of S split into leading ones, flat index b,
       and the longest run of trailing ones, of dimension product h, with
-      8 h K <= R = D / dS (h = 1 when the last axis alone is wider).
-      Slab A[b] is the R x hK matrix of the rows r and the pairs (t, k),
-      and one product P_y[b] = A[b + y]^dag A[b] holds the blocks
-      G_x[(b, t)] = P_y[b][(t + s, .), (t, .)] of all h shifts
-      x = (y, s), each stack taken out by one gather; at h = 1, P_y is
-      G_y itself.  Leading shifts come in adjoint pairs,
-      P_{-y}[b + y] = P_y[b]^dag, so one batched product serves both y
-      and -y; a shift with y = -y != 0 forms only the b with b < b + y
-      and fills in the rest the same way, and y = 0 is one product of A
-      with its own adjoint.  The bound on h keeps the blocks of one pair
-      of shifts, 2 dS h K^2 entries, within a quarter of the basis, and
-      makes each product large enough to run at full BLAS speed.
+      8 h K <= R = D / dS (h = 1 when the last axis alone is wider).  Slab
+      A[b] is the R x hK matrix of the rows r and the pairs (t, k), and
+      one product P_y[b] = A[b + y]^dag A[b] holds the blocks
+      G_x[(b, t)] = P_y[b][(t + s, .), (t, .)] of all h shifts x = (y, s),
+      each stack taken out by one gather; at h = 1, P_y is G_y itself.
+      Leading shifts come in adjoint pairs, P_{-y}[b + y] = P_y[b]^dag, so
+      one batched product serves both y and -y; a shift with y = -y != 0
+      forms only the b with b < b + y and fills in the rest the same way,
+      and y = 0 is one product of A with its own adjoint.  The bound on h
+      keeps the blocks of one pair of shifts, 2 dS h K^2 entries, within a
+      quarter of the basis, and makes each product large enough to run at
+      full BLAS speed.
     """
 
     def __init__(self, code: Code, cap: int | None = None):
@@ -349,18 +362,25 @@ class _SupportScan:
             self.Bt = code.basis(cap=cap).reshape(self.flat + (self.K,))
 
     def _layout(self, supp: tuple[int, ...]):
-        """The flat tensor axes of S, their dimensions, and the digits
-        U[:, u] of every flat index u on S."""
+        """The flat tensor axes of S, their dimensions, the digits U[:, u]
+        of every flat index u on S, and ``shifted(x)``: the flat index of
+        u + x for every u."""
         axes = [a for i in supp
                 for a in range(self.first_axis[i], self.first_axis[i + 1])]
         dimsS = tuple(self.flat[a] for a in axes)
-        return axes, dimsS, np.indices(dimsS).reshape(len(axes), -1)
+        U = np.indices(dimsS).reshape(len(axes), -1)
+        moduli = np.array(dimsS)[:, None]
+
+        def shifted(x: int) -> np.ndarray:
+            return np.ravel_multi_index((U + U[:, x:x + 1]) % moduli, dimsS)
+
+        return axes, dimsS, U, shifted
 
     def fits(self, supp: tuple[int, ...]):
         """Yield (positions, f, deviation) for the errors of weight |S|
         on S, one shift at a time; positions index enumeration order."""
         K = self.K
-        _, dimsS, U = self._layout(supp)
+        _, dimsS, U, _ = self._layout(supp)
         dS = U.shape[1]
         # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod L
         L = math.lcm(*dimsS)
@@ -375,27 +395,58 @@ class _SupportScan:
         # every shift on S occurs (with z != 0 where x is 0)
         starts = np.unique(xs[order], return_index=True)[1]
         groups = np.split(order, starts[1:])
+        if self.Bt is None:
+            for x, pairs, T in self.pair_sums(supp):
+                pos = groups[x]
+                yield (pos, *_KLReducer.fit_pairs(T @ chi[zs[pos]].T, pairs, K))
+            return
         for x, G in self.grams(supp):
             pos = groups[x]
             M = chi[zs[pos]] @ G.reshape(dS, K * K)
             yield (pos, *_KLReducer.fit(M.reshape(-1, K, K)))
 
-    def grams(self, supp: tuple[int, ...]):
-        """Yield (x, G_x) for every flat shift x on S, G_x the (dS, K, K)
-        stack of A[u + x]^dag A[u] over the flat index u."""
-        axes, dimsS, U = self._layout(supp)
-        moduli = np.array(dimsS)[:, None]
-
-        def shifted(x: int) -> np.ndarray:
-            """The flat index of u + x for every u."""
-            return np.ravel_multi_index((U + U[:, x:x + 1]) % moduli, dimsS)
-
-        front = range(len(axes))
+    def pair_sums(self, supp: tuple[int, ...]):
+        """Yield (x, pairs, T) for every flat shift x on S of a code in
+        monomial form: the pairs i K + j, ascending, of the columns i of
+        rows u + x and j of rows u where both are nonzero, and
+        T[p, u] = sum_r conj(A[u + x, r, i]) A[u, r, j] for pair p."""
+        K = self.K
+        axes, _, U, shifted = self._layout(supp)
         dS = U.shape[1]
-        if self.Bt is None:
-            col = np.moveaxis(self.col, axes, front).reshape(dS, -1)
-            val = np.moveaxis(self.val, axes, front).reshape(dS, -1)
-            return self._scatter_grams(col, val, shifted)
+        col = np.moveaxis(self.col, axes, range(len(axes))).ravel()
+        val = np.moveaxis(self.val, axes, range(len(axes))).ravel()
+        R = len(col) // dS
+        # the nonzero rows as flat indices u R + r, in (u, r) order
+        nz = np.flatnonzero(col >= 0)
+        u, r = np.divmod(nz, R)
+        col_u, val_u = col[nz], val[nz]
+        for x in range(dS):
+            to = shifted(x)[u] * R + r
+            i = col[to]
+            hit = i >= 0
+            keys = i[hit] * K + col_u[hit]
+            w = val[to[hit]].conj() * val_u[hit]
+            # number the pairs that occur: by a K^2 table while it is no
+            # more than four times the hits, else by sorting the keys
+            if K * K <= 4 * len(keys):
+                seen = np.zeros(K * K, dtype=bool)
+                seen[keys] = True
+                pairs, at = np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+            else:
+                pairs, at = np.unique(keys, return_inverse=True)
+            bins, size = at * dS + u[hit], len(pairs) * dS
+            T = np.empty(size, dtype=complex)
+            T.real = np.bincount(bins, w.real, size)
+            T.imag = np.bincount(bins, w.imag, size)
+            yield x, pairs, T.reshape(-1, dS)
+
+    def grams(self, supp: tuple[int, ...]):
+        """Yield (x, G_x) for every flat shift x on S of a code with a
+        dense basis, G_x the (dS, K, K) stack of A[u + x]^dag A[u] over
+        the flat index u."""
+        axes, dimsS, U, shifted = self._layout(supp)
+        moduli = np.array(dimsS)[:, None]
+        dS = U.shape[1]
         negate = np.ravel_multi_index(-U % moduli, dimsS)
         # the last axes of S, of dimension product h, join K in each
         # slab's columns while 8 h K <= R, the length of a slab
@@ -410,24 +461,6 @@ class _SupportScan:
         if h == 1:
             return self._product_grams(A, shifted, negate)
         return self._slab_grams(A, h, shifted, negate)
-
-    def _scatter_grams(self, col, val, shifted):
-        """G_x from the monomial rows col and val, one bincount per shift."""
-        K = self.K
-        dS = len(col)
-        size = dS * K * K
-        present = col >= 0
-        # bin of entry (u, i, j) is (u K + i) K + j; u and j come with the row
-        base = np.arange(dS)[:, None] * (K * K) + col
-        for x in range(dS):
-            plus_x = shifted(x)
-            hit = present[plus_x] & present
-            keys = base[hit] + col[plus_x][hit] * K
-            w = val[plus_x][hit].conj() * val[hit]
-            G = np.empty(size, dtype=complex)
-            G.real = np.bincount(keys, w.real, size)
-            G.imag = np.bincount(keys, w.imag, size)
-            yield x, G.reshape(dS, K, K)
 
     @staticmethod
     def _product_grams(A, shifted, negate):

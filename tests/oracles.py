@@ -1,17 +1,59 @@
-"""Per-layer brute-force references for the label arithmetic.
+"""Brute-force references that only the tests use.
 
 The library computes s -> s.Gamma, the quadratic form and the stabilizer
-words of a clique on whole label arrays (``clique.LabelLayout``).  These
-functions do the same one layer and one vector at a time, in plain
-Python over ``ModVec``, so the tests can compare the two.
+words of a clique on whole label arrays (``clique.LabelLayout``).  The
+per-layer functions here do the same one layer and one vector at a time,
+in plain Python over ``ModVec``, so the tests can compare the two.  The
+rest are dense or scalar forms of what the library never needs whole:
+the unitary of an error word, the expansion of one projected error, and
+dot products and phases of single vectors.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
-from mixedqec.algebra import PHASE_ONE, ModVec, Phase, omega, phase_mul
-from mixedqec.errors import ErrorWord, MixedSystem
+import numpy as np
+
+from mixedqec.algebra import PHASE_ONE, ModVec, Phase, phase_mul
+from mixedqec.errors import ErrorWord, MixedSystem, _check_cap, apply_error
 from mixedqec.graphs import WeightedGraph
+from mixedqec.projection import _COEFF_TOL, ProjectorSpec, _digits, _particle_tables, _word
+
+
+def omega(order: int, power: int = 1) -> Phase:
+    """e^{2*pi*i*power/order}."""
+    return Phase(power, order)
+
+
+def dot_mod(u: ModVec, v: ModVec) -> int:
+    u._check(v)
+    return sum(a * b for a, b in zip(u.entries, v.entries)) % u.m
+
+
+def label_is_identity(e: ErrorWord) -> bool:
+    """Whether every x and z digit of the word is 0, whatever its phase."""
+    return not any(a for part in (e.x, e.z) for digits in part for a in digits)
+
+
+def error_matrix(e: ErrorWord, sys: MixedSystem, cap: int | None = None) -> np.ndarray:
+    """Dense unitary of the word.  Columns each have one nonzero entry."""
+    _check_cap(sys.total_dim, cap)
+    return apply_error(e, sys, np.eye(sys.total_dim, dtype=complex))
+
+
+def projected_error(e: ErrorWord, P: ProjectorSpec) -> list[tuple[complex, ErrorWord]]:
+    """Expansion of P^dag E P over the ancilla Pauli words.
+
+    Everything factorizes per particle, so each particle's terms are read
+    off its coefficient table and the terms are combined as products.
+    """
+    per_particle = []
+    for table, xi, zi, p in zip(_particle_tables(P), e.x, e.z, P.kept_dims):
+        c = table[xi[0] % p, zi[0] % p]
+        per_particle.append([(c[ab], ab) for ab in _digits(np.abs(c) > _COEFF_TOL)])
+    return [(complex(np.prod([c for c, _ in combo])), _word([ab for _, ab in combo]))
+            for combo in itertools.product(*per_particle)]
 
 
 def graph_action(s: ModVec, G: WeightedGraph) -> ModVec:

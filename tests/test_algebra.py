@@ -9,13 +9,11 @@ from mixedqec.algebra import (
     PHASE_ONE,
     ModVec,
     Phase,
-    dot_mod,
-    omega,
     phase_as_complex,
     phase_mul,
 )
 from mixedqec.errors import MixedSystem, weight
-from oracles import word_from_layers
+from oracles import dot_mod, omega, word_from_layers
 
 phases = st.builds(Phase, st.integers(-200, 200), st.integers(1, 96))
 

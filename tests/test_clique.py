@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from mixedqec.algebra import ModVec, PHASE_ONE, dot_mod, omega, phase_as_complex, phase_mul
+from mixedqec.algebra import ModVec, PHASE_ONE, phase_as_complex, phase_mul
 from mixedqec.bounds import singleton_bound
 from mixedqec.errors import IntegerRangeError, MixedSystem, apply_error, enumerate_errors, weight
 from mixedqec.graphs import WeightedGraph, loop_graph
@@ -24,7 +24,7 @@ from mixedqec.clique import (
     covered_differences, purity_set, search_clique,
 )
 from mixedqec.verifier import Code
-from oracles import graph_action, stabilizer_error_word
+from oracles import dot_mod, graph_action, label_is_identity, omega, stabilizer_error_word
 
 L3 = loop_graph(3, 2)
 L6 = loop_graph(6, 2)
@@ -82,7 +82,7 @@ def brute_covered(graphs, d):
     sys = layer_system(graphs)
     out = set()
     for e in enumerate_errors(sys, d - 1):
-        if e.label_is_identity():
+        if label_is_identity(e):
             continue
         deltas = tuple(layer_vec(sys, e.z, l) - graph_action(layer_vec(sys, e.x, l), g)
                        for l, g in enumerate(graphs))

@@ -14,7 +14,6 @@ from mixedqec.errors import (
     dim_cap,
     enumerate_errors,
     error_blocks,
-    error_matrix,
     format_word,
     parse_word,
     support_rows,
@@ -22,7 +21,7 @@ from mixedqec.errors import (
     word_radices,
 )
 from mixedqec.verifier import _Tableau
-from oracles import word_from_layers
+from oracles import error_matrix, label_is_identity, word_from_layers
 
 
 def two_layer(n, p, r, n1):
@@ -337,7 +336,7 @@ class TestNotation:
     def test_identity(self):
         s = two_layer(3, 2, 1, 0)
         assert format_word(s, ErrorWord.identity(s)) == "I"
-        assert parse_word(s, "I").label_is_identity()
+        assert label_is_identity(parse_word(s, "I"))
 
     def test_double_prime_layer(self):
         s = MixedSystem.layered([(2, 3), (2, 3), (2, 3)])

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mixedqec.algebra import ModVec, dot_mod
+from mixedqec.algebra import ModVec
 from mixedqec.graphs import WeightedGraph, loop_graph
-from oracles import graph_action, quadratic_form
+from oracles import dot_mod, graph_action, quadratic_form
 
 
 def unit(m, n, i):

@@ -6,14 +6,17 @@ import itertools
 import numpy as np
 import pytest
 
-from mixedqec.algebra import PHASE_ONE, ModVec, dot_mod, omega, phase_as_complex, phase_mul
+from mixedqec.algebra import PHASE_ONE, ModVec, phase_as_complex, phase_mul
 from mixedqec.certificates import build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.clique import CodingClique
 from mixedqec.errors import MixedSystem, apply_error
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.verifier import Code
-from oracles import graph_action, quadratic_form, stabilizer_error_word, word_from_layers
+from oracles import (
+    dot_mod, graph_action, label_is_identity, omega, quadratic_form, stabilizer_error_word,
+    word_from_layers,
+)
 
 FIXTURES = _default_fixture_dir()
 W4 = WeightedGraph(3, 4, ((0, 2, 1), (2, 0, 3), (1, 3, 0)))
@@ -116,7 +119,7 @@ def test_stabilizer_word_zero_label():
     G = loop_graph(3, 2, 1)
     w = stabilizer_error_word(MixedSystem.layered([(G.m, G.n)]), (G,),
                               (ModVec.zeros(2, 3),))
-    assert w.phase == PHASE_ONE and w.label_is_identity()
+    assert w.phase == PHASE_ONE and label_is_identity(w)
 
 
 def test_stabilizer_word_c6_neighbors():

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedqec.algebra import (
-    ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, dot_mod, omega, phase_mul,
+    ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, phase_mul,
 )
 from mixedqec.certificates import (
     base_stabilizer_rows, build_code, certify, load_certificate, verify_certificate,
 )
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
-    ErrorWord, MixedSystem, apply_error, count_errors, enumerate_errors,
-    error_matrix, format_word, weight,
+    ErrorWord, MixedSystem, apply_error, count_errors, enumerate_errors, format_word,
+    weight,
 )
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
@@ -34,7 +34,7 @@ from mixedqec.verifier import (
     code_distance, kl_verify_numeric, kl_verify_symbolic, kl_verify_words,
     parse_stabilizer_row, stabilizer_eigenbasis, verify_stabilizer,
 )
-from oracles import graph_action
+from oracles import dot_mod, error_matrix, graph_action, omega
 
 L3 = loop_graph(3, 2)
 L4 = loop_graph(4, 2)
@@ -583,16 +583,18 @@ def monomial_form(B):
     return col, B[np.arange(len(B)), col]
 
 
-def assert_scan_matches_oracle(code, w_max):
+def assert_scan_matches_oracle(code, w_max, tol=1e-12):
     """The Gram blocks G_x[u] = A[u + x]^dag A[u] of every support of at
     most w_max particles, from the basis gathered as A[u, r, k]; and f
-    and the deviation of every error there, against <i|E|j> with the
-    word applied to the basis directly.  The scan must form its Gram
-    blocks the way the code's form says: scatter-add from a monomial
-    form, products from a dense basis."""
+    and the deviation of every error there, within tol of <i|E|j> with
+    the word applied to the basis directly.  The scan must take the path
+    the code's form says: pair sums from a monomial form, whose pairs
+    are the only nonzero entries of the blocks, and Gram blocks from a
+    dense basis."""
     sys, B, K = code.system, code.basis(), code.K
     scan = _SupportScan(code)
-    assert (scan.Bt is None) == (code.monomial is not None)
+    dense = scan.Bt is not None
+    assert dense == (code.monomial is None)
     flat = sys.flat_dims()
     first = np.cumsum([0] + [len(f) for f in sys.factors])
     for k in range(1, w_max + 1):
@@ -601,10 +603,18 @@ def assert_scan_matches_oracle(code, w_max):
             dims = [flat[a] for a in axes]
             A = np.moveaxis(B.reshape(flat + (K,)), axes, range(len(axes)))
             A = A.reshape(dims + [-1, K])
-            pairs = list(scan.grams(supp))
-            assert sorted(x for x, _ in pairs) == list(range(math.prod(dims)))
-            grams = dict(pairs)
-            for x, G in grams.items():
+            dS = math.prod(dims)
+            yielded = list(scan.grams(supp) if dense else scan.pair_sums(supp))
+            assert sorted(x for x, *_ in yielded) == list(range(dS))
+            for x, *block in yielded:
+                if dense:
+                    G = block[0]
+                else:
+                    pairs, T = block
+                    assert np.all(np.diff(pairs) > 0) and T.shape == (len(pairs), dS)
+                    G = np.zeros((dS, K * K), dtype=complex)
+                    G[:, pairs] = T.T
+                    G = G.reshape(-1, K, K)
                 shift = np.unravel_index(x, dims)
                 for u in itertools.product(*map(range, dims)):
                     ux = tuple((a + b) % m for a, b, m in zip(u, shift, dims))
@@ -615,8 +625,8 @@ def assert_scan_matches_oracle(code, w_max):
             for j, fj, dj in zip(pos, f, dev):
                 M = B.conj().T @ apply_error(scan.word(supp, j), sys, B)
                 want = np.trace(M) / K
-                assert abs(fj - want) < 1e-12
-                assert abs(dj - np.abs(M - want * np.eye(K)).max()) < 1e-12
+                assert abs(fj - want) < tol
+                assert abs(dj - np.abs(M - want * np.eye(K)).max()) < tol
 
 
 class TestNumericOracle:
@@ -723,6 +733,120 @@ class TestNumericOracle:
             assert np.array_equal(got_f, f, equal_nan=True)
             assert np.array_equal(got_dev, dev, equal_nan=True)
             assert got_dev[0] == 0.0
+
+    def test_fit_pairs_equals_full_deviation_formula_bitwise(self):
+        # the pair fit against f = tr(M)/K and max |M - f I| of the full
+        # K x K matrices the pairs fill in, every other entry 0.  Entries
+        # are multiples of 1/8, so every sum is exact in any order
+        rng = np.random.default_rng(29)
+        for n, K, P in ((1, 1, 1), (3, 1, 0), (4, 2, 3), (5, 7, 20), (3, 7, 0), (4, 16, 40)):
+            pairs = np.sort(rng.choice(K * K, size=P, replace=False))
+            M = (rng.integers(-64, 64, size=(P, n))
+                 + 1j * rng.integers(-64, 64, size=(P, n))) / 8
+            on = pairs // K == pairs % K
+            if on.sum() == K:
+                M[on, 0] = 0.5j  # all of the diagonal and no more: a scalar
+                M[~on, 0] = 0
+            if n > 2 and P:
+                M[-1, 2] = np.nan
+            full = np.zeros((n, K * K), dtype=complex)
+            full[:, pairs] = M.T
+            full = full.reshape(n, K, K)
+            f = np.trace(full, axis1=-2, axis2=-1) / K
+            dev = np.abs(full - f[..., None, None] * np.eye(K)).max(axis=(-2, -1))
+            got_f, got_dev = _KLReducer.fit_pairs(M, pairs, K)
+            assert np.array_equal(got_f, f, equal_nan=True)
+            assert np.array_equal(got_dev, dev, equal_nan=True)
+            if on.sum() == K:
+                assert got_dev[0] == 0.0
+            elif P == 0:
+                assert not got_f.any() and not got_dev.any()
+
+    @pytest.mark.parametrize("case, K, sorted_keys", [("6_16_3_stab", 16, False),
+                                                      ("3_4_2_q4_paste3", 256, True)])
+    def test_pair_keys_take_both_numberings(self, case, K, sorted_keys, monkeypatch):
+        # the pairs of a shift are numbered by a K^2 table while K^2 is at
+        # most four times the hits, else by sorting the keys: every shift
+        # of 6_16_3_stab (D 4096, K 16) takes the table, every shift of the
+        # three-block paste of 3_4_2_q4 (D 4096, K 256) sorts.  Per error,
+        # both agree with the dense-basis scan of the same code
+        sys, rows, phases = (stab_fixture_rows() if case == "6_16_3_stab"
+                             else pasted_rows(3))
+        code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+        assert code.K == K
+        sorts, shifts = [], []
+        unique, fit_pairs = np.unique, _KLReducer.fit_pairs
+
+        def unique_spy(a, *args, **kwargs):
+            if kwargs.get("return_inverse"):
+                sorts.append(len(a))
+            return unique(a, *args, **kwargs)
+
+        def fit_spy(M, pairs, K):
+            shifts.append(len(pairs))
+            return fit_pairs(M, pairs, K)
+
+        monkeypatch.setattr(np, "unique", unique_spy)
+        monkeypatch.setattr(_KLReducer, "fit_pairs", staticmethod(fit_spy))
+        dense = _SupportScan(Code.from_basis(sys, code.basis(), 2))
+        for supp in ((0,), (sys.n - 1,)):
+            got, want = ((np.concatenate(a) for a in zip(*scan.fits(supp)))
+                         for scan in (_SupportScan(code), dense))
+            pos, f, dev = got
+            order = np.argsort(pos)
+            want_pos, want_f, want_dev = want
+            want_order = np.argsort(want_pos)
+            assert np.array_equal(pos[order], want_pos[want_order])
+            assert np.abs(f[order] - want_f[want_order]).max() < 1e-14
+            assert np.abs(dev[order] - want_dev[want_order]).max() < 1e-14
+        assert len(shifts) > 0 and all(shifts)
+        assert len(sorts) == (len(shifts) if sorted_keys else 0)
+
+    @pytest.mark.parametrize("case", ["orbits_to_zero", "qutrit_x2"])
+    def test_pair_scan_without_hits_or_diagonal_pairs(self, case, monkeypatch):
+        # rows of no column leave shifts with no hit at all (f = 0 and
+        # deviation 0, from no pairs) and shifts whose pairs miss part of
+        # the diagonal, where the missing entries deviate by |f|
+        sys, rows, phases = EIGENBASIS_CASES[case]()
+        code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+        seen = []
+        fit_pairs = _KLReducer.fit_pairs
+
+        def spy(M, pairs, K):
+            seen.append((len(pairs), int((pairs // K == pairs % K).sum())))
+            return fit_pairs(M, pairs, K)
+
+        monkeypatch.setattr(_KLReducer, "fit_pairs", staticmethod(spy))
+        assert_scan_matches_oracle(code, sys.n, tol=1e-14)
+        for d in (2, sys.n + 1):
+            words = list(enumerate_errors(sys, d - 1))
+            assert_same_report(kl_verify_numeric(code, d).to_json(),
+                               oracle_report(code, words, "numeric"))
+        assert (0, 0) in seen
+        assert any(pairs and diagonal < code.K for pairs, diagonal in seen)
+
+    @pytest.mark.parametrize("factors", [((2,),) * 4, ((3,),) * 3, ((4,), (4,), (2,)),
+                                         ((2, 2), (3,), (4,))])
+    def test_random_commuting_rows_pair_scan_matches_dense_oracle(self, factors):
+        # eigenbases of random commuting rows over Z_2, Z_3, Z_4 and a
+        # two-factor particle: f and the deviation of every error within
+        # 1e-14, and the same report and witness at every distance
+        sys = MixedSystem(factors)
+        rng = np.random.default_rng(900 + sys.total_dim)
+        built = 0
+        for count in (1, 1, 2, 2, 3, 3):
+            try:
+                form = stabilizer_eigenbasis(sys, commuting_rows(rng, sys, count))
+            except ValueError:  # phases with an empty joint eigenspace
+                continue
+            code = Code.from_monomial(sys, form, 2)
+            assert_scan_matches_oracle(code, sys.n, tol=1e-14)
+            for d in (2, sys.n + 1):
+                words = list(enumerate_errors(sys, d - 1))
+                assert_same_report(kl_verify_numeric(code, d).to_json(),
+                                   oracle_report(code, words, "numeric"))
+            built += 1
+        assert built >= 3
 
     def test_failing_cases_carry_witnesses(self):
         sys = ORACLE_SYSTEMS[0]
