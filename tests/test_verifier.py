@@ -698,10 +698,12 @@ class TestNumericOracle:
     @pytest.mark.parametrize("sys_index", [2, 3])
     @pytest.mark.parametrize("zero_rows", [False, True])
     def test_random_monomial_errors_match_dense_oracle(self, sys_index, zero_rows):
-        # Z_3 and Z_4 factors: shifts with x != -x, and x = 2 on Z_4
+        # Z_3 and Z_4 factors: shifts with x != -x, and x = 2 on Z_4; at
+        # K = 12, K^2 exceeds four times the hits of most shifts, so their
+        # pairs, diagonal and not, are numbered by sorting the keys
         sys = ORACLE_SYSTEMS[sys_index]
         rng = np.random.default_rng(700 + 10 * sys_index + zero_rows)
-        for K in (1, 2, 5):
+        for K in (1, 2, 5, 12):
             B = random_monomial_basis(rng, sys, K, zero_rows)
             assert_scan_matches_oracle(Code(sys, K, 2, monomial=monomial_form(B)), sys.n)
 
@@ -761,6 +763,11 @@ class TestNumericOracle:
                 assert got_dev[0] == 0.0
             elif P == 0:
                 assert not got_f.any() and not got_dev.any()
+        # three of four diagonal entries and nothing else: only the
+        # missing one, 0, deviates as far as |f|
+        got_f, got_dev = _KLReducer.fit_pairs(np.ones((3, 1), dtype=complex),
+                                              np.array([0, 5, 10]), 4)
+        assert got_f[0] == 0.75 and got_dev[0] == 0.75
 
     @pytest.mark.parametrize("case, K, sorted_keys", [("6_16_3_stab", 16, False),
                                                       ("3_4_2_q4_paste3", 256, True)])
@@ -920,7 +927,7 @@ def random_tableau_codes():
 
 @pytest.mark.parametrize("case", ["6_16_3_stab", "5_16_2_paste", "random"])
 def test_scatter_and_product_engines_agree(case):
-    # the same code in monomial form (scatter-add) and as a dense basis
+    # the same code in monomial form (pair sums) and as a dense basis
     # (batched products): one verdict, one error count, one witness
     if case == "random":
         codes = random_tableau_codes()
