@@ -317,7 +317,7 @@ def cmd_run_fixtures(args) -> int:
                                         cap=args.dim_cap)
         except DimensionCapError as exc:
             skipped += 1
-            print(f"SKIP {label}: dimension {exc.total} exceeds cap {exc.cap}")
+            print(f"SKIP {label}: dimension {exc.dimension} exceeds cap {exc.cap}")
             continue
         except (CertificateError, IntegerRangeError, ValueError) as exc:
             passed, how, why = False, "rejected", str(exc)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from math import prod
+from math import log10, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,9 +48,17 @@ class DimensionCapError(Exception):
     """Raised when a numeric routine would exceed the dimension cap."""
 
     def __init__(self, total: int, cap: int) -> None:
-        super().__init__(f"total dimension {total} exceeds cap {cap}")
         self.total = total
         self.cap = cap
+        super().__init__(f"total dimension {self.dimension} exceeds cap {cap}")
+
+    @property
+    def dimension(self) -> str:
+        """The total in decimal; past 100 digits, their count (``str`` stops at 4300)."""
+        if self.total < 10 ** 100:
+            return str(self.total)
+        digits = int(self.total.bit_length() * log10(2))
+        return f"of {digits + (10 ** digits <= self.total)} digits"
 
 
 class IntegerRangeError(Exception):

@@ -64,8 +64,11 @@ class ProjectorSpec:
 
     @staticmethod
     def from_json(system: MixedSystem, data: dict) -> "ProjectorSpec":
+        given = data.get("keep", {}) if isinstance(data, dict) else None
+        if not isinstance(given, dict):
+            raise ValueError("expected an object with a 'keep' object")
         keep = [tuple(range(f[0])) for f in system.factors]
-        for key, levels in data.get("keep", {}).items():
+        for key, levels in given.items():
             idx = int(key) - 1
             if not 0 <= idx < system.n:
                 raise ValueError(f"no particle {key}")

@@ -14,13 +14,14 @@ shared.
 The numeric side is one engine: ``_SupportScan`` yields the K x K
 matrices of every error on a support, one shift at a time, for
 ``kl_verify_numeric`` and ``code_distance``; ``kl_verify_words`` applies
-each listed word instead.  The form a ``Code`` is kept in picks the
-path: sums over the pairs of nonzero entries of the monomial form (one
-column index and value per row, as ``stabilizer_eigenbasis`` returns and
-pastings, products and projections of such codes keep), and Gram blocks
-from batched products of slabs of a dense basis.  ``_KLReducer`` is the
+each listed word instead.  Each matrix reaches ``_KLReducer.fit``, the
 only place f, the deviation, their summaries and the witness are
-computed, and the scalar-row test of ``verify_stabilizer`` uses it too.
+computed, as its entries at a list of flat pairs i K + j: all K^2 of
+them for a dense block (a listed word, a row of ``verify_stabilizer``,
+the Gram blocks of a dense basis), and only the pairs of its nonzero
+entries for a code in monomial form (one column index and value per
+row, as ``stabilizer_eigenbasis`` returns and pastings, products and
+projections of such codes keep).
 
 Stabilizer rows are judged in one integer tableau, ``_Tableau``: the x
 and z digits of every row per flat factor and one phase exponent per
@@ -252,10 +253,10 @@ def kl_verify_symbolic(code: Code, d: int | None = None) -> KLReport:
 
 
 class _KLReducer:
-    """``fit`` takes a stack of K x K matrices M = <i|E|j> to f = tr(M)/K
-    and the deviation max |M - f I|; ``add`` folds fitted errors, in
-    enumeration order, into the summary, whose witness is the first error
-    with a deviation above tol."""
+    """``fit`` takes K x K matrices M = <i|E|j>, given by their entries
+    at a list of pairs, to f = tr(M)/K and the deviation max |M - f I|;
+    ``add`` folds fitted errors, in enumeration order, into the summary,
+    whose witness is the first error with a deviation above tol."""
 
     def __init__(self, sys: MixedSystem, tol: float):
         self.sys = sys
@@ -267,27 +268,19 @@ class _KLReducer:
         self.witness: dict | None = None
 
     @staticmethod
-    def fit(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f and the deviation of a stack of shape (n, K, K)."""
-        K = M.shape[-1]
-        f = np.trace(M, axis1=-2, axis2=-1) / K
-        off = np.abs(M)
-        off.reshape(-1, K * K)[:, ::K + 1] = 0
-        diag = np.abs(np.diagonal(M, axis1=-2, axis2=-1) - f[..., None])
-        return f, np.maximum(off.max(axis=(-2, -1)), diag.max(axis=-1))
-
-    @staticmethod
-    def fit_pairs(M: np.ndarray, pairs: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    def fit(M: np.ndarray, pairs: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
         """f and the deviation of n K x K matrices given by their entries
-        M[p] (shape (len(pairs), n)) at the flat positions pairs[p] = i K + j,
-        every other entry 0; a zero diagonal entry deviates by |f|."""
+        M[:, p] (shape (n, len(pairs))) at the flat positions
+        pairs[p] = i K + j, every other entry 0; a missing diagonal entry
+        deviates by |f|."""
         on = pairs // K == pairs % K
-        f = M[on].sum(axis=0) / K
-        dev = np.maximum(np.abs(M[~on]).max(axis=0, initial=0.0),
-                         np.abs(M[on] - f).max(axis=0, initial=0.0))
-        if on.sum() < K:
-            dev = np.maximum(dev, np.abs(f))
-        return f, dev
+        diag = np.ascontiguousarray(M[:, on])  # one row per error: np.trace's order
+        f = diag.sum(axis=1) / K
+        off = np.abs(M)
+        off[:, on] = 0
+        dev = np.maximum(off.max(axis=1, initial=0.0),
+                         np.abs(diag - f[:, None]).max(axis=1, initial=0.0))
+        return f, (np.maximum(dev, np.abs(f)) if on.sum() < K else dev)
 
     def add(self, f: np.ndarray, dev: np.ndarray, word_at) -> None:
         """Fold in one batch; ``word_at(j)`` is the error word of entry j."""
@@ -318,25 +311,27 @@ class _SupportScan:
     With the basis gathered as A[u, r, k] (u the digits on S, r the rest)
     an error X^x Z^z on S maps |u> to chi_z(u) |u + x>, so
     <i|E|j> = sum_u chi_z(u) G_x[u]_ij with G_x[u] = A[u + x]^dag A[u].
-    One product with the character table of S gives every phase z at
-    once; the errors of weight exactly |S| are picked out with the flat x
-    and z indices of the enumerator's rows, in ``enumerate_errors`` order.
-    The form the code is kept in picks one of two paths:
+    Per shift x, ``blocks`` yields (x, pairs, T), T[u, p] the entry
+    pairs[p] = i K + j of G_x[u]; one product chi[z] @ T with the
+    character table of S gives every phase z at once, for
+    ``_KLReducer.fit``.  The errors of weight exactly |S| are picked out
+    with the flat x and z indices of the enumerator's rows, in
+    ``enumerate_errors`` order.  The code's form picks the source:
 
-    * a code in monomial form (``Code.monomial``: each row's column index
-      and value, as for a stabilizer eigenbasis): G_x[u]_ij is nonzero
-      only at the pairs (i, j) of the columns of rows u + x and u where
-      both hold an entry, at most D pairs and, for a stabilizer code, at
-      most K.  ``pair_sums`` sums conj(A[u + x, r, i]) A[u, r, j] into
-      T[pair, u] with one ``np.bincount``, and ``_KLReducer.fit_pairs``
-      fits T chi^T: O(dS D) work per shift for the keys, pairs dS per
-      error, and no D x K array or K x K block;
-    * any other code forms G_x through its dense basis, by batched products
-      of slabs.  The flat axes of S split into leading ones, flat index b,
-      and the longest run of trailing ones, of dimension product h, with
-      8 h K <= R = D / dS (h = 1 when the last axis alone is wider).  Slab
-      A[b] is the R x hK matrix of the rows r and the pairs (t, k), and
-      one product P_y[b] = A[b + y]^dag A[b] holds the blocks
+    * ``pair_sums`` for a monomial form (``Code.monomial``: each row's
+      column index and value, as for a stabilizer eigenbasis): G_x[u]_ij
+      is nonzero only at the pairs (i, j) of the columns of rows u + x and
+      u where both hold an entry, at most D pairs and, for a stabilizer
+      code, at most K.  One ``np.bincount`` sums them: O(dS D) work per
+      shift for the keys, pairs dS per error, and no D x K array or K x K
+      block;
+    * ``grams`` for any other code: all K^2 pairs, formed through its
+      dense basis by batched products of slabs.  The flat axes of S split
+      into leading ones, flat index b, and the longest run of trailing
+      ones, of dimension product h, with 8 h K <= R = D / dS (h = 1 when
+      the last axis alone is wider).  Slab A[b] is the R x hK matrix of
+      the rows r and the pairs (t, k), and one product
+      P_y[b] = A[b + y]^dag A[b] holds the blocks
       G_x[(b, t)] = P_y[b][(t + s, .), (t, .)] of all h shifts x = (y, s),
       each stack taken out by one gather; at h = 1, P_y is G_y itself.
       Leading shifts come in adjoint pairs, P_{-y}[b + y] = P_y[b]^dag, so
@@ -349,17 +344,17 @@ class _SupportScan:
     """
 
     def __init__(self, code: Code, cap: int | None = None):
-        sys = code.system
-        self.sys = sys
+        self.sys = sys = code.system
         self.K = code.K
         self.flat = sys.flat_dims()
         self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
         self.radices = word_radices(sys)
         if code.monomial is not None:
             self.col, self.val = (a.reshape(self.flat) for a in code.monomial)
-            self.Bt = None
+            self.blocks = self.pair_sums
         else:
             self.Bt = code.basis(cap=cap).reshape(self.flat + (self.K,))
+            self.blocks = self.grams
 
     def _layout(self, supp: tuple[int, ...]):
         """The flat tensor axes of S, their dimensions, the digits U[:, u]
@@ -379,9 +374,7 @@ class _SupportScan:
     def fits(self, supp: tuple[int, ...]):
         """Yield (positions, f, deviation) for the errors of weight |S|
         on S, one shift at a time; positions index enumeration order."""
-        K = self.K
         _, dimsS, U, _ = self._layout(supp)
-        dS = U.shape[1]
         # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod L
         L = math.lcm(*dimsS)
         chi = np.exp(2j * np.pi / L * ((U.T * (L // np.array(dimsS))) @ U % L))
@@ -395,21 +388,15 @@ class _SupportScan:
         # every shift on S occurs (with z != 0 where x is 0)
         starts = np.unique(xs[order], return_index=True)[1]
         groups = np.split(order, starts[1:])
-        if self.Bt is None:
-            for x, pairs, T in self.pair_sums(supp):
-                pos = groups[x]
-                yield (pos, *_KLReducer.fit_pairs(T @ chi[zs[pos]].T, pairs, K))
-            return
-        for x, G in self.grams(supp):
+        for x, pairs, T in self.blocks(supp):
             pos = groups[x]
-            M = chi[zs[pos]] @ G.reshape(dS, K * K)
-            yield (pos, *_KLReducer.fit(M.reshape(-1, K, K)))
+            yield (pos, *_KLReducer.fit(chi[zs[pos]] @ T, pairs, self.K))
 
     def pair_sums(self, supp: tuple[int, ...]):
         """Yield (x, pairs, T) for every flat shift x on S of a code in
         monomial form: the pairs i K + j, ascending, of the columns i of
         rows u + x and j of rows u where both are nonzero, and
-        T[p, u] = sum_r conj(A[u + x, r, i]) A[u, r, j] for pair p."""
+        T[u, p] = sum_r conj(A[u + x, r, i]) A[u, r, j] for pair p."""
         K = self.K
         axes, _, U, shifted = self._layout(supp)
         dS = U.shape[1]
@@ -438,16 +425,15 @@ class _SupportScan:
             T = np.empty(size, dtype=complex)
             T.real = np.bincount(bins, w.real, size)
             T.imag = np.bincount(bins, w.imag, size)
-            yield x, pairs, T.reshape(-1, dS)
+            yield x, pairs, T.reshape(-1, dS).T
 
     def grams(self, supp: tuple[int, ...]):
-        """Yield (x, G_x) for every flat shift x on S of a code with a
-        dense basis, G_x the (dS, K, K) stack of A[u + x]^dag A[u] over
-        the flat index u."""
+        """Yield (x, pairs, T) for every flat shift x on S of a code with a
+        dense basis: all K^2 pairs i K + j, and T[u, i K + j] the entries of
+        G_x[u] = A[u + x]^dag A[u] over the flat index u."""
         axes, dimsS, U, shifted = self._layout(supp)
-        moduli = np.array(dimsS)[:, None]
         dS = U.shape[1]
-        negate = np.ravel_multi_index(-U % moduli, dimsS)
+        negate = np.ravel_multi_index(-U % np.array(dimsS)[:, None], dimsS)
         # the last axes of S, of dimension product h, join K in each
         # slab's columns while 8 h K <= R, the length of a slab
         K, R = self.K, math.prod(self.flat) // dS
@@ -458,9 +444,10 @@ class _SupportScan:
         rest = [a for a in range(len(self.flat)) if a not in axes]
         A = self.Bt.transpose(axes[:cut] + rest + axes[cut:] + [len(self.flat)])
         A = A.reshape(dS // h, R, h * K)
-        if h == 1:
-            return self._product_grams(A, shifted, negate)
-        return self._slab_grams(A, h, shifted, negate)
+        stacks = (self._product_grams(A, shifted, negate) if h == 1
+                  else self._slab_grams(A, h, shifted, negate))
+        pairs = np.arange(K * K)
+        return ((x, pairs, G.reshape(dS, K * K)) for x, G in stacks)
 
     @staticmethod
     def _product_grams(A, shifted, negate):
@@ -493,8 +480,7 @@ class _SupportScan:
         """G_x from the slab products P_y[b] = A[b + y]^dag A[b] over the
         leading flat index b: x = (y, s) with s on the last axes, of
         dimension product h, and G_x[(b, t)] = P_y[b][(t + s, .), (t, .)]."""
-        K = self.K
-        dB = len(A)
+        K, dB = self.K, len(A)
         b, t = np.arange(dB)[:, None], np.arange(h)
         # shifts and indices whose trailing digits are 0 move only b
         lead = lambda y: shifted(y * h)[::h] // h
@@ -539,9 +525,10 @@ def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9,
     check_tol(tol)
     B = code.basis(cap=cap)
     reducer = _KLReducer(code.system, tol)
+    pairs = np.arange(code.K ** 2)
     for e in words:
         M = B.conj().T @ apply_error(e, code.system, B)
-        reducer.add(*_KLReducer.fit(M[None]), lambda j: e)
+        reducer.add(*_KLReducer.fit(M.reshape(1, -1), pairs, code.K), lambda j: e)
     return reducer.report("words")
 
 
@@ -779,13 +766,14 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
                                 float("nan"), None, {"noncommuting_pair": list(pair)})
 
     B = code.basis(cap=cap)
+    pairs = np.arange(code.K ** 2)
     witness: dict | None = None
     chosen: list[Phase] = []
     adjusted: list[ErrorWord] = []
     for idx, (w, o, e) in enumerate(zip(words, orders, tab.closing().tolist())):
-        f, dev = _KLReducer.fit((B.conj().T @ apply_error(w, sys, B))[None])
-        c = f[0]
-        if dev[0] > tol or abs(abs(c) - 1) > tol:
+        M = B.conj().T @ apply_error(w, sys, B)
+        (c,), (dev,) = _KLReducer.fit(M.reshape(1, -1), pairs, code.K)
+        if dev > tol or abs(abs(c) - 1) > tol:
             if witness is None:
                 witness = {"row_not_scalar_on_code": idx}
         # the multipliers lam making (lam w)^o exactly the identity

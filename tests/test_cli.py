@@ -281,6 +281,14 @@ class TestCompositions:
         rc, out, _ = run(capsys, "verify", str(tmp_path / "pasted.json"))
         assert rc == 0 and json.loads(out)["verdict"] == "pass"
 
+    def test_paste_dimension_too_long_to_print_exit_2(self, capsys):
+        # 3 particles of 4 levels and 10000 blocks: D = 4^10003, of 6023
+        # digits, more than str() converts
+        rc, out, err = run(capsys, "paste", str(FIXTURES / "3_4_2_q4.json"),
+                           "--blocks", "10000")
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: total dimension of 6023 digits exceeds cap ")
+
     def test_paste_block_too_large_exit_2(self, capsys):
         rc, _, err = run(capsys, "paste", str(FIXTURES / "3_4_2_q4.json"),
                          "--blocks", "1", "--block-dim", "8")
@@ -374,13 +382,21 @@ class TestCompositions:
 class TestMalformedCertificates:
     @pytest.mark.parametrize("case", ["refs_not_strings", "claimed_K_not_int",
                                       "dims_not_list", "verification_not_object",
-                                      "no_vectors"])
+                                      "no_vectors", "projector_not_object",
+                                      "keep_not_object"])
     def test_exit_2_without_traceback(self, case, tmp_path, capsys):
         target = tmp_path / "bad.json"
         if case == "refs_not_strings":
             # the content hash is recomputed, so only the refs are wrong
             Certificate("bad", MixedSystem(((4,),) * 3), 4, 2,
                         {"type": "product", "refs": [1, 2]}).save(target)
+        elif case in ("projector_not_object", "keep_not_object"):
+            obj = json.loads((FIXTURES / "5_9_2_proj.json").read_text())
+            del obj["content_hash"]  # so that only the projector is wrong
+            obj["construction"]["ancilla"] = str(FIXTURES / "5_9_2_q3.json")
+            obj["construction"]["projector"] = ("x" if case == "projector_not_object"
+                                                else {"keep": [1]})
+            target.write_text(json.dumps(obj))
         else:
             obj = json.loads((FIXTURES / "3_4_2_q4.json").read_text())
             if case == "claimed_K_not_int":
@@ -396,6 +412,8 @@ class TestMalformedCertificates:
             target.write_text(json.dumps(obj))
         rc, _, err = run(capsys, "verify", str(target))
         assert rc == 2 and "Traceback" not in err and err.startswith("error:")
+        if case.endswith("_object") and case != "verification_not_object":
+            assert "bad projector block" in err
 
     def test_phase_beyond_int64_exit_2(self, tmp_path, capsys):
         # a phase denominator of 2^70 leaves the tableau's int64 range:

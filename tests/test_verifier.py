@@ -587,14 +587,16 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12):
     """The Gram blocks G_x[u] = A[u + x]^dag A[u] of every support of at
     most w_max particles, from the basis gathered as A[u, r, k]; and f
     and the deviation of every error there, within tol of <i|E|j> with
-    the word applied to the basis directly.  The scan must take the path
-    the code's form says: pair sums from a monomial form, whose pairs
-    are the only nonzero entries of the blocks, and Gram blocks from a
-    dense basis."""
+    the word applied to the basis directly.  Either source yields
+    (x, pairs, T), T[u, p] the entry pairs[p] of G_x[u] and every other
+    entry 0.  The scan must take the source the code's form says: pair
+    sums from a monomial form, whose pairs are the only nonzero entries
+    of the blocks, and all K^2 pairs of the Gram blocks from a dense
+    basis."""
     sys, B, K = code.system, code.basis(), code.K
     scan = _SupportScan(code)
-    dense = scan.Bt is not None
-    assert dense == (code.monomial is None)
+    dense = code.monomial is None
+    assert scan.blocks == (scan.grams if dense else scan.pair_sums)
     flat = sys.flat_dims()
     first = np.cumsum([0] + [len(f) for f in sys.factors])
     for k in range(1, w_max + 1):
@@ -604,17 +606,14 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12):
             A = np.moveaxis(B.reshape(flat + (K,)), axes, range(len(axes)))
             A = A.reshape(dims + [-1, K])
             dS = math.prod(dims)
-            yielded = list(scan.grams(supp) if dense else scan.pair_sums(supp))
+            yielded = list(scan.blocks(supp))
             assert sorted(x for x, *_ in yielded) == list(range(dS))
-            for x, *block in yielded:
-                if dense:
-                    G = block[0]
-                else:
-                    pairs, T = block
-                    assert np.all(np.diff(pairs) > 0) and T.shape == (len(pairs), dS)
-                    G = np.zeros((dS, K * K), dtype=complex)
-                    G[:, pairs] = T.T
-                    G = G.reshape(-1, K, K)
+            for x, pairs, T in yielded:
+                assert np.all(np.diff(pairs) > 0) and T.shape == (dS, len(pairs))
+                assert len(pairs) == K * K or not dense
+                G = np.zeros((dS, K * K), dtype=complex)
+                G[:, pairs] = T
+                G = G.reshape(-1, K, K)
                 shift = np.unravel_index(x, dims)
                 for u in itertools.product(*map(range, dims)):
                     ux = tuple((a + b) % m for a, b, m in zip(u, shift, dims))
@@ -720,7 +719,10 @@ class TestNumericOracle:
         assert_scan_matches_oracle(Code.from_basis(sys, B, 2), sys.n)
 
     def test_fit_equals_full_deviation_formula_bitwise(self):
-        # f = tr(M)/K and max |M - f I| with M - f I formed in full
+        # f = tr(M)/K and max |M - f I| with M - f I formed in full, from
+        # the fit of all K^2 pairs: the diagonal must be summed in the
+        # order np.trace sums it, which a bare gather M[:, on] does not at
+        # K = 7 and 64
         rng = np.random.default_rng(23)
         for n, K in ((1, 1), (3, 2), (4, 7), (3, 64)):
             M = rng.normal(size=(n, K, K)) + 1j * rng.normal(size=(n, K, K))
@@ -731,32 +733,32 @@ class TestNumericOracle:
                 M[2, -1, 0] = np.nan
             f = np.trace(M, axis1=-2, axis2=-1) / K
             dev = np.abs(M - f[..., None, None] * np.eye(K)).max(axis=(-2, -1))
-            got_f, got_dev = _KLReducer.fit(M)
+            got_f, got_dev = _KLReducer.fit(M.reshape(n, -1), np.arange(K * K), K)
             assert np.array_equal(got_f, f, equal_nan=True)
             assert np.array_equal(got_dev, dev, equal_nan=True)
             assert got_dev[0] == 0.0
 
     def test_fit_pairs_equals_full_deviation_formula_bitwise(self):
-        # the pair fit against f = tr(M)/K and max |M - f I| of the full
+        # the fit of some pairs against f = tr(M)/K and max |M - f I| of the full
         # K x K matrices the pairs fill in, every other entry 0.  Entries
         # are multiples of 1/8, so every sum is exact in any order
         rng = np.random.default_rng(29)
         for n, K, P in ((1, 1, 1), (3, 1, 0), (4, 2, 3), (5, 7, 20), (3, 7, 0), (4, 16, 40)):
             pairs = np.sort(rng.choice(K * K, size=P, replace=False))
-            M = (rng.integers(-64, 64, size=(P, n))
-                 + 1j * rng.integers(-64, 64, size=(P, n))) / 8
+            M = (rng.integers(-64, 64, size=(n, P))
+                 + 1j * rng.integers(-64, 64, size=(n, P))) / 8
             on = pairs // K == pairs % K
             if on.sum() == K:
-                M[on, 0] = 0.5j  # all of the diagonal and no more: a scalar
-                M[~on, 0] = 0
+                M[0, on] = 0.5j  # all of the diagonal and no more: a scalar
+                M[0, ~on] = 0
             if n > 2 and P:
-                M[-1, 2] = np.nan
+                M[2, -1] = np.nan
             full = np.zeros((n, K * K), dtype=complex)
-            full[:, pairs] = M.T
+            full[:, pairs] = M
             full = full.reshape(n, K, K)
             f = np.trace(full, axis1=-2, axis2=-1) / K
             dev = np.abs(full - f[..., None, None] * np.eye(K)).max(axis=(-2, -1))
-            got_f, got_dev = _KLReducer.fit_pairs(M, pairs, K)
+            got_f, got_dev = _KLReducer.fit(M, pairs, K)
             assert np.array_equal(got_f, f, equal_nan=True)
             assert np.array_equal(got_dev, dev, equal_nan=True)
             if on.sum() == K:
@@ -765,8 +767,8 @@ class TestNumericOracle:
                 assert not got_f.any() and not got_dev.any()
         # three of four diagonal entries and nothing else: only the
         # missing one, 0, deviates as far as |f|
-        got_f, got_dev = _KLReducer.fit_pairs(np.ones((3, 1), dtype=complex),
-                                              np.array([0, 5, 10]), 4)
+        got_f, got_dev = _KLReducer.fit(np.ones((1, 3), dtype=complex),
+                                        np.array([0, 5, 10]), 4)
         assert got_f[0] == 0.75 and got_dev[0] == 0.75
 
     @pytest.mark.parametrize("case, K, sorted_keys", [("6_16_3_stab", 16, False),
@@ -776,13 +778,17 @@ class TestNumericOracle:
         # most four times the hits, else by sorting the keys: every shift
         # of 6_16_3_stab (D 4096, K 16) takes the table, every shift of the
         # three-block paste of 3_4_2_q4 (D 4096, K 256) sorts.  Per error,
-        # both agree with the dense-basis scan of the same code
+        # both agree with the dense-basis scan of the same code, run before
+        # the spies so that they count the pair scan's shifts only
         sys, rows, phases = (stab_fixture_rows() if case == "6_16_3_stab"
                              else pasted_rows(3))
         code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
         assert code.K == K
+        dense = _SupportScan(Code.from_basis(sys, code.basis(), 2))
+        supps = ((0,), (sys.n - 1,))
+        wants = [[np.concatenate(a) for a in zip(*dense.fits(supp))] for supp in supps]
         sorts, shifts = [], []
-        unique, fit_pairs = np.unique, _KLReducer.fit_pairs
+        unique, fit = np.unique, _KLReducer.fit
 
         def unique_spy(a, *args, **kwargs):
             if kwargs.get("return_inverse"):
@@ -791,15 +797,12 @@ class TestNumericOracle:
 
         def fit_spy(M, pairs, K):
             shifts.append(len(pairs))
-            return fit_pairs(M, pairs, K)
+            return fit(M, pairs, K)
 
         monkeypatch.setattr(np, "unique", unique_spy)
-        monkeypatch.setattr(_KLReducer, "fit_pairs", staticmethod(fit_spy))
-        dense = _SupportScan(Code.from_basis(sys, code.basis(), 2))
-        for supp in ((0,), (sys.n - 1,)):
-            got, want = ((np.concatenate(a) for a in zip(*scan.fits(supp)))
-                         for scan in (_SupportScan(code), dense))
-            pos, f, dev = got
+        monkeypatch.setattr(_KLReducer, "fit", staticmethod(fit_spy))
+        for supp, want in zip(supps, wants):
+            pos, f, dev = (np.concatenate(a) for a in zip(*_SupportScan(code).fits(supp)))
             order = np.argsort(pos)
             want_pos, want_f, want_dev = want
             want_order = np.argsort(want_pos)
@@ -817,13 +820,13 @@ class TestNumericOracle:
         sys, rows, phases = EIGENBASIS_CASES[case]()
         code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
         seen = []
-        fit_pairs = _KLReducer.fit_pairs
+        fit = _KLReducer.fit
 
         def spy(M, pairs, K):
             seen.append((len(pairs), int((pairs // K == pairs % K).sum())))
-            return fit_pairs(M, pairs, K)
+            return fit(M, pairs, K)
 
-        monkeypatch.setattr(_KLReducer, "fit_pairs", staticmethod(spy))
+        monkeypatch.setattr(_KLReducer, "fit", staticmethod(spy))
         assert_scan_matches_oracle(code, sys.n, tol=1e-14)
         for d in (2, sys.n + 1):
             words = list(enumerate_errors(sys, d - 1))
