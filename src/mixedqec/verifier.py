@@ -270,17 +270,15 @@ class _KLReducer:
     @staticmethod
     def fit(M: np.ndarray, pairs: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
         """f and the deviation of n K x K matrices given by their entries
-        M[:, p] (shape (n, len(pairs))) at the flat positions
-        pairs[p] = i K + j, every other entry 0; a missing diagonal entry
-        deviates by |f|."""
-        on = pairs // K == pairs % K
-        diag = np.ascontiguousarray(M[:, on])  # one row per error: np.trace's order
+        M[:, p] (shape (n, len(pairs))) at the flat positions pairs[p] = i K + j,
+        every other entry 0; a missing diagonal entry deviates by |f|."""
+        on = np.flatnonzero(pairs // K == pairs % K)
+        diag = M.take(on, axis=1)  # one row per error, summed in np.trace's order
         f = diag.sum(axis=1) / K
-        off = np.abs(M)
-        off[:, on] = 0
-        dev = np.maximum(off.max(axis=1, initial=0.0),
-                         np.abs(diag - f[:, None]).max(axis=1, initial=0.0))
-        return f, (np.maximum(dev, np.abs(f)) if on.sum() < K else dev)
+        dev = np.abs(M)
+        dev[:, on] = np.abs(diag - f[:, None])
+        dev = dev.max(axis=1, initial=0.0)
+        return f, (np.maximum(dev, np.abs(f)) if len(on) < K else dev)
 
     def add(self, f: np.ndarray, dev: np.ndarray, word_at) -> None:
         """Fold in one batch; ``word_at(j)`` is the error word of entry j."""
@@ -480,7 +478,8 @@ class _SupportScan:
         """G_x from the slab products P_y[b] = A[b + y]^dag A[b] over the
         leading flat index b: x = (y, s) with s on the last axes, of
         dimension product h, and G_x[(b, t)] = P_y[b][(t + s, .), (t, .)]."""
-        K, dB = self.K, len(A)
+        K = self.K
+        dB = len(A)
         b, t = np.arange(dB)[:, None], np.arange(h)
         # shifts and indices whose trailing digits are 0 move only b
         lead = lambda y: shifted(y * h)[::h] // h
