@@ -48,17 +48,14 @@ class DimensionCapError(Exception):
     """Raised when a numeric routine would exceed the dimension cap."""
 
     def __init__(self, total: int, cap: int) -> None:
+        # past 100 digits, the total is printed by its digit count: str()
+        # refuses an int of more than 4300 digits
+        digits = int(total.bit_length() * log10(2))
+        self.dimension = (str(total) if total < 10 ** 100
+                          else f"of {digits + (10 ** digits <= total)} digits")
+        super().__init__(f"total dimension {self.dimension} exceeds cap {cap}")
         self.total = total
         self.cap = cap
-        super().__init__(f"total dimension {self.dimension} exceeds cap {cap}")
-
-    @property
-    def dimension(self) -> str:
-        """The total in decimal; past 100 digits, their count (``str`` stops at 4300)."""
-        if self.total < 10 ** 100:
-            return str(self.total)
-        digits = int(self.total.bit_length() * log10(2))
-        return f"of {digits + (10 ** digits <= self.total)} digits"
 
 
 class IntegerRangeError(Exception):

@@ -342,7 +342,8 @@ class _SupportScan:
     """
 
     def __init__(self, code: Code, cap: int | None = None):
-        self.sys = sys = code.system
+        sys = code.system
+        self.sys = sys
         self.K = code.K
         self.flat = sys.flat_dims()
         self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
@@ -430,8 +431,9 @@ class _SupportScan:
         dense basis: all K^2 pairs i K + j, and T[u, i K + j] the entries of
         G_x[u] = A[u + x]^dag A[u] over the flat index u."""
         axes, dimsS, U, shifted = self._layout(supp)
+        moduli = np.array(dimsS)[:, None]
         dS = U.shape[1]
-        negate = np.ravel_multi_index(-U % np.array(dimsS)[:, None], dimsS)
+        negate = np.ravel_multi_index(-U % moduli, dimsS)
         # the last axes of S, of dimension product h, join K in each
         # slab's columns while 8 h K <= R, the length of a slab
         K, R = self.K, math.prod(self.flat) // dS

@@ -379,6 +379,10 @@ class TestCompositions:
         assert rc == 1 and out == "" and "codeword 0 vanishes" in err
 
 
+# projection certificates whose projector block, or its keep, is not an object
+PROJECTOR_CASES = ("projector_not_object", "keep_not_object")
+
+
 class TestMalformedCertificates:
     @pytest.mark.parametrize("case", ["refs_not_strings", "claimed_K_not_int",
                                       "dims_not_list", "verification_not_object",
@@ -390,7 +394,7 @@ class TestMalformedCertificates:
             # the content hash is recomputed, so only the refs are wrong
             Certificate("bad", MixedSystem(((4,),) * 3), 4, 2,
                         {"type": "product", "refs": [1, 2]}).save(target)
-        elif case in ("projector_not_object", "keep_not_object"):
+        elif case in PROJECTOR_CASES:
             obj = json.loads((FIXTURES / "5_9_2_proj.json").read_text())
             del obj["content_hash"]  # so that only the projector is wrong
             obj["construction"]["ancilla"] = str(FIXTURES / "5_9_2_q3.json")
@@ -412,7 +416,7 @@ class TestMalformedCertificates:
             target.write_text(json.dumps(obj))
         rc, _, err = run(capsys, "verify", str(target))
         assert rc == 2 and "Traceback" not in err and err.startswith("error:")
-        if case.endswith("_object") and case != "verification_not_object":
+        if case in PROJECTOR_CASES:
             assert "bad projector block" in err
 
     def test_phase_beyond_int64_exit_2(self, tmp_path, capsys):
