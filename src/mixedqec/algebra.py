@@ -2,7 +2,8 @@
 
 Phases are tracked as exact rational angles so that stabilizer phase
 checks and clique phase conditions never pass or fail by floating-point
-accident.  Floats only appear when bridging to a numeric oracle.
+accident.  Floats only appear when bridging to a numeric oracle, through
+``roots_of_unity``, whose quarter turns are exact.
 """
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import cmath
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -40,6 +43,18 @@ def phase_mul(a: Phase, b: Phase) -> Phase:
 
 def phase_as_complex(a: Phase) -> complex:
     return cmath.exp(2j * cmath.pi * a.k / a.L)
+
+
+def roots_of_unity(L: int) -> np.ndarray:
+    """exp(2 pi i k / L) for k = 0 .. L - 1, with the quarter turns
+    (4 k = 0 mod L) exactly 1, i, -1 and -i: no rounding noise in the
+    imaginary part of a real root, so a basis or character table built
+    from +-1 and +-i alone is exactly real or imaginary."""
+    k = np.arange(L)
+    w = np.exp(2j * np.pi * k / L)
+    quarter = 4 * k % L == 0
+    w[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // L]
+    return w
 
 
 @dataclass(frozen=True, order=True)

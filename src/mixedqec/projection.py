@@ -39,7 +39,12 @@ class ProjectorSpec:
             raise ValueError("one kept set per particle required")
         fixed = []
         for i, (s, f) in enumerate(zip(self.keep, self.system.factors)):
-            s = tuple(sorted(set(s)))
+            # levels index the particle's axis: 1.0 or True is not a level
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in s):
+                raise ValueError(f"kept levels on particle {i + 1} must be integers, "
+                                 f"got {list(s)!r}")
+            s = tuple(sorted({int(v) for v in s}))
             if len(s) < 2:
                 raise ValueError(f"particle {i + 1} keeps {len(s)} level(s); "
                                  "a projected particle needs at least two")

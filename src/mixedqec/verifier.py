@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import PHASE_I, PHASE_ONE, Phase, phase_as_complex, phase_mul
+from .algebra import PHASE_I, PHASE_ONE, Phase, phase_as_complex, phase_mul, roots_of_unity
 from .clique import CodingClique
 from .errors import (
     ErrorWord,
@@ -149,7 +149,8 @@ class Code:
             # (L/m_l)(Q_l(j_l) + c_l.j_l), Q_l(j) = j.Gamma_l.j / 2: summed
             # over the layers' digits in label column order, then moved to
             # the per-particle axis layout and looked up among the L roots
-            # of unity
+            # of unity, whose quarter turns are exact: a clique over qubit
+            # layers has a basis with no imaginary part
             expo = np.zeros((1, self.K), dtype=np.int64)
             for (m, n), a in zip(sp.layers, sp.starts):
                 j = np.indices((m,) * n).reshape(n, -1)
@@ -158,7 +159,7 @@ class Code:
                 expo = (expo[:, None] + e).reshape(-1, self.K)
             expo = (expo % L).reshape(tuple(sp.mods) + (self.K,))
             expo = expo.transpose(sp.factor_columns.tolist() + [sp.width]).reshape(D, self.K)
-            self._basis = (np.exp(2j * np.pi * np.arange(L) / L) / math.sqrt(D))[expo]
+            self._basis = (roots_of_unity(L) / math.sqrt(D))[expo]
         return self._basis
 
 
@@ -352,7 +353,11 @@ class _SupportScan:
             self.col, self.val = (a.reshape(self.flat) for a in code.monomial)
             self.blocks = self.pair_sums
         else:
-            self.Bt = code.basis(cap=cap).reshape(self.flat + (self.K,))
+            # a basis with no imaginary part, exactly, is scanned in float64
+            B = code.basis(cap=cap)
+            if not B.imag.any():
+                B = np.ascontiguousarray(B.real)
+            self.Bt = B.reshape(self.flat + (self.K,))
             self.blocks = self.grams
 
     def _layout(self, supp: tuple[int, ...]):
@@ -374,9 +379,14 @@ class _SupportScan:
         """Yield (positions, f, deviation) for the errors of weight |S|
         on S, one shift at a time; positions index enumeration order."""
         _, dimsS, U, _ = self._layout(supp)
-        # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod L
+        # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod
+        # L; real when the roots are (L <= 2, a support of qubit factors
+        # only), so that the products below stay real on a real basis
         L = math.lcm(*dimsS)
-        chi = np.exp(2j * np.pi / L * ((U.T * (L // np.array(dimsS))) @ U % L))
+        roots = roots_of_unity(L)
+        if not roots.imag.any():
+            roots = roots.real
+        chi = roots[(U.T * (L // np.array(dimsS))) @ U % L]
         # flat x and z index on S of each error, in enumeration order
         xs, zs = [], []
         for E in support_blocks(self.radices, supp):
@@ -465,7 +475,7 @@ class _SupportScan:
             plus_x = shifted(x)
             if minus == x:
                 half = np.flatnonzero(np.arange(dS) < plus_x)
-                G = np.empty((dS, K, K), dtype=complex)
+                G = np.empty((dS, K, K), dtype=A.dtype)
                 G[half] = Ah[plus_x[half]] @ A[half]
                 G[plus_x[half]] = G[half].conj().transpose(0, 2, 1)
                 yield x, G

@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from mixedqec.algebra import (
     Phase,
     phase_as_complex,
     phase_mul,
+    roots_of_unity,
 )
 from mixedqec.errors import MixedSystem, weight
 from oracles import dot_mod, omega, word_from_layers
@@ -53,6 +55,20 @@ def test_complex_homomorphism_same_order_exhaustive():
                 a, b = Phase(k1, L), Phase(k2, L)
                 want = phase_as_complex(a) * phase_as_complex(b)
                 assert abs(phase_as_complex(phase_mul(a, b)) - want) < 1e-12
+
+
+def test_roots_of_unity_match_exp_and_are_exact_at_quarter_turns():
+    for L in range(1, 13):
+        w = roots_of_unity(L)
+        assert w.dtype == complex and w.shape == (L,)
+        assert np.abs(w - np.exp(2j * np.pi * np.arange(L) / L)).max() <= 1e-15
+        # the quarter turns k = q L / 4: both parts exact, no rounding noise
+        for q, want in enumerate((1, 1j, -1, -1j)):
+            if q * L % 4 == 0:
+                k = q * L // 4
+                assert w[k].real == want.real and w[k].imag == want.imag
+    assert not roots_of_unity(2).imag.any()
+    assert not roots_of_unity(4)[[1, 3]].real.any()
 
 
 @given(phases, phases)

@@ -236,6 +236,15 @@ class TestCompositions:
                            "--keep", f'{{"5": {levels}}}')
         assert rc == 2 and out == "" and "particle 5 keeps 1 level" in err
 
+    @pytest.mark.parametrize("levels", ["[0.5, 1]", "[0, 1.0]", "[true, 1]"])
+    def test_project_levels_not_integers_exit_2(self, levels, capsys):
+        # a level indexes the particle's axis: 1.0 and true are not levels
+        rc, out, err = run(capsys, "project", str(FIXTURES / "5_9_2_q3.json"),
+                           "--keep", f'{{"5": {levels}}}')
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: bad --keep value: kept levels on particle 5 "
+                              "must be integers")
+
     def test_projection_certificate_one_level_keep_exit_2(self, tmp_path, capsys):
         obj = json.loads((FIXTURES / "5_9_2_proj.json").read_text())
         del obj["content_hash"]  # so that only the projector is wrong
@@ -379,15 +388,19 @@ class TestCompositions:
         assert rc == 1 and out == "" and "codeword 0 vanishes" in err
 
 
-# projection certificates whose projector block, or its keep, is not an object
-PROJECTOR_CASES = ("projector_not_object", "keep_not_object")
+# projection certificates whose projector block, or its keep, is not an
+# object, or whose kept levels are not integers
+PROJECTOR_CASES = {"projector_not_object": "x", "keep_not_object": {"keep": [1]},
+                   "keep_level_fraction": {"keep": {"5": [0.5, 1]}},
+                   "keep_level_float": {"keep": {"5": [0, 1.0]}}}
 
 
 class TestMalformedCertificates:
     @pytest.mark.parametrize("case", ["refs_not_strings", "claimed_K_not_int",
                                       "dims_not_list", "verification_not_object",
                                       "no_vectors", "projector_not_object",
-                                      "keep_not_object"])
+                                      "keep_not_object", "keep_level_fraction",
+                                      "keep_level_float"])
     def test_exit_2_without_traceback(self, case, tmp_path, capsys):
         target = tmp_path / "bad.json"
         if case == "refs_not_strings":
@@ -398,8 +411,7 @@ class TestMalformedCertificates:
             obj = json.loads((FIXTURES / "5_9_2_proj.json").read_text())
             del obj["content_hash"]  # so that only the projector is wrong
             obj["construction"]["ancilla"] = str(FIXTURES / "5_9_2_q3.json")
-            obj["construction"]["projector"] = ("x" if case == "projector_not_object"
-                                                else {"keep": [1]})
+            obj["construction"]["projector"] = PROJECTOR_CASES[case]
             target.write_text(json.dumps(obj))
         else:
             obj = json.loads((FIXTURES / "3_4_2_q4.json").read_text())

@@ -2,6 +2,7 @@
 a gate-by-gate oracle, and the exact stabilizer words and reductions of
 shift/phase words on graph states."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +114,26 @@ def test_clique_basis_matches_gate_oracle(cl):
     for k, v in enumerate(cl.vectors):
         want = gate_oracle(cl.graphs, [part.entries for part in v])
         np.testing.assert_allclose(B[:, k], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["3_4_2_q4.json", "6_8_3_mixed.json"])
+def test_qubit_layer_clique_basis_is_exactly_real(name):
+    # every amplitude is +-D^{-1/2}: the imaginary part is exactly zero
+    B = Code.from_clique(fixture_clique(name)).basis()
+    s = 1 / math.sqrt(B.shape[0])
+    assert B.dtype == complex and not B.imag.any()
+    assert np.all((B.real == s) | (B.real == -s))
+
+
+def test_z4_layer_clique_basis_is_exactly_a_quarter_turn():
+    # on a Z_4 layer every amplitude is one of 1, i, -1, -i times D^{-1/2},
+    # with the other part exactly zero
+    B = Code.from_clique(clique(
+        [W4], [((0, 0, 0),), ((1, 2, 3),), ((2, 0, 1),), ((3, 3, 3),)])).basis()
+    s = 1 / math.sqrt(B.shape[0])
+    re, im = np.abs(B.real), np.abs(B.imag)
+    assert np.all((re == s) & (im == 0) | (re == 0) & (im == s))
+    assert B.imag.any() and B.real.any()
 
 
 def test_stabilizer_word_zero_label():

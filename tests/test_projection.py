@@ -87,6 +87,17 @@ class TestSpec:
         with pytest.raises(ValueError, match="particle 5 keeps 1 level"):
             ProjectorSpec.from_json(QUTRIT5, {"keep": {"5": list(levels)}})
 
+    @pytest.mark.parametrize("levels", [(0.5, 1), (0, 1.0), (True, 0), ("0", "1")])
+    def test_rejects_levels_that_are_not_integers(self, levels):
+        with pytest.raises(ValueError, match="particle 5 must be integers"):
+            ProjectorSpec(QUTRIT5, (KEEP_ALL3,) * 4 + (levels,))
+        with pytest.raises(ValueError, match="particle 5 must be integers"):
+            ProjectorSpec.from_json(QUTRIT5, {"keep": {"5": list(levels)}})
+
+    def test_numpy_integer_levels_are_levels(self):
+        P = ProjectorSpec(QUTRIT5, (KEEP_ALL3,) * 4 + (tuple(np.arange(2)),))
+        assert P == spec_ex5() and all(type(v) is int for v in P.keep[4])
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ProjectorSpec(QUTRIT5, (KEEP_ALL3,) * 4 + ((0, 3),))

@@ -542,18 +542,22 @@ ORACLE_SYSTEMS = [
 ]
 
 
-def random_basis(rng, sys, K, sparse):
+def random_basis(rng, sys, K, sparse, real=False):
     """Orthonormal columns: Haar-like, or K standard basis vectors with
     random phases that share their digits on every particle but the last
     two, so errors on the first particle pass and the witness lies
-    further into the enumeration."""
+    further into the enumeration.  With real, the columns are real: a
+    real Haar-like basis, or random signs for the phases."""
     D = sys.total_dim
     if sparse:
         tail = sys.dims[-2] * sys.dims[-1]
         rows = rng.integers(D // tail) * tail + rng.choice(tail, size=K, replace=False)
         B = np.zeros((D, K), dtype=complex)
-        B[rows, np.arange(K)] = np.exp(2j * np.pi * rng.random(K))
+        B[rows, np.arange(K)] = (rng.choice([-1.0, 1.0], size=K) if real
+                                 else np.exp(2j * np.pi * rng.random(K)))
         return B
+    if real:
+        return np.linalg.qr(rng.normal(size=(D, K)))[0]
     g = rng.normal(size=(D, K)) + 1j * rng.normal(size=(D, K))
     return np.linalg.qr(g)[0]
 
@@ -592,11 +596,15 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12):
     entry 0.  The scan must take the source the code's form says: pair
     sums from a monomial form, whose pairs are the only nonzero entries
     of the blocks, and all K^2 pairs of the Gram blocks from a dense
-    basis."""
+    basis, which it holds in float64 exactly when the basis has no
+    imaginary part."""
     sys, B, K = code.system, code.basis(), code.K
     scan = _SupportScan(code)
     dense = code.monomial is None
     assert scan.blocks == (scan.grams if dense else scan.pair_sums)
+    if dense:
+        assert B.dtype == complex
+        assert scan.Bt.dtype == (complex if B.imag.any() else np.float64)
     flat = sys.flat_dims()
     first = np.cumsum([0] + [len(f) for f in sys.factors])
     for k in range(1, w_max + 1):
@@ -632,20 +640,23 @@ class TestNumericOracle:
     @pytest.mark.parametrize("sys_index", range(len(ORACLE_SYSTEMS)))
     @pytest.mark.parametrize("sparse", [False, True])
     def test_reports_match_dense_oracle(self, sys_index, sparse):
+        # complex bases, then real ones, which the scan holds in float64
         sys = ORACLE_SYSTEMS[sys_index]
-        rng = np.random.default_rng(100 + 10 * sys_index + sparse)
-        for K in (1, 2, 3):
-            code = Code.from_basis(sys, random_basis(rng, sys, K, sparse), d=2)
-            for d in (1, 2, 3, sys.n + 1):
-                words = list(enumerate_errors(sys, d - 1))
-                want = oracle_report(code, words, "numeric")
-                assert_same_report(kl_verify_numeric(code, d).to_json(), want)
-            # the last ball holds every word, by weight: the first failure
-            # has the weight code_distance must find
-            w = want.get("witness", {}).get("error")
-            dist = (sum(any(x) or any(z) for x, z in zip(w["x"], w["z"]))
-                    if w else sys.n + 1)
-            assert code_distance(code) == dist
+        for real in (False, True):
+            rng = np.random.default_rng(100 + 10 * sys_index + sparse + 1000 * real)
+            for K in (1, 2, 3):
+                code = Code.from_basis(sys, random_basis(rng, sys, K, sparse, real), d=2)
+                assert code.basis().imag.any() != real
+                for d in (1, 2, 3, sys.n + 1):
+                    words = list(enumerate_errors(sys, d - 1))
+                    want = oracle_report(code, words, "numeric")
+                    assert_same_report(kl_verify_numeric(code, d).to_json(), want)
+                # the last ball holds every word, by weight: the first
+                # failure has the weight code_distance must find
+                w = want.get("witness", {}).get("error")
+                dist = (sum(any(x) or any(z) for x, z in zip(w["x"], w["z"]))
+                        if w else sys.n + 1)
+                assert code_distance(code) == dist
 
     @pytest.mark.parametrize("sys_index", range(len(ORACLE_SYSTEMS)))
     def test_every_scanned_error_matches_dense_oracle(self, sys_index):
@@ -656,6 +667,10 @@ class TestNumericOracle:
         rng = np.random.default_rng(300 + sys_index)
         assert_scan_matches_oracle(Code.from_basis(sys, random_basis(rng, sys, 3, False), 2),
                                    sys.n)
+        # a real basis: float64 Gram blocks, real on qubit-only supports
+        rng = np.random.default_rng(1300 + sys_index)
+        assert_scan_matches_oracle(
+            Code.from_basis(sys, random_basis(rng, sys, 3, False, real=True), 2), sys.n)
 
     @pytest.mark.parametrize("case", ["leading_z4", "h_equals_dS", "wide"])
     def test_slab_grams_match_dense_oracle(self, case, monkeypatch):
@@ -722,11 +737,15 @@ class TestNumericOracle:
         # f = tr(M)/K and max |M - f I| with M - f I formed in full, from
         # the fit of all K^2 pairs: the diagonal must be summed in the
         # order np.trace sums it, which a bare gather M[:, on] does not at
-        # K = 7 and 64
+        # K = 7 and 64.  Real M, as the scan of a real basis on qubit
+        # factors yields, stays real
         rng = np.random.default_rng(23)
-        for n, K in ((1, 1), (3, 2), (4, 7), (3, 64)):
-            M = rng.normal(size=(n, K, K)) + 1j * rng.normal(size=(n, K, K))
-            M[0] = 0.5j * np.eye(K)  # a scalar: deviation exactly zero
+        cases = ((1, 1), (3, 2), (4, 7), (3, 64))
+        for real, (n, K) in [(False, c) for c in cases] + [(True, c) for c in cases]:
+            M = rng.normal(size=(n, K, K))
+            if not real:
+                M = M + 1j * rng.normal(size=(n, K, K))
+            M[0] = (0.5 if real else 0.5j) * np.eye(K)  # a scalar: deviation exactly zero
             if n > 1:
                 M[1] = np.diag(M[1].diagonal())  # the diagonal sets the deviation
             if n > 2:
@@ -737,6 +756,7 @@ class TestNumericOracle:
             assert np.array_equal(got_f, f, equal_nan=True)
             assert np.array_equal(got_dev, dev, equal_nan=True)
             assert got_dev[0] == 0.0
+            assert np.isrealobj(got_f) == real and got_dev.dtype == np.float64
 
     def test_fit_pairs_equals_full_deviation_formula_bitwise(self):
         # the fit of some pairs against f = tr(M)/K and max |M - f I| of the full
