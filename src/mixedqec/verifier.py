@@ -339,7 +339,10 @@ class _SupportScan:
       and y = 0 is one product of A with its own adjoint.  The bound on h
       keeps the blocks of one pair of shifts, 2 dS h K^2 entries, within a
       quarter of the basis, and makes each product large enough to run at
-      full BLAS speed.
+      full BLAS speed.  A basis whose imaginary part is exactly zero (a
+      clique over qubit layers) is held as float64, and so is a character
+      table of +-1: the products, chi[z] @ T and the fit then run in real
+      arithmetic on the same numbers.
     """
 
     def __init__(self, code: Code, cap: int | None = None):
@@ -353,7 +356,6 @@ class _SupportScan:
             self.col, self.val = (a.reshape(self.flat) for a in code.monomial)
             self.blocks = self.pair_sums
         else:
-            # a basis with no imaginary part, exactly, is scanned in float64
             B = code.basis(cap=cap)
             if not B.imag.any():
                 B = np.ascontiguousarray(B.real)
