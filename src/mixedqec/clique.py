@@ -128,6 +128,15 @@ def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a, ascending: a plain ``np.unique`` would
+    import ``numpy.ma`` on first use."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _word_weights(sp: LabelLayout, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Particles hit by each word X^x Z^z, one word per row pair."""
     nz = (X != 0) | (Z != 0)
@@ -167,8 +176,8 @@ def _covered_keys(graphs: tuple[WeightedGraph, ...], d: int) -> np.ndarray:
         cols = sp.columns(supp)
         diff = -(E[:, 0::2] @ sp.gamma[cols])
         diff[:, cols] += E[:, 1::2]
-        found.append(np.unique(sp.keys(diff % sp.mods)))
-    keys = np.unique(np.concatenate(found))
+        found.append(_distinct(sp.keys(diff % sp.mods)))
+    keys = _distinct(np.concatenate(found))
     keys.flags.writeable = False
     return keys
 
@@ -226,7 +235,7 @@ class CodingClique:
         object.__setattr__(self, "vectors", vecs)
         sp = self.layout
         labels = sp.encode(vecs)
-        if len(np.unique(sp.keys(labels))) < len(labels):
+        if len(_distinct(sp.keys(labels))) < len(labels):
             raise ValueError("clique vectors must be distinct")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)

@@ -327,22 +327,24 @@ class _SupportScan:
     * ``grams`` for any other code: all K^2 pairs, formed through its
       dense basis by batched products of slabs.  The flat axes of S split
       into leading ones, flat index b, and the longest run of trailing
-      ones, of dimension product h, with 8 h K <= R = D / dS (h = 1 when
-      the last axis alone is wider).  Slab A[b] is the R x hK matrix of
-      the rows r and the pairs (t, k), and one product
-      P_y[b] = A[b + y]^dag A[b] holds the blocks
+      ones, of dimension product h, with h K <= R = D / dS: a slab no
+      wider than it is long (h = 1 when the last axis alone is wider).
+      Slab A[b] is the R x hK matrix of the rows r and the pairs (t, k),
+      and one product P_y[b] = A[b + y]^dag A[b] holds the blocks
       G_x[(b, t)] = P_y[b][(t + s, .), (t, .)] of all h shifts x = (y, s),
       each stack taken out by one gather; at h = 1, P_y is G_y itself.
-      Leading shifts come in adjoint pairs, P_{-y}[b + y] = P_y[b]^dag, so
+      When dS K <= R, the whole of S is one slab and its one product, for
+      y = 0, is the (dS K)^2 Gram matrix of every shift.  Otherwise
+      leading shifts come in adjoint pairs, P_{-y}[b + y] = P_y[b]^dag, so
       one batched product serves both y and -y; a shift with y = -y != 0
-      forms only the b with b < b + y and fills in the rest the same way,
-      and y = 0 is one product of A with its own adjoint.  The bound on h
-      keeps the blocks of one pair of shifts, 2 dS h K^2 entries, within a
-      quarter of the basis, and makes each product large enough to run at
-      full BLAS speed.  A basis whose imaginary part is exactly zero (a
-      clique over qubit layers) is held as float64, and so is a character
-      table of +-1: the products, chi[z] @ T and the fit then run in real
-      arithmetic on the same numbers.
+      forms only the b with b < b + y and fills in the rest the same way.
+      y = 0 is one product of A with its own conjugate, A^dag A, which
+      for a real A numpy forms by a symmetric rank-k update (syrk).  The
+      bound on h keeps each product, dS h K^2 entries, within the size
+      of the basis, D K.  A basis whose imaginary part is exactly zero (a
+      clique over qubit layers) is held as a float64 view of it, and a
+      character table of +-1 as float64: the products, chi[z] @ T and the
+      fit then run in real arithmetic on the same numbers.
     """
 
     def __init__(self, code: Code, cap: int | None = None):
@@ -358,7 +360,7 @@ class _SupportScan:
         else:
             B = code.basis(cap=cap)
             if not B.imag.any():
-                B = np.ascontiguousarray(B.real)
+                B = B.real  # a view of the cached basis, not a copy
             self.Bt = B.reshape(self.flat + (self.K,))
             self.blocks = self.grams
 
@@ -447,15 +449,16 @@ class _SupportScan:
         dS = U.shape[1]
         negate = np.ravel_multi_index(-U % moduli, dimsS)
         # the last axes of S, of dimension product h, join K in each
-        # slab's columns while 8 h K <= R, the length of a slab
+        # slab's columns while h K <= R: a slab no wider than it is long
         K, R = self.K, math.prod(self.flat) // dS
         cut = len(axes)
-        while cut and 8 * math.prod(dimsS[cut - 1:]) * K <= R:
+        while cut and math.prod(dimsS[cut - 1:]) * K <= R:
             cut -= 1
         h = math.prod(dimsS[cut:])
         rest = [a for a in range(len(self.flat)) if a not in axes]
         A = self.Bt.transpose(axes[:cut] + rest + axes[cut:] + [len(self.flat)])
-        A = A.reshape(dS // h, R, h * K)
+        # one contiguous copy per support, as BLAS and numpy's syrk test need
+        A = np.ascontiguousarray(A.reshape(dS // h, R, h * K))
         stacks = (self._product_grams(A, shifted, negate) if h == 1
                   else self._slab_grams(A, h, shifted, negate))
         pairs = np.arange(K * K)
@@ -466,10 +469,12 @@ class _SupportScan:
         """The products A[u + x]^dag A[u] over the first axis of A, batched,
         one batch per pair {x, -x}."""
         dS, _, K = A.shape
-        Ah = np.ascontiguousarray(A.conj().transpose(0, 2, 1))
+        # A itself when real: then Ac^T @ A reads one buffer, and numpy's
+        # matmul forms it by a symmetric rank-k update (syrk)
+        Ac = A.conj()
         for x in range(dS):
             if x == 0:
-                yield x, Ah @ A
+                yield x, Ac.transpose(0, 2, 1) @ A
                 continue
             minus = int(negate[x])
             if minus < x:
@@ -478,11 +483,11 @@ class _SupportScan:
             if minus == x:
                 half = np.flatnonzero(np.arange(dS) < plus_x)
                 G = np.empty((dS, K, K), dtype=A.dtype)
-                G[half] = Ah[plus_x[half]] @ A[half]
+                G[half] = Ac[plus_x[half]].transpose(0, 2, 1) @ A[half]
                 G[plus_x[half]] = G[half].conj().transpose(0, 2, 1)
                 yield x, G
                 continue
-            G = Ah[plus_x] @ A
+            G = Ac[plus_x].transpose(0, 2, 1) @ A
             yield x, G
             G_minus = np.empty_like(G)
             G_minus[plus_x] = G.conj().transpose(0, 2, 1)

@@ -6,7 +6,10 @@ arithmetic inside the clique module, and keep the loop form of the
 clique conditions as the reference for check_clique's reports.
 """
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
+import mixedqec
 from mixedqec.algebra import ModVec, PHASE_ONE, phase_as_complex, phase_mul
 from mixedqec.bounds import singleton_bound
 from mixedqec.errors import IntegerRangeError, MixedSystem, apply_error, enumerate_errors, weight
@@ -548,3 +552,37 @@ def test_search_trajectory_pinned(mode, d, shape, budget, K, nodes, flag, vector
                    for v in res.clique.vectors)
     assert (res.clique.K, res.nodes_used, res.flag) == (K, nodes, flag)
     assert got == vectors
+
+
+NUMPY_MA_PROBE = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    sys.exit()
+from mixedqec.algebra import ModVec
+from mixedqec.certificates import load_certificate, verify_certificate
+from mixedqec.cli import _default_fixture_dir
+from mixedqec.clique import CodingClique, check_clique, search_clique
+from mixedqec.graphs import loop_graph
+L3 = loop_graph(3, 2)
+check_clique(CodingClique((L3, L3), 2, ((ModVec.zeros(2, 3),) * 2,)))
+search_clique((loop_graph(5, 2),), 2, 4, budget=100)
+root = _default_fixture_dir()
+for name in ("3_4_2_q4.json", "6_16_3_stab.json"):
+    verify_certificate(load_certificate(root / name), root)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_label_engine_does_not_import_numpy_ma():
+    # a plain np.unique imports numpy.ma (about 14 ms) on its first call;
+    # a clique check, a search and fixture verifications need none of it
+    src = os.path.dirname(os.path.dirname(mixedqec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    if out == ["preloaded"]:
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert out == ["False"]

@@ -587,17 +587,17 @@ def monomial_form(B):
     return col, B[np.arange(len(B)), col]
 
 
-def assert_scan_matches_oracle(code, w_max, tol=1e-12):
+def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
     """The Gram blocks G_x[u] = A[u + x]^dag A[u] of every support of at
-    most w_max particles, from the basis gathered as A[u, r, k]; and f
-    and the deviation of every error there, within tol of <i|E|j> with
-    the word applied to the basis directly.  Either source yields
-    (x, pairs, T), T[u, p] the entry pairs[p] of G_x[u] and every other
-    entry 0.  The scan must take the source the code's form says: pair
-    sums from a monomial form, whose pairs are the only nonzero entries
-    of the blocks, and all K^2 pairs of the Gram blocks from a dense
-    basis, which it holds in float64 exactly when the basis has no
-    imaginary part."""
+    most w_max particles, from the basis gathered as A[u, r, k]; and,
+    with ``errors``, f and the deviation of every error there, within tol
+    of <i|E|j> with the word applied to the basis directly.  Either
+    source yields (x, pairs, T), T[u, p] the entry pairs[p] of G_x[u] and
+    every other entry 0.  The scan must take the source the code's form
+    says: pair sums from a monomial form, whose pairs are the only
+    nonzero entries of the blocks, and all K^2 pairs of the Gram blocks
+    from a dense basis, which it holds as a view of ``code.basis()``, in
+    float64 exactly when the basis has no imaginary part."""
     sys, B, K = code.system, code.basis(), code.K
     scan = _SupportScan(code)
     dense = code.monomial is None
@@ -605,6 +605,7 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12):
     if dense:
         assert B.dtype == complex
         assert scan.Bt.dtype == (complex if B.imag.any() else np.float64)
+        assert np.shares_memory(scan.Bt, B)
     flat = sys.flat_dims()
     first = np.cumsum([0] + [len(f) for f in sys.factors])
     for k in range(1, w_max + 1):
@@ -627,6 +628,8 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12):
                     ux = tuple((a + b) % m for a, b, m in zip(u, shift, dims))
                     want = A[ux].conj().T @ A[u]
                     assert np.abs(G[np.ravel_multi_index(u, dims)] - want).max() < 1e-12
+            if not errors:
+                continue
             pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
             assert sorted(pos) == list(range(len(pos)))
             for j, fj, dj in zip(pos, f, dev):
@@ -672,31 +675,44 @@ class TestNumericOracle:
         assert_scan_matches_oracle(
             Code.from_basis(sys, random_basis(rng, sys, 3, False, real=True), 2), sys.n)
 
-    @pytest.mark.parametrize("case", ["leading_z4", "h_equals_dS", "wide"])
+    @pytest.mark.parametrize("case", ["leading_z4", "h_equals_dS", "wide",
+                                      "product_weight1"])
     def test_slab_grams_match_dense_oracle(self, case, monkeypatch):
         # a dense basis takes slabs: the last axes of S, of dimension
-        # product h, join K while 8 h K <= R; the shape (dB, R, h K) of
-        # each slab stack the products get tells which split was taken
-        sys, K, w_max, want = {
-            # S = particle 0, dims (4, 2), R = 32: h = 2 behind a Z_4 axis,
-            # whose shifts y = 1, 3 pair up and y = 2 takes the half product
-            "leading_z4": (MixedSystem(((4, 2), (4,), (2, 4))), 2, 1, (4, 32, 2)),
-            # S = particle 0, dims (2, 2), R = 64: one slab, h = dS = 4
-            "h_equals_dS": (MixedSystem(((2, 2), (4,), (4,), (4,))), 2, 1, (1, 64, 4)),
-            # S = particles 0 and 1, dS = 32 and K dS > R = 8: h = 1
-            "wide": (MixedSystem(((4, 2), (4,), (2, 4))), 2, 2, (32, 8, 1)),
-        }[case]
+        # product h, join K while h K <= R; the shape (dB, R, h) of each
+        # slab stack the products get, in units of K columns, tells which
+        # split was taken
+        if case == "product_weight1":
+            # the product's weight-1 supports, dS = 32 and R = 1024 at
+            # K = 32, are one real slab: one syrk per support.  Its D of
+            # 32768 is too large for the per-error oracle
+            code = build_code(load_certificate(FIXTURE_DIR / "3_32_2_product.json"),
+                              FIXTURE_DIR)
+            w_max, want = 1, (1, 1024, 32)
+        else:
+            sys, K, w_max, want = {
+                # S = particle 0, dims (4, 2), R = 32: h = 2 behind a Z_4
+                # axis, whose shifts y = 1, 3 pair up and y = 2 takes the
+                # half product
+                "leading_z4": (MixedSystem(((4, 2), (4,), (2, 4))), 8, 1, (4, 32, 2)),
+                # S = particle 0, dims (2, 2), R = 64: one slab, h = dS = 4
+                "h_equals_dS": (MixedSystem(((2, 2), (4,), (4,), (4,))), 2, 1,
+                                (1, 64, 4)),
+                # S = particles 0 and 1, dS = 32 and a last axis of 4 with
+                # 4 K > R = 8: h = 1
+                "wide": (MixedSystem(((4, 2), (4,), (2, 4))), 3, 2, (32, 8, 1)),
+            }[case]
+            rng = np.random.default_rng(sum(map(ord, case)))
+            code = Code.from_basis(sys, random_basis(rng, sys, K, False), 2)
         seen = []
         products = _SupportScan._product_grams
 
         def spy(A, shifted, negate):
-            seen.append((A.shape[0], A.shape[1], A.shape[2] // K))
+            seen.append((A.shape[0], A.shape[1], A.shape[2] // code.K))
             return products(A, shifted, negate)
 
         monkeypatch.setattr(_SupportScan, "_product_grams", staticmethod(spy))
-        rng = np.random.default_rng(sum(map(ord, case)))
-        assert_scan_matches_oracle(Code.from_basis(sys, random_basis(rng, sys, K, False), 2),
-                                   w_max)
+        assert_scan_matches_oracle(code, w_max, errors=case != "product_weight1")
         assert want in seen
 
     @pytest.mark.parametrize("case", ["6_16_3_stab", "3_4_2_q4_paste1",
