@@ -7,9 +7,10 @@ share the same factor layout prefix-wise ("layered" systems, e.g. every
 particle a qupit and the first n1 particles additionally a qurit) admit
 a per-layer vector view, which is what the clique machinery works in.
 
-``error_blocks`` is the one enumerator of error words, as int64 digit
-rows one support at a time; ``enumerate_errors``, the label engine and
-the symbolic and numeric checks all take their errors from it.
+``support_rows`` defines the one order of error words, support by
+support: ``error_blocks`` yields them as int64 digit rows to
+``enumerate_errors``, the label engine and the symbolic check, and
+``in_support_order`` reads a support's (x, z) grid in it for the numeric one.
 """
 from __future__ import annotations
 
@@ -245,12 +246,16 @@ def support_rows(radices: Sequence[Sequence[int]], supp: Sequence[int],
     return np.stack(cols, axis=1).astype(np.int64, copy=False)
 
 
-def support_blocks(radices: Sequence[Sequence[int]],
-                   supp: Sequence[int]) -> Iterator[np.ndarray]:
-    """The block of support supp in order, _BLOCK_ROWS rows at a time."""
-    total = prod(prod(radices[i]) - 1 for i in supp)
-    for start in range(0, total, _BLOCK_ROWS):
-        yield support_rows(radices, supp, start, start + _BLOCK_ROWS)
+def in_support_order(radices: Sequence[Sequence[int]], supp: Sequence[int],
+                     grid: np.ndarray) -> np.ndarray:
+    """The entries grid[x, z], over the flat shift and phase indices x
+    and z on support supp, of the words that act on every particle of
+    supp, in ``support_rows`` order."""
+    dims = [m for i in supp for m in radices[i][::2]]
+    # axes x_0, z_0, x_1, z_1, ...: each particle's digits as it lists them
+    order = np.arange(2 * len(dims)).reshape(2, -1).T.ravel()
+    g = grid.reshape(dims * 2).transpose(order).reshape([prod(radices[i]) for i in supp])
+    return g[(slice(1, None),) * len(supp)].ravel()
 
 
 def error_blocks(radices: Sequence[Sequence[int]],
@@ -259,8 +264,9 @@ def error_blocks(radices: Sequence[Sequence[int]],
     in slices of at most _BLOCK_ROWS rows; with ``word_radices`` digits
     the rows of ``enumerate_errors``, in order."""
     for supp in supports(len(radices), w_max):
-        for block in support_blocks(radices, supp):
-            yield supp, block
+        total = prod(prod(radices[i]) - 1 for i in supp)
+        for start in range(0, total, _BLOCK_ROWS):
+            yield supp, support_rows(radices, supp, start, start + _BLOCK_ROWS)
 
 
 def word_from_row(sys: MixedSystem, supp: Sequence[int],

@@ -5,11 +5,11 @@ in the phase-label algebra: an error word reduces on each graph layer to
 an exact phase times a pure phase word, so the KL inner products are
 roots of unity that either cancel or match exactly.  The numeric one
 builds the basis and measures max |<i|E|j> - f delta_ij| directly.  They
-must agree; tests enforce that.  Both take their error words from
-``errors.error_blocks`` and share nothing else.  The symbolic check and
-the clique checks also read one label layout, ``clique.LabelLayout``,
-and a clique's ``labels``: a shared data format, with no decision logic
-shared.
+must agree; tests enforce that.  They share only the order of the error
+words, ``errors.support_rows``: the symbolic one reads them as rows, the
+numeric one as (x, z) grids.  The symbolic check and the clique checks
+also read one label layout, ``clique.LabelLayout``, and a clique's
+``labels``: a shared data format, with no decision logic shared.
 
 The numeric side is one engine: ``_SupportScan`` yields the K x K
 matrices of every error on a support, one shift at a time, for
@@ -54,7 +54,7 @@ from .errors import (
     apply_error,
     error_blocks,
     format_word,
-    support_blocks,
+    in_support_order,
     support_rows,
     supports,
     word_from_row,
@@ -311,11 +311,11 @@ class _SupportScan:
     an error X^x Z^z on S maps |u> to chi_z(u) |u + x>, so
     <i|E|j> = sum_u chi_z(u) G_x[u]_ij with G_x[u] = A[u + x]^dag A[u].
     Per shift x, ``blocks`` yields (x, pairs, T), T[u, p] the entry
-    pairs[p] = i K + j of G_x[u]; one product chi[z] @ T with the
-    character table of S gives every phase z at once, for
-    ``_KLReducer.fit``.  The errors of weight exactly |S| are picked out
-    with the flat x and z indices of the enumerator's rows, in
-    ``enumerate_errors`` order.  The code's form picks the source:
+    pairs[p] = i K + j of G_x[u]; one product chi @ T with the character
+    table of S gives every phase z at once, for ``_KLReducer.fit``.
+    Stacked by x, its rows are the (x, z) grid of every word on S, and
+    ``errors.in_support_order`` reads the errors of weight |S| off it.
+    The code's form picks the source:
 
     * ``pair_sums`` for a monomial form (``Code.monomial``: each row's
       column index and value, as for a stabilizer eigenbasis): G_x[u]_ij
@@ -343,7 +343,7 @@ class _SupportScan:
       bound on h keeps each product, dS h K^2 entries, within the size
       of the basis, D K.  A basis whose imaginary part is exactly zero (a
       clique over qubit layers) is held as a float64 view of it, and a
-      character table of +-1 as float64: the products, chi[z] @ T and the
+      character table of +-1 as float64: the products, chi @ T and the
       fit then run in real arithmetic on the same numbers.
     """
 
@@ -380,8 +380,8 @@ class _SupportScan:
         return axes, dimsS, U, shifted
 
     def fits(self, supp: tuple[int, ...]):
-        """Yield (positions, f, deviation) for the errors of weight |S|
-        on S, one shift at a time; positions index enumeration order."""
+        """Yield (x, f, deviation) for every flat shift x on S: f and the
+        deviation of X^x Z^z for every flat phase z on S, ascending."""
         _, dimsS, U, _ = self._layout(supp)
         # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod
         # L; real when the roots are (L <= 2, a support of qubit factors
@@ -391,19 +391,8 @@ class _SupportScan:
         if not roots.imag.any():
             roots = roots.real
         chi = roots[(U.T * (L // np.array(dimsS))) @ U % L]
-        # flat x and z index on S of each error, in enumeration order
-        xs, zs = [], []
-        for E in support_blocks(self.radices, supp):
-            xs.append(np.ravel_multi_index(E[:, 0::2].T, dimsS))
-            zs.append(np.ravel_multi_index(E[:, 1::2].T, dimsS))
-        xs, zs = np.concatenate(xs), np.concatenate(zs)
-        order = np.argsort(xs, kind="stable")
-        # every shift on S occurs (with z != 0 where x is 0)
-        starts = np.unique(xs[order], return_index=True)[1]
-        groups = np.split(order, starts[1:])
         for x, pairs, T in self.blocks(supp):
-            pos = groups[x]
-            yield (pos, *_KLReducer.fit(chi[zs[pos]] @ T, pairs, self.K))
+            yield (x, *_KLReducer.fit(chi @ T, pairs, self.K))
 
     def pair_sums(self, supp: tuple[int, ...]):
         """Yield (x, pairs, T) for every flat shift x on S of a code in
@@ -531,9 +520,11 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
     scan = _SupportScan(code, cap)
     reducer = _KLReducer(code.system, tol)
     for supp in supports(code.n, d - 1):
-        pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
-        order = np.argsort(pos)  # back to enumeration order
-        reducer.add(f[order], dev[order], lambda j: scan.word(supp, j))
+        xs, f, dev = zip(*scan.fits(supp))
+        order = np.argsort(xs)
+        # the (x, z) grids, read as the errors of weight |S| in enumeration order
+        f, dev = (in_support_order(scan.radices, supp, np.stack(a)[order]) for a in (f, dev))
+        reducer.add(f, dev, lambda j: scan.word(supp, j))
     return reducer.report("numeric")
 
 
@@ -553,13 +544,15 @@ def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9,
 def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
                   cap: int | None = None) -> int:
     """Smallest error weight at which KL fails; w_cap + 1 if none found
-    up to w_cap."""
+    up to w_cap.  Supports come by size, so the first failing shift
+    settles it.  A shift's row also holds the words that leave part of S
+    untouched: each passed at this tol on a smaller support (equal up to
+    rounding), so they change no answer; only the identity is skipped."""
     check_tol(tol)
     w_cap = code.n if w_cap is None else w_cap
     scan = _SupportScan(code, cap)
     for supp in supports(code.n, w_cap):
-        # supports come by size: the first failing shift settles the weight
-        if any((dev > tol).any() for _, _, dev in scan.fits(supp)):
+        if any((dev[x == 0:] > tol).any() for x, _, dev in scan.fits(supp)):
             return len(supp)
     return w_cap + 1
 

@@ -15,8 +15,10 @@ from mixedqec.errors import (
     enumerate_errors,
     error_blocks,
     format_word,
+    in_support_order,
     parse_word,
     support_rows,
+    supports,
     weight,
     word_radices,
 )
@@ -203,6 +205,20 @@ class TestEnumeratorOrder:
         assert whole.shape == (35 * 3, 6)
         assert np.array_equal(support_rows(radices, (0, 2), 10, 40), whole[10:40])
         assert np.array_equal(support_rows(radices, (0, 2), 100, 999), whole[100:])
+
+    def test_support_order_reads_digit_grids_as_rows(self):
+        # grid[x, z] holding one digit of the flat shift x or phase z on S,
+        # read in support order, is that digit's column of the block
+        sys = MixedSystem(((2, 3), (4,), (3,), (2, 2)))
+        radices = word_radices(sys)
+        for supp in supports(sys.n, sys.n):
+            dims = [m for i in supp for m in sys.factors[i]]
+            U = np.indices(dims).reshape(len(dims), -1)
+            dS = U.shape[1]
+            cols = [in_support_order(radices, supp, grid)
+                    for u in U for grid in (np.tile(u[:, None], dS), np.tile(u, (dS, 1)))]
+            assert np.array_equal(np.stack(cols, axis=1),
+                                  support_rows(radices, supp, 0, dS * dS))
 
     def test_x_digit_labels(self):
         # the clique module enumerates labels with one digit per factor

@@ -22,7 +22,7 @@ from mixedqec.certificates import (
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
     ErrorWord, MixedSystem, apply_error, count_errors, enumerate_errors, format_word,
-    weight,
+    support_rows, weight, word_from_row,
 )
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
@@ -251,6 +251,15 @@ class TestDistance:
     def test_cap_marker(self):
         code = Code.from_clique(clique_342())
         assert code_distance(code, w_cap=1) == 2  # no weight-1 failure
+
+    def test_identity_is_not_an_error(self):
+        # one column 1e-12 longer: B^dag B deviates from a scalar by about
+        # 2e-12 > tol, but the identity is no error, and every word of
+        # weight 1 still deviates by far less than tol
+        code = Code.from_clique(clique_342())
+        B = code.basis().copy()
+        B[:, 0] *= 1 + 1e-12
+        assert code_distance(Code.from_basis(code.system, B, 2), tol=1e-13) == 2
 
 
 class TestTolerance:
@@ -590,7 +599,8 @@ def monomial_form(B):
 def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
     """The Gram blocks G_x[u] = A[u + x]^dag A[u] of every support of at
     most w_max particles, from the basis gathered as A[u, r, k]; and,
-    with ``errors``, f and the deviation of every error there, within tol
+    with ``errors``, f and the deviation of every word X^x Z^z on each
+    support S, those that leave part of S untouched included, within tol
     of <i|E|j> with the word applied to the basis directly.  Either
     source yields (x, pairs, T), T[u, p] the entry pairs[p] of G_x[u] and
     every other entry 0.  The scan must take the source the code's form
@@ -630,13 +640,17 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
                     assert np.abs(G[np.ravel_multi_index(u, dims)] - want).max() < 1e-12
             if not errors:
                 continue
-            pos, f, dev = (np.concatenate(a) for a in zip(*scan.fits(supp)))
-            assert sorted(pos) == list(range(len(pos)))
-            for j, fj, dj in zip(pos, f, dev):
-                M = B.conj().T @ apply_error(scan.word(supp, j), sys, B)
-                want = np.trace(M) / K
-                assert abs(fj - want) < tol
-                assert abs(dj - np.abs(M - want * np.eye(K)).max()) < tol
+            fits = list(scan.fits(supp))
+            assert sorted(x for x, *_ in fits) == list(range(dS))
+            digits = np.indices(dims).reshape(len(dims), -1)
+            for x, f, dev in fits:
+                assert f.shape == dev.shape == (dS,)
+                for z, fz, dz in zip(range(dS), f, dev):
+                    row = np.stack([digits[:, x], digits[:, z]], axis=1).ravel()
+                    M = B.conj().T @ apply_error(word_from_row(sys, supp, row.tolist()), sys, B)
+                    want = np.trace(M) / K
+                    assert abs(fz - want) < tol
+                    assert abs(dz - np.abs(M - want * np.eye(K)).max()) < tol
 
 
 class TestNumericOracle:
@@ -822,7 +836,7 @@ class TestNumericOracle:
         assert code.K == K
         dense = _SupportScan(Code.from_basis(sys, code.basis(), 2))
         supps = ((0,), (sys.n - 1,))
-        wants = [[np.concatenate(a) for a in zip(*dense.fits(supp))] for supp in supps]
+        wants = [{x: (f, dev) for x, f, dev in dense.fits(supp)} for supp in supps]
         sorts, shifts = [], []
         unique, fit = np.unique, _KLReducer.fit
 
@@ -838,13 +852,11 @@ class TestNumericOracle:
         monkeypatch.setattr(np, "unique", unique_spy)
         monkeypatch.setattr(_KLReducer, "fit", staticmethod(fit_spy))
         for supp, want in zip(supps, wants):
-            pos, f, dev = (np.concatenate(a) for a in zip(*_SupportScan(code).fits(supp)))
-            order = np.argsort(pos)
-            want_pos, want_f, want_dev = want
-            want_order = np.argsort(want_pos)
-            assert np.array_equal(pos[order], want_pos[want_order])
-            assert np.abs(f[order] - want_f[want_order]).max() < 1e-14
-            assert np.abs(dev[order] - want_dev[want_order]).max() < 1e-14
+            got = list(_SupportScan(code).fits(supp))
+            assert sorted(x for x, *_ in got) == sorted(want)
+            for x, f, dev in got:
+                assert np.abs(f - want[x][0]).max() < 1e-14
+                assert np.abs(dev - want[x][1]).max() < 1e-14
         assert len(shifts) > 0 and all(shifts)
         assert len(sorts) == (len(shifts) if sorted_keys else 0)
 
@@ -931,6 +943,27 @@ class TestNumericOracle:
                      if oracle_report(code, [e], "words")["verdict"] == "fail"),
                     code.n + 1)
         assert code_distance(code) == want == code.d
+
+    @pytest.mark.parametrize("name", ["6_16_3_q4", "6_16_3_stab"])
+    def test_scan_builds_no_error_rows(self, name, monkeypatch):
+        # a dense basis and a monomial form: the scan reads each support's
+        # (x, z) grids in enumeration order, and digit rows are built only
+        # for the witness of a failing check, through either module
+        root = _default_fixture_dir()
+        code = build_code(load_certificate(root / f"{name}.json"), root)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return support_rows(*args)
+
+        for module in ("errors", "verifier"):
+            monkeypatch.setattr(f"mixedqec.{module}.support_rows", spy)
+        assert kl_verify_numeric(code).ok
+        assert code_distance(code) == code.d
+        assert not calls
+        assert not kl_verify_numeric(code, code.d + 1).ok
+        assert len(calls) == 1
 
     def test_witness_on_unequal_particles_matches_dense_oracle(self):
         # the projected code with its qubit moved first: the first failing
