@@ -392,6 +392,7 @@ def _check(cert: Certificate, code: Code, projection: tuple[Code, ProjectorSpec]
             checks["ancilla_detection"] = {"error": str(exc)}
             failures.append("ancilla detection check errored")
 
+    nrep = None
     if run_numeric:
         limit = dim_cap() if cap is None else cap
         if code.system.total_dim > limit:
@@ -408,7 +409,13 @@ def _check(cert: Certificate, code: Code, projection: tuple[Code, ProjectorSpec]
                 failures.append("numeric verification")
 
     if distance:
-        dmeas = code_distance(code, cap=cap, tol=tol)
+        # both scans take supports by size at one tol: a failing numeric
+        # check's witness has the distance as weight; a passing one, d - 1
+        if nrep is not None and not nrep.ok:
+            w = nrep.witness["error"]
+            dmeas = sum(any(x) or any(z) for x, z in zip(w["x"], w["z"]))
+        else:
+            dmeas = code_distance(code, cap=cap, tol=tol, w_min=code.d if nrep else 1)
         checks["distance"] = dmeas
         record["distance"] = dmeas
         if dmeas < cert.d:

@@ -8,9 +8,9 @@ particle a qupit and the first n1 particles additionally a qurit) admit
 a per-layer vector view, which is what the clique machinery works in.
 
 ``support_rows`` defines the one order of error words, support by
-support: ``error_blocks`` yields them as int64 digit rows to
-``enumerate_errors``, the label engine and the symbolic check, and
-``in_support_order`` reads a support's (x, z) grid in it for the numeric one.
+support: ``error_blocks`` yields them as int64 digit rows to the label
+engine and the symbolic check, and ``in_support_order`` reads a
+support's (x, z) grid in it for the numeric one.
 """
 from __future__ import annotations
 
@@ -261,8 +261,8 @@ def in_support_order(radices: Sequence[Sequence[int]], supp: Sequence[int],
 def error_blocks(radices: Sequence[Sequence[int]],
                  w_max: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """(S, rows) for each support S of ``supports(n, w_max)``, its block
-    in slices of at most _BLOCK_ROWS rows; with ``word_radices`` digits
-    the rows of ``enumerate_errors``, in order."""
+    in slices of at most _BLOCK_ROWS rows: with ``word_radices`` digits,
+    every error word of weight 1..w_max once, phase one, in order."""
     for supp in supports(len(radices), w_max):
         total = prod(prod(radices[i]) - 1 for i in supp)
         for start in range(0, total, _BLOCK_ROWS):
@@ -283,16 +283,8 @@ def word_from_row(sys: MixedSystem, supp: Sequence[int],
     return ErrorWord(tuple(x), tuple(z), phase)
 
 
-def enumerate_errors(sys: MixedSystem, w_max: int) -> Iterator[ErrorWord]:
-    """Every non-identity basis word of weight <= w_max, once each,
-    phase one, ordered by (support set, per-particle digits)."""
-    for supp, block in error_blocks(word_radices(sys), w_max):
-        for row in block.tolist():
-            yield word_from_row(sys, supp, row)
-
-
 def count_errors(sys: MixedSystem, w_max: int) -> int:
-    """Closed-form count matching enumerate_errors: sum over supports of
+    """Closed-form count of the rows of error_blocks: sum over supports of
     the product of per-particle non-identity operator counts."""
     dims = sys.dims
     return sum(prod(dims[i] ** 2 - 1 for i in supp) for supp in supports(sys.n, w_max))

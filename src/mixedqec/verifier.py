@@ -141,26 +141,30 @@ class Code:
             B[rows, col[rows]] = val[rows]
             return B
         if self._basis is None:
-            D = self.system.total_dim
-            _check_cap(D, cap)
-            sp, V = self.clique.layout, self.clique.labels
-            L = sp.modulus
-            # codeword c is D^{-1/2} w_L^e on |j>, where layer l adds
-            # (L/m_l)(Q_l(j_l) + c_l.j_l), Q_l(j) = j.Gamma_l.j / 2: summed
-            # over the layers' digits in label column order, then moved to
-            # the per-particle axis layout and looked up among the L roots
-            # of unity, whose quarter turns are exact: a clique over qubit
-            # layers has a basis with no imaginary part
-            expo = np.zeros((1, self.K), dtype=np.int64)
-            for (m, n), a in zip(sp.layers, sp.starts):
-                j = np.indices((m,) * n).reshape(n, -1)
-                q = (j * (sp.gamma[a:a + n, a:a + n] @ j)).sum(axis=0) // 2
-                e = (q[:, None] + j.T @ V[:, a:a + n].T) * (L // m)
-                expo = (expo[:, None] + e).reshape(-1, self.K)
-            expo = (expo % L).reshape(tuple(sp.mods) + (self.K,))
-            expo = expo.transpose(sp.factor_columns.tolist() + [sp.width]).reshape(D, self.K)
-            self._basis = (roots_of_unity(L) / math.sqrt(D))[expo]
+            # quarter turns are exact: a qubit-layer clique's basis is real
+            L, expo = self._exponents(cap)
+            self._basis = (roots_of_unity(L) / math.sqrt(self.system.total_dim))[expo]
         return self._basis
+
+    def _exponents(self, cap: int | None = None) -> tuple[int, np.ndarray]:
+        """(L, expo): the clique's codeword c is D^{-1/2} w_L^expo[j, c] on
+        |j>, expo in the narrowest unsigned dtype that holds 2(L - 1)."""
+        D = self.system.total_dim
+        _check_cap(D, cap)
+        sp, V = self.clique.layout, self.clique.labels
+        L = sp.modulus
+        # layer l adds (L/m_l)(Q_l(j_l) + c_l.j_l), Q_l(j) = j.Gamma_l.j / 2:
+        # summed mod L over the layers' digits in label column order, then
+        # moved to the per-particle axis layout
+        dtype = np.min_scalar_type(2 * (L - 1))
+        expo = np.zeros((1, self.K), dtype=dtype)
+        for (m, n), a in zip(sp.layers, sp.starts):
+            j = np.indices((m,) * n).reshape(n, -1)
+            q = (j * (sp.gamma[a:a + n, a:a + n] @ j)).sum(axis=0) // 2
+            e = ((q[:, None] + j.T @ V[:, a:a + n].T) * (L // m) % L).astype(dtype)
+            expo = (expo[:, None] + e).reshape(-1, self.K) % L
+        expo = expo.reshape(tuple(sp.mods) + (self.K,))
+        return L, expo.transpose(sp.factor_columns.tolist() + [sp.width]).reshape(D, self.K)
 
 
 @dataclass(frozen=True)
@@ -341,11 +345,16 @@ class _SupportScan:
       y = 0 is one product of A with its own conjugate, A^dag A, which
       for a real A numpy forms by a symmetric rank-k update (syrk).  The
       bound on h keeps each product, dS h K^2 entries, within the size
-      of the basis, D K.  A basis whose imaginary part is exactly zero (a
-      clique over qubit layers) is held as a float64 view of it, and a
-      character table of +-1 as float64: the products, chi @ T and the
-      fit then run in real arithmetic on the same numbers.
+      of the basis, D K.  A clique over Z_2 layers is held as its sign
+      table, the float32 signs +-1 of sqrt(D) B (``Code._exponents``),
+      and no basis is built: a Gram entry sums at most R products +-1 and
+      an entry of chi @ T at most dS R = D, integers exact in float32 for
+      D <= 2^24, and M is scaled by 1/D, a power of two, in float64 for
+      the fit.  Any other basis with no imaginary part is held as a
+      float64 view of it.  chi, +-1 on qubit factors, takes T's dtype.
     """
+
+    SIGN_TABLE_MAX_DIM = 2 ** 24  # float32 holds every integer up to 2^24
 
     def __init__(self, code: Code, cap: int | None = None):
         sys = code.system
@@ -354,13 +363,19 @@ class _SupportScan:
         self.flat = sys.flat_dims()
         self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
         self.radices = word_radices(sys)
+        self.scale = None
         if code.monomial is not None:
             self.col, self.val = (a.reshape(self.flat) for a in code.monomial)
             self.blocks = self.pair_sums
         else:
-            B = code.basis(cap=cap)
-            if not B.imag.any():
-                B = B.real  # a view of the cached basis, not a copy
+            if (code.clique is not None and code.clique.layout.modulus == 2
+                    and sys.total_dim <= self.SIGN_TABLE_MAX_DIM):
+                B = np.float32((1, -1))[code._exponents(cap)[1]]
+                self.scale = 1 / sys.total_dim
+            else:
+                B = code.basis(cap=cap)
+                if not B.imag.any():
+                    B = B.real  # a view of the cached basis, not a copy
             self.Bt = B.reshape(self.flat + (self.K,))
             self.blocks = self.grams
 
@@ -389,10 +404,13 @@ class _SupportScan:
         L = math.lcm(*dimsS)
         roots = roots_of_unity(L)
         if not roots.imag.any():
-            roots = roots.real
+            roots = roots.real.astype(np.float32 if self.scale else np.float64)
         chi = roots[(U.T * (L // np.array(dimsS))) @ U % L]
         for x, pairs, T in self.blocks(supp):
-            yield (x, *_KLReducer.fit(chi @ T, pairs, self.K))
+            M = chi @ T
+            if self.scale:  # the sign table's integer sums, times 1/D exactly
+                M = np.multiply(M, self.scale, dtype=np.float64)
+            yield (x, *_KLReducer.fit(M, pairs, self.K))
 
     def pair_sums(self, supp: tuple[int, ...]):
         """Yield (x, pairs, T) for every flat shift x on S of a code in
@@ -497,7 +515,7 @@ class _SupportScan:
                 yield y * h + s, P[b, shifted(s)[:h], :, t, :].reshape(dB * h, K, K)
 
     def word(self, supp: tuple[int, ...], j: int) -> ErrorWord:
-        """The j-th error of weight |S| on S, in enumerate_errors order."""
+        """The j-th error of weight |S| on S, in ``support_rows`` order."""
         return word_from_row(self.sys, supp,
                              support_rows(self.radices, supp, j, j + 1)[0].tolist())
 
@@ -542,17 +560,19 @@ def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9,
 
 
 def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
-                  cap: int | None = None) -> int:
+                  cap: int | None = None, w_min: int = 1) -> int:
     """Smallest error weight at which KL fails; w_cap + 1 if none found
     up to w_cap.  Supports come by size, so the first failing shift
     settles it.  A shift's row also holds the words that leave part of S
     untouched: each passed at this tol on a smaller support (equal up to
-    rounding), so they change no answer; only the identity is skipped."""
+    rounding), so they change no answer; only the identity is skipped.
+    Weights below w_min are taken as passing (``kl_verify_numeric`` at d = w_min)."""
     check_tol(tol)
     w_cap = code.n if w_cap is None else w_cap
     scan = _SupportScan(code, cap)
     for supp in supports(code.n, w_cap):
-        if any((dev[x == 0:] > tol).any() for x, _, dev in scan.fits(supp)):
+        if len(supp) >= w_min and any((dev[x == 0:] > tol).any()
+                                      for x, _, dev in scan.fits(supp)):
             return len(supp)
     return w_cap + 1
 

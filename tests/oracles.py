@@ -5,18 +5,21 @@ words of a clique on whole label arrays (``clique.LabelLayout``).  The
 per-layer functions here do the same one layer and one vector at a time,
 in plain Python over ``ModVec``, so the tests can compare the two.  The
 rest are dense or scalar forms of what the library never needs whole:
-the unitary of an error word, the expansion of one projected error, and
-dot products and phases of single vectors.
+the unitary of an error word, the expansion of one projected error, dot
+products and phases of single vectors, and the error words of a weight
+ball one ``ErrorWord`` at a time.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from mixedqec.algebra import PHASE_ONE, ModVec, Phase, phase_mul
-from mixedqec.errors import ErrorWord, MixedSystem, _check_cap, apply_error
+from mixedqec.errors import (
+    ErrorWord, MixedSystem, _check_cap, apply_error, error_blocks, word_from_row, word_radices,
+)
 from mixedqec.graphs import WeightedGraph
 from mixedqec.projection import _COEFF_TOL, ProjectorSpec, _digits, _particle_tables, _word
 
@@ -34,6 +37,15 @@ def dot_mod(u: ModVec, v: ModVec) -> int:
 def label_is_identity(e: ErrorWord) -> bool:
     """Whether every x and z digit of the word is 0, whatever its phase."""
     return not any(a for part in (e.x, e.z) for digits in part for a in digits)
+
+
+def enumerate_errors(sys: MixedSystem, w_max: int) -> Iterator[ErrorWord]:
+    """Every non-identity basis word of weight <= w_max, once each,
+    phase one, ordered by (support set, per-particle digits): the rows of
+    ``errors.error_blocks`` as words, one at a time."""
+    for supp, block in error_blocks(word_radices(sys), w_max):
+        for row in block.tolist():
+            yield word_from_row(sys, supp, row)
 
 
 def error_matrix(e: ErrorWord, sys: MixedSystem, cap: int | None = None) -> np.ndarray:

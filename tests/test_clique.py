@@ -21,14 +21,16 @@ import numpy as np
 import mixedqec
 from mixedqec.algebra import ModVec, PHASE_ONE, phase_as_complex, phase_mul
 from mixedqec.bounds import singleton_bound
-from mixedqec.errors import IntegerRangeError, MixedSystem, apply_error, enumerate_errors, weight
+from mixedqec.errors import IntegerRangeError, MixedSystem, apply_error, weight
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
     CliqueReport, CodingClique, check_clique, closure,
     covered_differences, purity_set, search_clique,
 )
 from mixedqec.verifier import Code
-from oracles import dot_mod, graph_action, label_is_identity, omega, stabilizer_error_word
+from oracles import (
+    dot_mod, enumerate_errors, graph_action, label_is_identity, omega, stabilizer_error_word,
+)
 
 L3 = loop_graph(3, 2)
 L6 = loop_graph(6, 2)

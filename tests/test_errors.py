@@ -12,7 +12,6 @@ from mixedqec.errors import (
     apply_error,
     count_errors,
     dim_cap,
-    enumerate_errors,
     error_blocks,
     format_word,
     in_support_order,
@@ -23,7 +22,7 @@ from mixedqec.errors import (
     word_radices,
 )
 from mixedqec.verifier import _Tableau
-from oracles import error_matrix, label_is_identity, word_from_layers
+from oracles import enumerate_errors, error_matrix, label_is_identity, word_from_layers
 
 
 def two_layer(n, p, r, n1):

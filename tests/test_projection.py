@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedqec.algebra import ModVec
-from mixedqec.errors import ConstructionInputError, ErrorWord, MixedSystem, enumerate_errors
+from mixedqec.errors import ConstructionInputError, ErrorWord, MixedSystem
 from mixedqec.graphs import loop_graph
 from mixedqec.clique import CodingClique
 from mixedqec.verifier import Code, kl_verify_numeric, kl_verify_words
 from mixedqec.projection import ProjectorSpec, project_code, required_detectable_set
-from oracles import error_matrix, label_is_identity, projected_error
+from oracles import enumerate_errors, error_matrix, label_is_identity, projected_error
 
 W3 = np.exp(2j * np.pi / 3)
 

@@ -21,8 +21,8 @@ from mixedqec.certificates import (
 )
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
-    ErrorWord, MixedSystem, apply_error, count_errors, enumerate_errors, format_word,
-    support_rows, weight, word_from_row,
+    ErrorWord, MixedSystem, apply_error, count_errors, format_word, support_rows, supports,
+    weight, word_from_row,
 )
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
@@ -34,7 +34,7 @@ from mixedqec.verifier import (
     code_distance, kl_verify_numeric, kl_verify_symbolic, kl_verify_words,
     parse_stabilizer_row, stabilizer_eigenbasis, verify_stabilizer,
 )
-from oracles import dot_mod, error_matrix, graph_action, omega
+from oracles import dot_mod, enumerate_errors, error_matrix, graph_action, omega
 
 L3 = loop_graph(3, 2)
 L4 = loop_graph(4, 2)
@@ -606,16 +606,27 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
     every other entry 0.  The scan must take the source the code's form
     says: pair sums from a monomial form, whose pairs are the only
     nonzero entries of the blocks, and all K^2 pairs of the Gram blocks
-    from a dense basis, which it holds as a view of ``code.basis()``, in
-    float64 exactly when the basis has no imaginary part."""
+    from a dense basis.  A clique over Z_2 layers is held as its sign
+    table, the signs +-1 of ``code.basis()`` in float32, whose blocks are
+    integers, compared here times 1/D; any other dense basis as a view
+    of ``code.basis()``, in float64 exactly when it has no imaginary
+    part."""
     sys, B, K = code.system, code.basis(), code.K
     scan = _SupportScan(code)
     dense = code.monomial is None
     assert scan.blocks == (scan.grams if dense else scan.pair_sums)
+    scale = 1.0
     if dense:
         assert B.dtype == complex
-        assert scan.Bt.dtype == (complex if B.imag.any() else np.float64)
-        assert np.shares_memory(scan.Bt, B)
+        if code.clique is not None and code.clique.layout.modulus == 2:
+            scale = 1 / sys.total_dim
+            assert scan.Bt.dtype == np.float32 and scan.scale == scale
+            assert not B.imag.any()
+            assert np.array_equal(scan.Bt.reshape(B.shape), np.sign(B.real))
+        else:
+            assert scan.scale is None
+            assert scan.Bt.dtype == (complex if B.imag.any() else np.float64)
+            assert np.shares_memory(scan.Bt, B)
     flat = sys.flat_dims()
     first = np.cumsum([0] + [len(f) for f in sys.factors])
     for k in range(1, w_max + 1):
@@ -631,7 +642,7 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
                 assert np.all(np.diff(pairs) > 0) and T.shape == (dS, len(pairs))
                 assert len(pairs) == K * K or not dense
                 G = np.zeros((dS, K * K), dtype=complex)
-                G[:, pairs] = T
+                G[:, pairs] = T * scale
                 G = G.reshape(-1, K, K)
                 shift = np.unravel_index(x, dims)
                 for u in itertools.product(*map(range, dims)):
@@ -979,6 +990,147 @@ class TestNumericOracle:
         assert got["witness"]["error"]["x"][0] == [1]
         assert_same_report(got, oracle_report(moved, list(enumerate_errors(sys, 2)),
                                               "numeric"))
+
+
+QUBIT_CLIQUES = ["3_4_2_q4", "3_8_2_q8", "6_16_3_q4", "6_4_3_mixed", "6_8_3_mixed"]
+
+
+def fixture_code(name):
+    path = FIXTURE_DIR / f"{name}.json"
+    return build_code(load_certificate(path), path.parent)
+
+
+def float64_twin(code):
+    """The same basis as a plain dense code, which the scan holds as a
+    float64 view of ``code.basis()``."""
+    twin = Code.from_basis(code.system, code.basis(), code.d)
+    assert _SupportScan(twin).Bt.dtype == np.float64
+    return twin
+
+
+def random_qubit_cliques(rng, count):
+    """Sets of up to six distinct labels, zero first, over two layers of
+    loop_graph(4, 2), claimed at d = 2 or 3."""
+    zero = (ModVec.zeros(2, 4),) * 2
+    for i in range(count):
+        labels = [tuple(ModVec.of(2, rng.integers(2, size=4).tolist()) for _ in range(2))
+                  for _ in range(6)]
+        vecs = tuple(dict.fromkeys([zero] + labels))[:int(rng.integers(2, 7))]
+        yield CodingClique((L4, L4), 2 + i % 2, vecs)
+
+
+class TestSignTable:
+    """A clique over Z_2 layers is scanned on its float32 signs +-1, in
+    integers, and scaled by 1/D before the fit; the float64 scan of the
+    same basis is the oracle."""
+
+    @pytest.mark.parametrize("name", QUBIT_CLIQUES)
+    def test_fits_match_float64_scan(self, name):
+        # every support below d: f and the deviation within 1e-12 of the
+        # float64 scan, and exact: no deviation at all, f = 1 on the
+        # identity and 0 or +-1 elsewhere (+-1 on the stabilizer elements
+        # of weight below d of an impure code, 6_4_3_mixed)
+        code = fixture_code(name)
+        scan, oracle = _SupportScan(code), _SupportScan(float64_twin(code))
+        assert scan.scale == 1 / code.system.total_dim and oracle.scale is None
+        for supp in supports(code.n, code.d - 1):
+            want = {x: (f, dev) for x, f, dev in oracle.fits(supp)}
+            for x, f, dev in scan.fits(supp):
+                assert np.abs(f - want[x][0]).max() <= 1e-12
+                assert np.abs(dev - want[x][1]).max() <= 1e-12
+                assert not dev.any()
+                assert np.isin(f, (-1.0, 0.0, 1.0)).all() and (x or f[0] == 1.0)
+        assert kl_verify_numeric(code).max_deviation == 0.0
+
+    def test_product_gram_blocks_match_float64_scan(self):
+        # 3_32_2_product (D 32768): its weight-1 blocks, integers of at
+        # most R = 1024 in float32, are the float64 blocks times D
+        code = fixture_code("3_32_2_product")
+        scan, oracle = _SupportScan(code), _SupportScan(float64_twin(code))
+        for supp in supports(code.n, 1):
+            want = {x: T for x, _, T in oracle.blocks(supp)}
+            assert len(want) == 32
+            for x, pairs, T in scan.blocks(supp):
+                assert T.dtype == np.float32 and np.array_equal(T, np.round(T))
+                assert np.abs(T * scan.scale - want[x]).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["negatives/neg_bad_vector",
+                                      "negatives/neg_wrong_d", "random"])
+    def test_failing_cliques_match_float64_scan(self, name):
+        # the same verdict, witness and count at d and at every weight,
+        # and the same measured distance
+        codes = ([Code.from_clique(cl) for cl in random_qubit_cliques(
+                     np.random.default_rng(2104), 6)]
+                 if name == "random" else [fixture_code(name)])
+        failed = []
+        for code in codes:
+            twin = float64_twin(code)
+            for d in (code.d, code.n + 1):
+                got = kl_verify_numeric(code, d)
+                assert_same_report(got.to_json(), kl_verify_numeric(twin, d).to_json())
+                failed.append(not got.ok)
+            assert code_distance(code) == code_distance(twin)
+        assert all(failed)
+
+    @pytest.mark.parametrize("name", ["3_4_2_q4", "6_8_3_mixed"])
+    def test_scan_builds_no_complex_basis(self, name, monkeypatch):
+        # neither check, nor verify --distance, calls Code.basis, and the
+        # code caches no basis; the exponents take one byte each
+        code = fixture_code(name)
+        calls = []
+        basis = Code.basis
+
+        def spy(self, *args, **kwargs):
+            calls.append(self)
+            return basis(self, *args, **kwargs)
+
+        monkeypatch.setattr(Code, "basis", spy)
+        assert kl_verify_numeric(code).ok
+        assert code_distance(code) == code.d
+        path = FIXTURE_DIR / f"{name}.json"
+        assert verify_certificate(load_certificate(path), path.parent,
+                                  distance=True)["verdict"] == "pass"
+        assert not calls and code._basis is None
+        assert code._exponents()[1].dtype == np.uint8
+
+    def test_dimension_past_float32_takes_float64(self, monkeypatch):
+        # above the bound the sign table's sums would not all be exact in
+        # float32: the scan holds a float64 view of the basis instead
+        code = fixture_code("3_4_2_q4")
+        want = kl_verify_numeric(code).to_json()
+        monkeypatch.setattr(_SupportScan, "SIGN_TABLE_MAX_DIM", 32)
+        scan = _SupportScan(code)
+        assert scan.scale is None and scan.Bt.dtype == np.float64
+        assert np.shares_memory(scan.Bt, code.basis())
+        assert kl_verify_numeric(code).to_json() == want
+        assert code_distance(code) == code.d
+
+
+@pytest.mark.parametrize("name", ["3_4_2_q4", "5_16_2_paste", "negatives/neg_bad_vector",
+                                  "negatives/neg_wrong_d"])
+def test_distance_check_scans_once(name, monkeypatch):
+    # verify --distance: after a passing numeric check the distance scan
+    # starts at d; after a failing one the distance is the weight of its
+    # witness and nothing is scanned again; with no numeric check it
+    # starts at weight 1.  Each gives what the full scan finds
+    path = FIXTURE_DIR / f"{name}.json"
+    code = build_code(load_certificate(path), path.parent)
+    want = code_distance(code)
+    starts = []
+
+    def spy(code, *args, w_min=1, **kwargs):
+        starts.append(w_min)
+        return code_distance(code, *args, w_min=w_min, **kwargs)
+
+    monkeypatch.setattr("mixedqec.certificates.code_distance", spy)
+    report = verify_certificate(load_certificate(path), path.parent, distance=True)
+    assert report["checks"]["distance"] == want
+    passed = report["checks"]["numeric"]["verdict"] == "pass"
+    assert passed == (name[0] != "n") and starts == ([code.d] if passed else [])
+    starts.clear()
+    report = verify_certificate(load_certificate(path), path.parent, run_numeric=False,
+                                distance=True)
+    assert report["checks"]["distance"] == want and starts == [1]
 
 
 def random_tableau_codes():
