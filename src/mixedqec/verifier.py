@@ -4,9 +4,10 @@ Two independent verifiers cover every code here.  The symbolic one works
 in the phase-label algebra: an error word reduces on each graph layer to
 an exact phase times a pure phase word, so the KL inner products are
 roots of unity that either cancel or match exactly.  The numeric one
-builds the basis and measures max |<i|E|j> - f delta_ij| directly.  They
-must agree; tests enforce that.  They share only the order of the error
-words, ``errors.support_rows``: the symbolic one reads them as rows, the
+builds the basis (its signs, for a qubit clique) and measures
+max |<i|E|j> - f delta_ij| directly.  They must agree; tests enforce
+that.  They share only the order of the error words,
+``errors.support_rows``: the symbolic one reads them as rows, the
 numeric one as (x, z) grids.  The symbolic check and the clique checks
 also read one label layout, ``clique.LabelLayout``, and a clique's
 ``labels``: a shared data format, with no decision logic shared.
@@ -133,7 +134,8 @@ class Code:
 
     def basis(self, cap: int | None = None) -> np.ndarray:
         """The dense D x K basis; built afresh on each call for a code in
-        monomial form."""
+        monomial form, cached for a clique (the numeric scan of a clique
+        over Z_2 layers reads ``_exponents`` and never calls this)."""
         if self.monomial is not None:
             col, val = self.monomial
             B = np.zeros((self.system.total_dim, self.K), dtype=complex)
@@ -153,9 +155,8 @@ class Code:
         _check_cap(D, cap)
         sp, V = self.clique.layout, self.clique.labels
         L = sp.modulus
-        # layer l adds (L/m_l)(Q_l(j_l) + c_l.j_l), Q_l(j) = j.Gamma_l.j / 2:
-        # summed mod L over the layers' digits in label column order, then
-        # moved to the per-particle axis layout
+        # layer l adds (L/m_l)(Q_l(j_l) + c_l.j_l) mod L, Q_l(j) = j.Gamma_l.j / 2,
+        # over its digits in label column order; then the per-particle layout
         dtype = np.min_scalar_type(2 * (L - 1))
         expo = np.zeros((1, self.K), dtype=dtype)
         for (m, n), a in zip(sp.layers, sp.starts):
