@@ -329,13 +329,15 @@ def check_clique(C: CodingClique) -> CliqueReport:
     return CliqueReport(ok, zero_ok, phases_ok, diffs_ok, len(pure), witness)
 
 
-def _join(sp: LabelLayout, rows: np.ndarray, keys: set[int],
-          g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _join(sp: LabelLayout, rows: np.ndarray, keys: set[int], g: np.ndarray,
+          first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The subgroup generated by the subgroup `rows` (key set `keys`)
-    and g, grown by cosets G + k.g up to the first k with k.g in G.
-    Returns the grown rows, G's own rows first, and the added keys."""
-    cosets = [rows]
-    step = g
+    and g, which is not in it, given its first coset `first` = G + g
+    (rows in the order of `rows`): grown by cosets G + k.g up to the
+    first k with k.g in G.  Returns the grown rows, G's own rows first,
+    and the added keys."""
+    cosets = [rows, first]
+    step = (g + g) % sp.mods
     while int(step @ sp.weights) not in keys:
         cosets.append((rows + step) % sp.mods)
         step = (step + g) % sp.mods
@@ -351,8 +353,9 @@ def closure(generators: Sequence[LayerVecs]) -> tuple[LayerVecs, ...]:
     rows = np.zeros((1, sp.width), dtype=np.int64)
     keys = {0}
     for g in sp.encode(generators):
-        rows, added = _join(sp, rows, keys, g)
-        keys.update(added.tolist())
+        if int(g @ sp.weights) not in keys:
+            rows, added = _join(sp, rows, keys, g, (rows + g) % sp.mods)
+            keys.update(added.tolist())
     return sp.decode(rows[np.argsort(sp.keys(rows))])
 
 
@@ -385,7 +388,16 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
     condition-(iii) pruning.  In group mode extensions are generators
     and the whole generated subgroup must stay uncoverable, which both
     shrinks the tree and guarantees an additive clique.  The budget is
-    counted in DFS nodes, so results are machine independent.
+    counted in DFS nodes, so results are machine independent; both
+    modes stop at the first clique of target_K.
+
+    Group mode tests a window of the next candidates outside G (one
+    node each, at most the nodes left) on their first cosets G + g in
+    one array step, and joins only the clear ones.  The window starts
+    at one candidate, doubles after each window that recurses into
+    nothing, up to _CHUNK labels of the coset array, and drops back to
+    one after a recursion: the result equals taking the candidates
+    one at a time.
     """
     if mode not in ("group", "set"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -407,8 +419,6 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
     if mode == "set":
         def extend(current: list[np.ndarray], pool: np.ndarray) -> None:
             nonlocal best, nodes, hit_budget, hit_target
-            if hit_target or hit_budget:
-                return
             if len(current) > len(best):
                 best = list(current)
                 if len(best) >= target_K:
@@ -424,6 +434,8 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                 v, rest = pool[idx], pool[idx + 1:]
                 apart = ~_member(sp.keys((rest - v) % sp.mods), covered)
                 extend(current + [v], rest[apart])
+                if hit_target:
+                    return
 
         extend([zero], cands)
     else:
@@ -431,23 +443,37 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
 
         def extend_group(group: np.ndarray, keys: set[int], start: int) -> None:
             nonlocal best, nodes, hit_budget, hit_target
-            if hit_target or hit_budget:
-                return
             if len(group) > len(best):
                 best = group
                 if len(best) >= target_K:
                     hit_target = True
                     return
-            for idx in range(start, len(cands)):
+            idx, width = start, 1
+            while idx < len(cands):
                 if nodes >= budget:
                     hit_budget = True
                     return
-                if cand_keys[idx] in keys:
-                    continue
-                nodes += 1
-                grown, added = _join(sp, group, keys, cands[idx])
-                if not _member(added, covered).any():
-                    extend_group(grown, keys | set(added.tolist()), idx + 1)
+                # the next candidates not in G, one node each, tested
+                # together on their first cosets G + g
+                fresh = (i for i in range(idx, len(cands)) if cand_keys[i] not in keys)
+                win, base = list(itertools.islice(fresh, min(width, budget - nodes))), nodes
+                if not win:
+                    return
+                idx = win[-1] + 1
+                first = (group[:, None, :] + cands[win]) % sp.mods
+                clear = ~_member(sp.keys(first), covered).any(axis=0)
+                nodes = base + len(win)
+                for p in np.flatnonzero(clear).tolist():
+                    grown, added = _join(sp, group, keys, cands[win[p]], first[:, p])
+                    if not _member(added[len(group):], covered).any():
+                        nodes = base + p + 1
+                        extend_group(grown, keys | set(added.tolist()), win[p] + 1)
+                        if hit_target:
+                            return
+                        idx, width = win[p] + 1, 1
+                        break
+                else:
+                    width = min(2 * width, max(1, _CHUNK // (len(group) * sp.width)))
 
         extend_group(zero[None, :], {0}, 0)
 

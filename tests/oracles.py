@@ -7,7 +7,8 @@ in plain Python over ``ModVec``, so the tests can compare the two.  The
 rest are dense or scalar forms of what the library never needs whole:
 the unitary of an error word, the expansion of one projected error, dot
 products and phases of single vectors, and the error words of a weight
-ball one ``ErrorWord`` at a time.
+ball one ``ErrorWord`` at a time.  ``group_search`` is the group-mode
+clique search taking its candidates one at a time.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from mixedqec.algebra import PHASE_ONE, ModVec, Phase, phase_mul
+from mixedqec.clique import _candidates, _covered_keys, _graph_layout, _member, _purity_rows
 from mixedqec.errors import (
     ErrorWord, MixedSystem, _check_cap, apply_error, error_blocks, word_from_row, word_radices,
 )
@@ -124,3 +126,52 @@ def stabilizer_error_word(sys: MixedSystem, graphs: Sequence[WeightedGraph],
         xs.append(s)
         zs.append(graph_action(s, g))
     return word_from_layers(sys, xs, zs, phase)
+
+
+def group_search(graphs: Sequence[WeightedGraph], d: int, target_K: int,
+                 budget: int) -> tuple[tuple, int, str]:
+    """(vectors, nodes_used, flag) of ``search_clique(..., mode="group")``,
+    one candidate and one coset at a time: each candidate outside G
+    costs a node, its subgroup with G is grown coset by coset, and the
+    search recurses into it when no new label is covered.  The budget is
+    tested before every candidate, in G or not, and the search stops as
+    soon as G reaches the target."""
+    graphs = tuple(graphs)
+    sp = _graph_layout(graphs)
+    covered = _covered_keys(graphs, d)
+    cands = _candidates(sp, _purity_rows(graphs, d), covered)
+    best = np.zeros((1, sp.width), dtype=np.int64)
+    nodes, hit_budget, hit_target = 0, False, False
+
+    def extend(group: np.ndarray, keys: set[int], start: int) -> None:
+        nonlocal best, nodes, hit_budget, hit_target
+        if len(group) > len(best):
+            best = group
+            if len(best) >= target_K:
+                hit_target = True
+                return
+        for idx in range(start, len(cands)):
+            if nodes >= budget:
+                hit_budget = True
+                return
+            g = cands[idx]
+            if int(sp.keys(g)) in keys:
+                continue
+            nodes += 1
+            cosets, step = [group], g
+            while int(sp.keys(step)) not in keys:
+                cosets.append((group + step) % sp.mods)
+                step = (step + g) % sp.mods
+            added = sp.keys(np.concatenate(cosets[1:]))
+            if not _member(added, covered).any():
+                extend(np.concatenate(cosets), keys | set(added.tolist()), idx + 1)
+                if hit_target:
+                    return
+
+    extend(best, {0}, 0)
+    vectors = sp.decode(best[np.argsort(sp.keys(best))])
+    if len(vectors) == 1 and target_K > 1:
+        flag = "budget" if hit_budget else "trivial"
+    else:
+        flag = "target" if hit_target else "budget" if hit_budget else "ok"
+    return vectors, nodes, flag

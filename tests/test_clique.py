@@ -29,7 +29,8 @@ from mixedqec.clique import (
 )
 from mixedqec.verifier import Code
 from oracles import (
-    dot_mod, enumerate_errors, graph_action, label_is_identity, omega, stabilizer_error_word,
+    dot_mod, enumerate_errors, graph_action, group_search, label_is_identity, omega,
+    stabilizer_error_word,
 )
 
 L3 = loop_graph(3, 2)
@@ -379,6 +380,18 @@ class TestSearch:
         res = search_clique(graphs, d=2, target_K=4)
         assert check_clique(res.clique).ok
 
+    @pytest.mark.parametrize("mode", ["group", "set"])
+    def test_stops_at_target(self, mode):
+        # K = 2 is reached at the first node; the search used to go on
+        # through every remaining candidate at every level
+        res = search_clique((loop_graph(7, 2),) * 2, 3, target_K=2, mode=mode)
+        assert (res.clique.K, res.nodes_used, res.flag) == (2, 1, "target")
+
+    def test_group_target_below_budget(self):
+        res = search_clique((loop_graph(4, 2),) * 2, 2, target_K=8, budget=500)
+        assert (res.clique.K, res.nodes_used, res.flag) == (8, 29, "target")
+        assert check_clique(res.clique).ok
+
 
 def stabilizer_expectation(graphs, ss, cs):
     """<c| S_s |c> for the codeword Z^c |G> and the exact stabilizer
@@ -426,6 +439,46 @@ def oracle_cases():
         graphs = tuple(random_graph(rng, n, m) for n, m in shape)
         cases += [(graphs, 2), (graphs, 3)]
     return cases
+
+
+@st.composite
+def search_cases(draw):
+    """(graphs, d, target_K, budget): a random weighted graph over one
+    Z_2 ... Z_5 layer, or a nested pair of layers, of at most 1024
+    labels."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(2, {2: 8, 3: 6, 4: 5, 5: 4}[m]))
+    shape = [(n, m)]
+    if draw(st.booleans()):
+        m2 = draw(st.integers(2, 5))
+        n2 = draw(st.integers(1, n))
+        if m ** n * m2 ** n2 <= 1024:
+            shape.append((n2, m2))
+    graphs = tuple(random_graph(rng, n, m) for n, m in shape)
+    budget = draw(st.sampled_from([0, 1, 2, 3, 7, 8, 15, 16]) | st.integers(0, 300))
+    target = draw(st.integers(1, 64) | st.just(10 ** 6))
+    return graphs, draw(st.integers(1, 3)), target, budget
+
+
+class TestGroupSearchOracle:
+    # the windowed group search against the one-candidate-at-a-time loop
+    @given(search_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_candidate_loop(self, case):
+        graphs, d, target, budget = case
+        res = search_clique(graphs, d, target_K=target, budget=budget, mode="group")
+        assert (res.clique.vectors, res.nodes_used, res.flag) == \
+            group_search(graphs, d, target, budget)
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 7, 8, 15, 16, 100, 1000])
+    @pytest.mark.parametrize("graphs, d", [
+        ((loop_graph(4, 3),), 2), ((loop_graph(3, 5),), 1), ((loop_graph(3, 4), L3), 2),
+        ((L6, loop_graph(4, 2)), 3)])
+    def test_budgets_match_one_candidate_loop(self, graphs, d, budget):
+        res = search_clique(graphs, d, target_K=10 ** 6, budget=budget, mode="group")
+        assert (res.clique.vectors, res.nodes_used, res.flag) == \
+            group_search(graphs, d, 10 ** 6, budget)
 
 
 class TestCheckCliqueOracle:
@@ -529,6 +582,12 @@ PINNED_SEARCHES = [
      "00000 00011 00022 01100 01111 01122 02200 02211 02222 10101 10112 10120 "
      "11201 11212 11220 12001 12012 12020 20202 20210 20221 21002 21010 21021 "
      "22102 22110 22121"),
+    ("group", 3, ((9, 2),), 200000, 8, 200000, "budget",
+     "000000000 000011111 001000110 001011001 010001100 010010011 011001010 011010101"),
+    ("group", 3, ((10, 2),), 200000, 16, 200000, "budget",
+     "0000000000 0000011111 0001000110 0001011001 0010001100 0010010011 0011001010 "
+     "0011010101 0100100100 0100111011 0101100010 0101111101 0110101000 0110110111 "
+     "0111101110 0111110001"),
     ("group", 2, ((4, 3), (3, 2)), 300, 9, 300, "budget",
      "0000|000 0011|000 0022|000 1100|000 1111|000 1122|000 2200|000 2211|000 "
      "2222|000"),
