@@ -551,7 +551,8 @@ def brute_purity_ball(graphs, d):
     return out
 
 
-# search_clique trajectories recorded with the ModVec implementation:
+# search_clique trajectories recorded with the ModVec implementation, and
+# the 9- and 10-cycle ones with the one-candidate-at-a-time group loop:
 # (mode, d, graphs as (n, m) loop graphs, budget, K, nodes_used, flag,
 # vectors with layers joined by "|")
 PINNED_SEARCHES = [
