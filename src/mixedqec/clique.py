@@ -43,6 +43,8 @@ LayerVecs = tuple[ModVec, ...]
 # purity labels x scanned labels per block when a scan walks the whole
 # label space
 _CHUNK = 1 << 16
+# the pool size at which set mode finishes a subtree on bitsets
+_BITSET = 64
 
 
 def _layer_system(graphs: Sequence[WeightedGraph]) -> MixedSystem:
@@ -368,14 +370,20 @@ class SearchResult:
 
 def _candidates(sp: LabelLayout, pure: np.ndarray, covered: np.ndarray) -> np.ndarray:
     """Nonzero labels satisfying condition (ii) over the purity set and
-    outside the covered set, as rows in key order."""
-    out = [np.zeros((0, sp.width), dtype=np.int64)]
-    step = max(1, _CHUNK // len(pure))
-    for a in range(1, sp.size, step):
-        keys = np.arange(a, min(a + step, sp.size), dtype=np.int64)
-        rows = sp.rows(keys)
-        ok = ~_phase_exponents(sp, pure, rows).any(axis=0) & ~_member(keys, covered)
-        out.append(rows[ok])
+    outside the covered set, as sorted keys.  Phase exponents are linear
+    in the digits: prefix p's column -E(p) picks the suffixes whose
+    exponents, in one table over the trailing digits, equal it."""
+    j = sp.width // 2
+    S = int(sp.weights[j] * sp.mods[j])
+    prefixes = np.arange(0, sp.size, S, dtype=np.int64)
+    need = -_phase_exponents(sp, pure, sp.rows(prefixes)) % sp.modulus
+    table = _phase_exponents(sp, pure, sp.rows(np.arange(S, dtype=np.int64)))
+    out = []
+    step = max(1, _CHUNK // (len(pure) * S))
+    for a in range(0, len(prefixes), step):
+        p, s = np.nonzero((table[:, None, :] == need[:, a:a + step, None]).all(axis=0))
+        keys = prefixes[a + p] + s
+        out.append(keys[(keys != 0) & ~_member(keys, covered)])
     return np.concatenate(out)
 
 
@@ -398,6 +406,14 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
     nothing, up to _CHUNK labels of the coset array, and drops back to
     one after a recursion: the result equals taking the candidates
     one at a time.
+
+    Set mode walks an explicit stack over one alive mask of the label
+    space: a level's pool is every alive key above the label it took
+    last; taking v kills the alive keys of v + covered above v, logged
+    in one undo array and revived when the level is left.  A pool of at
+    most _BITSET keys finishes its subtree on Python-int bitsets of its
+    uncovered pairs.  The result equals recursing on a filtered copy of
+    the pool at every level.
     """
     if mode not in ("group", "set"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -409,37 +425,78 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
     sp = _graph_layout(graphs)
     covered = _covered_keys(graphs, d)
     cands = _candidates(sp, _purity_rows(graphs, d), covered)
-    zero = np.zeros(sp.width, dtype=np.int64)
 
-    best: list[np.ndarray] | np.ndarray = [zero]
+    best: list[int] | np.ndarray = [0]
     nodes = 0
     hit_budget = False
     hit_target = False
 
     if mode == "set":
-        def extend(current: list[np.ndarray], pool: np.ndarray) -> None:
-            nonlocal best, nodes, hit_budget, hit_target
-            if len(current) > len(best):
-                best = list(current)
+        alive = np.zeros(sp.size, dtype=bool)
+        alive[cands] = True
+        undo, top = np.empty(len(cands), dtype=np.int64), 0
+        # v + covered digit by digit: min(t, t - m) is t mod m for t < 2m
+        dtype = np.min_scalar_type(2 * (int(sp.mods.max()) - 1))
+        mods = sp.mods.astype(dtype)
+        shifts = sp.rows(covered).astype(dtype)
+        clique = [0]
+
+        def level(last: int, left: int, mark: int) -> list:
+            """The frame of the pool of `left` alive keys above `last`:
+            [last key taken, left, undo mark, None, None], or, for at most
+            _BITSET keys, [pool bits, left, mark, keys, bitsets], bit b of
+            bitsets[a] set when keys[b] - keys[a] is uncovered."""
+            if left > _BITSET:
+                return [last, left, mark, None, None]
+            keys = np.flatnonzero(alive[last + 1:]) + (last + 1)
+            rows = sp.rows(keys)
+            apart = ~_member(sp.keys((rows[None, :, :] - rows[:, None, :]) % sp.mods), covered)
+            bits = np.left_shift(1, np.arange(left, dtype=np.uint64), dtype=np.uint64)
+            adj = (apart * bits).sum(axis=1)
+            return [(1 << left) - 1, left, mark, keys.tolist(), adj.tolist()]
+
+        stack = [level(0, len(cands), 0)]
+        while stack:
+            pos, left, mark, keys, adj = f = stack[-1]
+            if not left:
+                stack.pop()
+                clique.pop()
+                alive[undo[mark:top]] = True
+                top = mark
+                continue
+            if nodes >= budget:
+                hit_budget = True
+                break
+            nodes += 1
+            if len(clique) + left <= len(best):
+                f[1] = 0
+                continue
+            f[1] = left - 1
+            if keys is None:
+                v = pos + 1 + int(alive[pos + 1:].argmax())
+                t = shifts + sp.rows(np.array([v]))[0].astype(dtype)
+                ks = sp.keys(np.minimum(t, t - mods))
+                gone = ks[(ks > v) & alive[ks]]
+                alive[gone] = False
+                undo[top:top + len(gone)] = gone
+                f[0] = v
+                stack.append(level(v, left - 1 - len(gone), top))
+                top += len(gone)
+            else:
+                b = (pos & -pos).bit_length() - 1
+                f[0] = rest = pos & (pos - 1)
+                v, pool = keys[b], rest & adj[b]
+                stack.append([pool, pool.bit_count(), top, keys, adj])
+            clique.append(v)
+            if len(clique) > len(best):
+                best = list(clique)
                 if len(best) >= target_K:
                     hit_target = True
-                    return
-            for idx in range(len(pool)):
-                if nodes >= budget:
-                    hit_budget = True
-                    return
-                nodes += 1
-                if len(current) + len(pool) - idx <= len(best):
-                    return
-                v, rest = pool[idx], pool[idx + 1:]
-                apart = ~_member(sp.keys((rest - v) % sp.mods), covered)
-                extend(current + [v], rest[apart])
-                if hit_target:
-                    return
-
-        extend([zero], cands)
+                    break
+        best = sp.rows(np.array(best))
     else:
-        cand_keys = sp.keys(cands).tolist()
+        best = np.zeros((1, sp.width), dtype=np.int64)
+        cand_keys = cands.tolist()
 
         def extend_group(group: np.ndarray, keys: set[int], start: int) -> None:
             nonlocal best, nodes, hit_budget, hit_target
@@ -448,6 +505,8 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                 if len(best) >= target_K:
                     hit_target = True
                     return
+            if len(group) == sp.size:
+                return
             idx, width = start, 1
             while idx < len(cands):
                 if nodes >= budget:
@@ -460,11 +519,12 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                 if not win:
                     return
                 idx = win[-1] + 1
-                first = (group[:, None, :] + cands[win]) % sp.mods
+                gens = sp.rows(cands[win])
+                first = (group[:, None, :] + gens) % sp.mods
                 clear = ~_member(sp.keys(first), covered).any(axis=0)
                 nodes = base + len(win)
                 for p in np.flatnonzero(clear).tolist():
-                    grown, added = _join(sp, group, keys, cands[win[p]], first[:, p])
+                    grown, added = _join(sp, group, keys, gens[p], first[:, p])
                     if not _member(added[len(group):], covered).any():
                         nodes = base + p + 1
                         extend_group(grown, keys | set(added.tolist()), win[p] + 1)
@@ -475,9 +535,8 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                 else:
                     width = min(2 * width, max(1, _CHUNK // (len(group) * sp.width)))
 
-        extend_group(zero[None, :], {0}, 0)
+        extend_group(best, {0}, 0)
 
-    best = np.asarray(best).reshape(-1, sp.width)
     vectors = sp.decode(best[np.argsort(sp.keys(best))])
     clique = CodingClique(graphs, d, vectors)
     if len(vectors) == 1 and target_K > 1:

@@ -7,18 +7,24 @@ in plain Python over ``ModVec``, so the tests can compare the two.  The
 rest are dense or scalar forms of what the library never needs whole:
 the unitary of an error word, the expansion of one projected error, dot
 products and phases of single vectors, and the error words of a weight
-ball one ``ErrorWord`` at a time.  ``group_search`` is the group-mode
-clique search taking its candidates one at a time.
+ball one ``ErrorWord`` at a time.  ``candidate_rows`` judges every
+label of the space on the clique conditions as a row, ``group_search``
+is the group-mode clique search taking its candidates one at a time,
+and ``set_search`` the set-mode search recursing on a filtered copy of
+its pool at every level.
 """
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from mixedqec.algebra import PHASE_ONE, ModVec, Phase, phase_mul
-from mixedqec.clique import _candidates, _covered_keys, _graph_layout, _member, _purity_rows
+from mixedqec.clique import (
+    _CHUNK, LabelLayout, _covered_keys, _graph_layout, _member, _phase_exponents, _purity_rows,
+)
 from mixedqec.errors import (
     ErrorWord, MixedSystem, _check_cap, apply_error, error_blocks, word_from_row, word_radices,
 )
@@ -128,6 +134,30 @@ def stabilizer_error_word(sys: MixedSystem, graphs: Sequence[WeightedGraph],
     return word_from_layers(sys, xs, zs, phase)
 
 
+def candidate_rows(sp: LabelLayout, pure: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """The search candidates as rows in key order: every nonzero label,
+    a chunk at a time, with trivial condition-(ii) phases over the purity
+    set and outside the covered set."""
+    out = [np.zeros((0, sp.width), dtype=np.int64)]
+    step = max(1, _CHUNK // len(pure))
+    for a in range(1, sp.size, step):
+        keys = np.arange(a, min(a + step, sp.size), dtype=np.int64)
+        rows = sp.rows(keys)
+        ok = ~_phase_exponents(sp, pure, rows).any(axis=0) & ~_member(keys, covered)
+        out.append(rows[ok])
+    return np.concatenate(out)
+
+
+def _search_result(sp: LabelLayout, best: np.ndarray, target_K: int, hit_budget: bool,
+                   hit_target: bool) -> tuple[tuple, str]:
+    vectors = sp.decode(best[np.argsort(sp.keys(best))])
+    if len(vectors) == 1 and target_K > 1:
+        flag = "budget" if hit_budget else "trivial"
+    else:
+        flag = "target" if hit_target else "budget" if hit_budget else "ok"
+    return vectors, flag
+
+
 def group_search(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                  budget: int) -> tuple[tuple, int, str]:
     """(vectors, nodes_used, flag) of ``search_clique(..., mode="group")``,
@@ -139,7 +169,7 @@ def group_search(graphs: Sequence[WeightedGraph], d: int, target_K: int,
     graphs = tuple(graphs)
     sp = _graph_layout(graphs)
     covered = _covered_keys(graphs, d)
-    cands = _candidates(sp, _purity_rows(graphs, d), covered)
+    cands = candidate_rows(sp, _purity_rows(graphs, d), covered)
     best = np.zeros((1, sp.width), dtype=np.int64)
     nodes, hit_budget, hit_target = 0, False, False
 
@@ -169,9 +199,51 @@ def group_search(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                     return
 
     extend(best, {0}, 0)
-    vectors = sp.decode(best[np.argsort(sp.keys(best))])
-    if len(vectors) == 1 and target_K > 1:
-        flag = "budget" if hit_budget else "trivial"
-    else:
-        flag = "target" if hit_target else "budget" if hit_budget else "ok"
+    vectors, flag = _search_result(sp, best, target_K, hit_budget, hit_target)
+    return vectors, nodes, flag
+
+
+def set_search(graphs: Sequence[WeightedGraph], d: int, target_K: int,
+               budget: int) -> tuple[tuple, int, str]:
+    """(vectors, nodes_used, flag) of ``search_clique(..., mode="set")``,
+    recursing once per clique member on a filtered copy of its pool: each
+    candidate tried costs a node, the level returns once the members left
+    cannot beat the best clique, and the child's pool is the rest of the
+    pool with every u such that u - v is covered removed.  The search
+    stops as soon as the clique reaches the target."""
+    graphs = tuple(graphs)
+    sp = _graph_layout(graphs)
+    covered = _covered_keys(graphs, d)
+    zero = np.zeros(sp.width, dtype=np.int64)
+    best = [zero]
+    nodes, hit_budget, hit_target = 0, False, False
+
+    def extend(current: list[np.ndarray], pool: np.ndarray) -> None:
+        nonlocal best, nodes, hit_budget, hit_target
+        if len(current) > len(best):
+            best = list(current)
+            if len(best) >= target_K:
+                hit_target = True
+                return
+        for idx in range(len(pool)):
+            if nodes >= budget:
+                hit_budget = True
+                return
+            nodes += 1
+            if len(current) + len(pool) - idx <= len(best):
+                return
+            v, rest = pool[idx], pool[idx + 1:]
+            apart = ~_member(sp.keys((rest - v) % sp.mods), covered)
+            extend(current + [v], rest[apart])
+            if hit_target:
+                return
+
+    # one frame per clique member: the depth reaches the clique's size
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, budget + 100))
+    try:
+        extend([zero], candidate_rows(sp, _purity_rows(graphs, d), covered))
+    finally:
+        sys.setrecursionlimit(limit)
+    vectors, flag = _search_result(sp, np.array(best), target_K, hit_budget, hit_target)
     return vectors, nodes, flag

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,7 @@ from mixedqec.clique import (
 from mixedqec.verifier import Code
 from oracles import (
     dot_mod, enumerate_errors, graph_action, group_search, label_is_identity, omega,
-    stabilizer_error_word,
+    set_search, stabilizer_error_word,
 )
 
 L3 = loop_graph(3, 2)
@@ -392,6 +393,14 @@ class TestSearch:
         assert (res.clique.K, res.nodes_used, res.flag) == (8, 29, "target")
         assert check_clique(res.clique).ok
 
+    def test_set_mode_reaches_the_7_cycle_optimum(self):
+        # ((7, 4^5, 2))_4 as a set-mode clique, 1024 levels deep: the
+        # search used to recurse once per level and raise RecursionError
+        L7 = loop_graph(7, 2)
+        res = search_clique((L7, L7), d=2, target_K=1024, budget=3000, mode="set")
+        assert (res.clique.K, res.nodes_used, res.flag) == (1024, 1023, "target")
+        assert check_clique(res.clique).ok
+
 
 def stabilizer_expectation(graphs, ss, cs):
     """<c| S_s |c> for the codeword Z^c |G> and the exact stabilizer
@@ -479,6 +488,36 @@ class TestGroupSearchOracle:
         res = search_clique(graphs, d, target_K=10 ** 6, budget=budget, mode="group")
         assert (res.clique.vectors, res.nodes_used, res.flag) == \
             group_search(graphs, d, 10 ** 6, budget)
+
+
+SET_ORACLE_GRAPHS = [
+    ((loop_graph(4, 3),), 2), ((loop_graph(3, 5),), 1), ((loop_graph(3, 4), L3), 2),
+    ((L6, loop_graph(4, 2)), 3), ((loop_graph(5, 3), L3), 2), ((loop_graph(5, 2),) * 2, 2)]
+
+
+class TestSetSearchOracle:
+    # the stack search over one alive mask, with its bitset tail, against
+    # the recursion on filtered pool copies.  Pools of at most 1024
+    # labels rarely stay above the tail cutoff of 64 for long; patched to
+    # 0 or 3, the cutoff sends most levels through the alive mask and
+    # its undo log
+    @given(search_cases(), st.sampled_from([0, 3, 64]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_recursive_loop(self, case, cutoff):
+        graphs, d, target, budget = case
+        with mock.patch("mixedqec.clique._BITSET", cutoff):
+            res = search_clique(graphs, d, target_K=target, budget=budget, mode="set")
+        assert (res.clique.vectors, res.nodes_used, res.flag) == \
+            set_search(graphs, d, target, budget)
+
+    @pytest.mark.parametrize("cutoff", [0, 64])
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 7, 8, 15, 16, 100, 1000])
+    @pytest.mark.parametrize("graphs, d", SET_ORACLE_GRAPHS)
+    def test_budgets_match_recursive_loop(self, graphs, d, budget, cutoff):
+        with mock.patch("mixedqec.clique._BITSET", cutoff):
+            res = search_clique(graphs, d, target_K=10 ** 6, budget=budget, mode="set")
+        assert (res.clique.vectors, res.nodes_used, res.flag) == \
+            set_search(graphs, d, 10 ** 6, budget)
 
 
 class TestCheckCliqueOracle:
@@ -635,6 +674,32 @@ for name in ("3_4_2_q4.json", "6_16_3_stab.json"):
     verify_certificate(load_certificate(root / name), root)
 print("numpy.ma" in sys.modules)
 """
+
+
+SET_SEARCH_PROBE = """
+from mixedqec.clique import search_clique
+from mixedqec.graphs import loop_graph
+res = search_clique((loop_graph(9, 2),) * 2, 3, target_K=10 ** 6, budget=1000, mode="set")
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(res.nodes_used, res.flag, peak)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_set_search_memory_stays_small():
+    # a filtered int64 copy of the pool per level peaked at 2 GB on two
+    # 9-cycle layers at d = 3; the alive mask and the undo log are one
+    # entry per label.  VmHWM is the peak resident memory of the child's
+    # own image: its ru_maxrss would start from the forking test process
+    src = os.path.dirname(os.path.dirname(mixedqec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    nodes, flag, peak = subprocess.run([sys.executable, "-c", SET_SEARCH_PROBE], env=env,
+                                       capture_output=True, text=True,
+                                       check=True).stdout.split()
+    assert (int(nodes), flag) == (1000, "budget")
+    assert int(peak) / 1024 < 300
 
 
 def test_label_engine_does_not_import_numpy_ma():
