@@ -43,7 +43,7 @@ LayerVecs = tuple[ModVec, ...]
 # purity labels x scanned labels per block when a scan walks the whole
 # label space
 _CHUNK = 1 << 16
-# the pool size at which set mode finishes a subtree on bitsets
+# set mode finishes a subtree on bitsets once its pool is this small
 _BITSET = 64
 
 
@@ -426,12 +426,12 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
     covered = _covered_keys(graphs, d)
     cands = _candidates(sp, _purity_rows(graphs, d), covered)
 
-    best: list[int] | np.ndarray = [0]
     nodes = 0
     hit_budget = False
     hit_target = False
 
     if mode == "set":
+        best = [0]
         alive = np.zeros(sp.size, dtype=bool)
         alive[cands] = True
         undo, top = np.empty(len(cands), dtype=np.int64), 0

@@ -8,10 +8,9 @@ rest are dense or scalar forms of what the library never needs whole:
 the unitary of an error word, the expansion of one projected error, dot
 products and phases of single vectors, and the error words of a weight
 ball one ``ErrorWord`` at a time.  ``candidate_rows`` judges every
-label of the space on the clique conditions as a row, ``group_search``
-is the group-mode clique search taking its candidates one at a time,
-and ``set_search`` the set-mode search recursing on a filtered copy of
-its pool at every level.
+label of the space as a row, ``group_search`` is the group-mode clique
+search taking its candidates one at a time, and ``set_search`` the
+set-mode search recursing on a filtered copy of its pool at every level.
 """
 from __future__ import annotations
 
