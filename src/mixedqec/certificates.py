@@ -18,7 +18,7 @@ from .bounds import bound_report
 from .clique import CodingClique, check_clique, closure
 from .compose import clique_stabilizer_rows, paste_distance2, pasted_code, product_code
 from .errors import ConstructionInputError, ErrorWord, MixedSystem, dim_cap
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _json_int
 from .projection import ProjectorSpec, project_code, required_detectable_set
 from .verifier import (
     Code,
@@ -107,9 +107,9 @@ class Certificate:
         if not isinstance(claimed, dict) or "K" not in claimed or "d" not in claimed:
             raise CertificateError("claimed block needs K and d")
         try:
-            K, d = int(claimed["K"]), int(claimed["d"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CertificateError(f"claimed K and d must be integers: {exc}") from exc
+            K, d = (_json_int(claimed[k], f"claimed {k}") for k in "Kd")
+        except TypeError as exc:
+            raise CertificateError(f"bad claim: {exc}") from exc
         if K < 1 or d < 1:
             raise CertificateError("claimed K and d must be positive")
         if d > system.n + 1:
@@ -173,7 +173,7 @@ def _stabilizer_rows(cert: Certificate):
         rows = [parse_stabilizer_row(cert.system, tuple(t)) for t in cons["rows"]]
         phases = cons.get("phases")
         if phases is not None:
-            phases = [Phase(int(k), int(L)) for k, L in phases]
+            phases = [Phase(*(_json_int(a, "a phase") for a in p)) for p in phases]
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad stabilizer construction: {exc}") from exc
     if phases is not None and len(phases) != len(rows):
@@ -182,7 +182,7 @@ def _stabilizer_rows(cert: Certificate):
     return rows, phases
 
 
-def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
+def _build(cert: Certificate, base_dir: Path, seen: frozenset,
            tol: float) -> tuple[Code, tuple[Code, ProjectorSpec] | None,
                                 tuple[StabilizerRow, ...] | None]:
     """Construct the code a certificate describes, with what its checks
@@ -206,13 +206,13 @@ def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
         return Code.from_clique(_clique_from_construction(cons, cert.d)), None, None
     if kind == "stabilizer":
         rows, phases = _stabilizer_rows(cert)
-        form = stabilizer_eigenbasis(cert.system, rows, phases=phases, cap=cap)
+        form = stabilizer_eigenbasis(cert.system, rows, phases=phases)
         return Code.from_monomial(cert.system, form, cert.d), None, None
     if kind == "projection":
         ref = cons.get("ancilla")
         if not isinstance(ref, str):
             raise CertificateError("projection construction needs a 'ancilla' ref")
-        _, ancilla = _build_ref(ref, base_dir, cap, seen, tol)
+        _, ancilla = _build_ref(ref, base_dir, seen, tol)
         try:
             spec = ProjectorSpec.from_json(ancilla.system, cons["projector"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -226,33 +226,31 @@ def _build(cert: Certificate, base_dir: Path, cap: int | None, seen: frozenset,
         refs = cons.get("refs")
         if not isinstance(refs, list) or len(refs) != 2:
             raise CertificateError("product construction needs two refs")
-        a, b = [_build_ref(ref, base_dir, cap, seen, tol)[1] for ref in refs]
+        a, b = [_build_ref(ref, base_dir, seen, tol)[1] for ref in refs]
         if (a.n, a.d) != (b.n, b.d):
             raise CertificateError(f"product needs codes of one length and one "
                                    f"claimed distance, got (n, d) = ({a.n}, {a.d}) "
                                    f"and ({b.n}, {b.d})")
-        return product_code(a, b, cap=cap), None, None
+        return product_code(a, b), None, None
     if kind == "pasting":
         refs = cons.get("refs")
         if not isinstance(refs, list) or len(refs) != 1:
             raise CertificateError("pasting construction needs exactly one ref")
-        base_cert, base_code = _build_ref(refs[0], base_dir, cap, seen, tol)
+        base_cert, base_code = _build_ref(refs[0], base_dir, seen, tol)
         try:
-            blocks = int(cons["blocks"])
-            block_dim = int(cons["block_dim"])
+            blocks, block_dim = (_json_int(cons[k], k) for k in ("blocks", "block_dim"))
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad pasting block parameters: {exc}") from exc
         try:
             rows = base_stabilizer_rows(base_cert, base_code)
-            res = paste_distance2(rows, base_code, blocks, block_dim, tol=tol, cap=cap)
+            res = paste_distance2(rows, base_code, blocks, block_dim, tol=tol)
         except ConstructionInputError as exc:
             raise CertificateError(f"bad pasting: {exc}") from exc
-        return pasted_code(res, cap=cap), None, res.rows
+        return pasted_code(res), None, res.rows
     raise CertificateError(f"unknown construction type {kind!r}")
 
 
-def _build_ref(ref: str, base_dir: Path, cap: int | None, seen: frozenset,
-               tol: float) -> tuple[Certificate, Code]:
+def _build_ref(ref: str, base_dir: Path, seen: frozenset, tol: float) -> tuple[Certificate, Code]:
     """Load a referenced certificate and build its code."""
     if not isinstance(ref, str):
         raise CertificateError(f"certificate reference must be a path string, got {ref!r}")
@@ -263,18 +261,17 @@ def _build_ref(ref: str, base_dir: Path, cap: int | None, seen: frozenset,
     if marker in seen:
         raise CertificateError(f"circular certificate reference via {ref}")
     sub = load_certificate(path)
-    return sub, _build(sub, path.parent, cap, seen | {marker}, tol)[0]
+    return sub, _build(sub, path.parent, seen | {marker}, tol)[0]
 
 
-def build_code(cert: Certificate, base_dir: str | Path = ".",
-               cap: int | None = None) -> Code:
+def build_code(cert: Certificate, base_dir: str | Path = ".") -> Code:
     """Construct the code a certificate describes.
 
     Raises as verify_certificate's build does: CertificateError and
     IntegerRangeError for bad input, ValueError for a construction that
     fails mathematically.
     """
-    return _build(cert, Path(base_dir), cap, frozenset(), 1e-9)[0]
+    return _build(cert, Path(base_dir), frozenset(), 1e-9)[0]
 
 
 def base_stabilizer_rows(cert: Certificate, code: Code) -> tuple[StabilizerRow, ...]:
@@ -302,8 +299,7 @@ def _fmt(x: float) -> str:
 
 def verify_certificate(cert: Certificate, base_dir: str | Path = ".",
                        run_symbolic: bool = True, run_numeric: bool = True,
-                       distance: bool = False, tol: float = 1e-9,
-                       cap: int | None = None) -> dict:
+                       distance: bool = False, tol: float = 1e-9) -> dict:
     """Re-run the requested checks and return a report.
 
     The certificate's verification block is updated in memory; callers
@@ -312,15 +308,14 @@ def verify_certificate(cert: Certificate, base_dir: str | Path = ".",
     """
     check_tol(tol)
     try:
-        code, projection, _ = _build(cert, Path(base_dir), cap, frozenset(), tol)
+        code, projection, _ = _build(cert, Path(base_dir), frozenset(), tol)
     except ValueError as exc:
         return _construction_failed(cert, exc, tol)
-    return _check(cert, code, projection, tol, cap, run_symbolic, run_numeric, distance)
+    return _check(cert, code, projection, tol, run_symbolic, run_numeric, distance)
 
 
 def certify(name: str, d: int, construction: dict, base_dir: str | Path = ".",
-            tol: float = 1e-9, cap: int | None = None,
-            distance: bool = False) -> tuple[Certificate | None, dict]:
+            tol: float = 1e-9, distance: bool = False) -> tuple[Certificate | None, dict]:
     """Build a new code once and certify that same code.
 
     The certificate claims the built code's system and K at distance d,
@@ -336,11 +331,11 @@ def certify(name: str, d: int, construction: dict, base_dir: str | Path = ".",
                                "verify the certificate instead")
     cert = Certificate(name, None, 0, d, construction)  # the claim is the built code's
     try:
-        code, projection, rows = _build(cert, Path(base_dir), cap, frozenset(), tol)
+        code, projection, rows = _build(cert, Path(base_dir), frozenset(), tol)
     except ValueError as exc:
         return None, _construction_failed(cert, exc, tol)
     cert.system, cert.K = code.system, code.K
-    report = _check(cert, code, projection, tol, cap, distance=distance)
+    report = _check(cert, code, projection, tol, distance=distance)
     if rows is not None:
         cert.verification["rows"] = [list(r.text) for r in rows]
     return cert, report
@@ -353,8 +348,8 @@ def _construction_failed(cert: Certificate, exc: ValueError, tol: float) -> dict
 
 
 def _check(cert: Certificate, code: Code, projection: tuple[Code, ProjectorSpec] | None,
-           tol: float, cap: int | None, run_symbolic: bool = True,
-           run_numeric: bool = True, distance: bool = False) -> dict:
+           tol: float, run_symbolic: bool = True, run_numeric: bool = True,
+           distance: bool = False) -> dict:
     """The checks of a built code against its certificate's claim."""
     checks: dict = {}
     failures: list[str] = []
@@ -384,7 +379,7 @@ def _check(cert: Certificate, code: Code, projection: tuple[Code, ProjectorSpec]
         ancilla, spec = projection
         try:
             words = required_detectable_set(spec, d=cert.d)
-            wrep = kl_verify_words(ancilla, words, tol=tol, cap=cap)
+            wrep = kl_verify_words(ancilla, words, tol=tol)
             checks["ancilla_detection"] = wrep.to_json()
             if not wrep.ok:
                 failures.append("ancilla misses a dressed error")
@@ -394,13 +389,12 @@ def _check(cert: Certificate, code: Code, projection: tuple[Code, ProjectorSpec]
 
     nrep = None
     if run_numeric:
-        limit = dim_cap() if cap is None else cap
-        if code.system.total_dim > limit:
+        if code.system.total_dim > (limit := dim_cap()):
             checks["numeric"] = {
                 "skipped": f"dimension {code.system.total_dim} exceeds cap {limit}"}
             record["numeric"] = "skipped"
         else:
-            nrep = kl_verify_numeric(code, tol=tol, cap=cap)
+            nrep = kl_verify_numeric(code, tol=tol)
             checks["numeric"] = nrep.to_json()
             record["numeric"] = "pass" if nrep.ok else "fail"
             if nrep.max_deviation is not None:
@@ -415,7 +409,7 @@ def _check(cert: Certificate, code: Code, projection: tuple[Code, ProjectorSpec]
             w = nrep.witness["error"]
             dmeas = sum(any(x) or any(z) for x, z in zip(w["x"], w["z"]))
         else:
-            dmeas = code_distance(code, cap=cap, tol=tol, w_min=code.d if nrep else 1)
+            dmeas = code_distance(code, tol=tol, w_min=code.d if nrep else 1)
         checks["distance"] = dmeas
         record["distance"] = dmeas
         if dmeas < cert.d:

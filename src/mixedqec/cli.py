@@ -24,7 +24,7 @@ from pathlib import Path
 from .bounds import bound_report
 from .certificates import CertificateError, certify, load_certificate, verify_certificate
 from .clique import search_clique
-from .errors import DIM_CAP_ENV, DimensionCapError, IntegerRangeError, dim_cap
+from .errors import DIM_CAP_ENV, DimensionCapError, IntegerRangeError, _cli_cap, dim_cap
 from .graphs import WeightedGraph
 from .projection import ProjectorSpec
 from .verifier import check_tol
@@ -178,7 +178,7 @@ def _ref(path: str, out_dir: Path) -> str:
 
 def _certify_and_emit(args, name: str, d: int, cons: dict,
                       base_dir: str | Path = ".") -> int:
-    cert, report = certify(name, d, cons, base_dir, tol=args.tol, cap=args.dim_cap)
+    cert, report = certify(name, d, cons, base_dir, tol=args.tol)
     if report["verdict"] != "pass":
         print(json.dumps(report, indent=2, sort_keys=True), file=sys.stderr)
         return 1
@@ -195,8 +195,7 @@ def cmd_verify(args) -> int:
     run_num = args.numeric or not (args.symbolic or args.numeric)
     report = verify_certificate(cert, Path(args.cert).parent,
                                 run_symbolic=run_sym, run_numeric=run_num,
-                                distance=args.distance, tol=args.tol,
-                                cap=args.dim_cap)
+                                distance=args.distance, tol=args.tol)
     _print_report(report)
     if args.update:
         cert.save(args.cert)
@@ -313,8 +312,7 @@ def cmd_run_fixtures(args) -> int:
         label = path.relative_to(root).as_posix()
         try:
             cert = load_certificate(path)
-            report = verify_certificate(cert, path.parent, tol=args.tol,
-                                        cap=args.dim_cap)
+            report = verify_certificate(cert, path.parent, tol=args.tol)
         except DimensionCapError as exc:
             skipped += 1
             print(f"SKIP {label}: dimension {exc.dimension} exceeds cap {exc.cap}")
@@ -343,13 +341,12 @@ def cmd_run_fixtures(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "dim_cap", 0) is None:
-        # a malformed environment cap is bad input, not a failed check
-        try:
-            dim_cap()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:  # a malformed environment cap is bad input, not a failed check
+        cap = (args.dim_cap or dim_cap()) if hasattr(args, "dim_cap") else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    token = _cli_cap.set(cap)  # what dim_cap() returns while the command runs
     try:
         return args.func(args)
     except (CertificateError, IntegerRangeError) as exc:
@@ -362,6 +359,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _cli_cap.reset(token)
 
 
 if __name__ == "__main__":

@@ -496,7 +496,6 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
         best = sp.rows(np.array(best))
     else:
         best = np.zeros((1, sp.width), dtype=np.int64)
-        cand_keys = cands.tolist()
 
         def extend_group(group: np.ndarray, keys: set[int], start: int) -> None:
             nonlocal best, nodes, hit_budget, hit_target
@@ -512,10 +511,11 @@ def search_clique(graphs: Sequence[WeightedGraph], d: int, target_K: int,
                 if nodes >= budget:
                     hit_budget = True
                     return
-                # the next candidates not in G, one node each, tested
-                # together on their first cosets G + g
-                fresh = (i for i in range(idx, len(cands)) if cand_keys[i] not in keys)
-                win, base = list(itertools.islice(fresh, min(width, budget - nodes))), nodes
+                # the next w candidates not in G (a run of w + |G| - 1 holds
+                # them), one node each, tested together on their first cosets G + g
+                w = min(width, budget - nodes)
+                run = cands[idx:idx + w + len(keys) - 1].tolist()
+                win, base = [idx + i for i, k in enumerate(run) if k not in keys][:w], nodes
                 if not win:
                     return
                 idx = win[-1] + 1

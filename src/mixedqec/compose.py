@@ -26,7 +26,7 @@ from .verifier import (
 )
 
 
-def product_code(A: Code, B: Code, cap: int | None = None) -> Code:
+def product_code(A: Code, B: Code) -> Code:
     """The tensor product of two same-length codes, with particle i of
     the output owning A's factors of particle i followed by B's.
 
@@ -51,7 +51,7 @@ def product_code(A: Code, B: Code, cap: int | None = None) -> Code:
 
     facs = tuple(fa + fb for fa, fb in zip(A.system.factors, B.system.factors))
     sys = MixedSystem(facs)
-    _check_cap(sys.total_dim, cap)
+    _check_cap(sys.total_dim)
     aflat = A.system.flat_dims()
     bflat = B.system.flat_dims()
     a_axes, off = [], 0
@@ -77,7 +77,7 @@ def product_code(A: Code, B: Code, cap: int | None = None) -> Code:
         val = va[:, None] * vb
         return Code(sys, K, A.d, monomial=(particle_major(col.ravel()),
                                            particle_major(val.ravel())))
-    full = np.kron(A.basis(cap=cap), B.basis(cap=cap))
+    full = np.kron(A.basis(), B.basis())
     return Code(sys, K, A.d, basis=particle_major(full))
 
 
@@ -186,8 +186,7 @@ class PasteResult:
 
 
 def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
-                    blocks: int, block_dim: int, tol: float = 1e-9,
-                    cap: int | None = None) -> PasteResult:
+                    blocks: int, block_dim: int, tol: float = 1e-9) -> PasteResult:
     """Extend a distance-2 stabilizer code by trivial two-particle
     blocks without adding rows.
 
@@ -223,10 +222,10 @@ def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
         raise ConstructionInputError(
             f"{2 * j} block generators cannot be absorbed by {len(base_rows)} rows")
 
-    rep = verify_stabilizer(base_rows, base_code, tol=tol, cap=cap)
+    rep = verify_stabilizer(base_rows, base_code, tol=tol)
     if not rep.ok:
         raise ValueError(f"base rows fail verification: {rep.witness}")
-    kl = kl_verify_numeric(base_code, d=2, tol=tol, cap=cap)
+    kl = kl_verify_numeric(base_code, d=2, tol=tol)
     if not kl.ok:
         raise ValueError(f"base code fails at distance 2: {kl.witness}")
     # rows published up to phase are fixed to their exact stabilizing form
@@ -257,10 +256,9 @@ def paste_distance2(base_rows: Sequence[StabilizerRow], base_code: Code,
     return PasteResult(sys, rows, base_code.K * block_dim ** (2 * blocks))
 
 
-def pasted_code(res: PasteResult, cap: int | None = None) -> Code:
+def pasted_code(res: PasteResult) -> Code:
     """The joint +1 eigenspace of a paste result as a distance-2 code."""
-    code = Code.from_monomial(res.system,
-                              stabilizer_eigenbasis(res.system, res.rows, cap=cap), 2)
+    code = Code.from_monomial(res.system, stabilizer_eigenbasis(res.system, res.rows), 2)
     if code.K != res.K:
         raise ValueError(f"eigenspace dimension {code.K}, expected {res.K}")
     return code

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import log10, prod
 from typing import Iterator, Sequence
@@ -26,13 +27,17 @@ from .algebra import PHASE_ONE, Phase
 
 DEFAULT_DIM_CAP = 65536
 DIM_CAP_ENV = "MIXEDQEC_DIM_CAP"
+# the cap of the running CLI command, set by cli.main; None reads the environment
+_cli_cap: ContextVar[int | None] = ContextVar("_cli_cap", default=None)
 
 
 def dim_cap() -> int:
-    """Largest total Hilbert-space dimension numeric routines will build.
-
-    Override with the MIXEDQEC_DIM_CAP environment variable.
-    """
+    """Largest total Hilbert-space dimension of a dense array (a basis,
+    sign table, eigenbasis or product): the running CLI command's cap, else
+    MIXEDQEC_DIM_CAP as read at this call, else 65536.  Library functions
+    take no cap argument; ``_check_cap`` enforces it where arrays are built."""
+    if (cli := _cli_cap.get()) is not None:
+        return cli
     raw = os.environ.get(DIM_CAP_ENV)
     if raw is None:
         return DEFAULT_DIM_CAP
@@ -71,9 +76,8 @@ class ConstructionInputError(ValueError):
     not a failed check."""
 
 
-def _check_cap(total: int, cap: int | None) -> None:
-    limit = dim_cap() if cap is None else cap
-    if total > limit:
+def _check_cap(total: int) -> None:
+    if total > (limit := dim_cap()):
         raise DimensionCapError(total, limit)
 
 

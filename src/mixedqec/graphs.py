@@ -14,6 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer field; TypeError for a float, a bool or anything else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Symmetric zero-diagonal adjacency matrix over Z_m."""
@@ -41,8 +48,9 @@ class WeightedGraph:
 
     @staticmethod
     def from_json(obj: dict) -> "WeightedGraph":
-        return WeightedGraph(int(obj["n"]), int(obj["mod"]),
-                             tuple(tuple(row) for row in obj["adj"]))
+        return WeightedGraph(_json_int(obj["n"], "n"), _json_int(obj["mod"], "mod"),
+                             tuple(tuple(_json_int(w, "an adjacency entry") for w in row)
+                                   for row in obj["adj"]))
 
 
 def loop_graph(n: int, m: int, w: int = 1) -> WeightedGraph:

@@ -132,10 +132,10 @@ class Code:
         column index."""
         return Code(system, int(np.max(monomial[0])) + 1, d, monomial=monomial)
 
-    def basis(self, cap: int | None = None) -> np.ndarray:
-        """The dense D x K basis; built afresh on each call for a code in
-        monomial form, cached for a clique (the numeric scan of a clique
-        over Z_2 layers reads ``_exponents`` and never calls this)."""
+    def basis(self) -> np.ndarray:
+        """The dense D x K basis: built afresh on each call for a monomial
+        form, which ``dim_cap()`` bounded when it was built; cached for a
+        clique, bounded in ``_exponents`` (all a Z_2-layer scan reads)."""
         if self.monomial is not None:
             col, val = self.monomial
             B = np.zeros((self.system.total_dim, self.K), dtype=complex)
@@ -144,15 +144,15 @@ class Code:
             return B
         if self._basis is None:
             # quarter turns are exact: a qubit-layer clique's basis is real
-            L, expo = self._exponents(cap)
+            L, expo = self._exponents()
             self._basis = (roots_of_unity(L) / math.sqrt(self.system.total_dim))[expo]
         return self._basis
 
-    def _exponents(self, cap: int | None = None) -> tuple[int, np.ndarray]:
+    def _exponents(self) -> tuple[int, np.ndarray]:
         """(L, expo): the clique's codeword c is D^{-1/2} w_L^expo[j, c] on
         |j>, expo in the narrowest unsigned dtype that holds 2(L - 1)."""
         D = self.system.total_dim
-        _check_cap(D, cap)
+        _check_cap(D)
         sp, V = self.clique.layout, self.clique.labels
         L = sp.modulus
         # layer l adds (L/m_l)(Q_l(j_l) + c_l.j_l) mod L, Q_l(j) = j.Gamma_l.j / 2,
@@ -357,7 +357,7 @@ class _SupportScan:
 
     SIGN_TABLE_MAX_DIM = 2 ** 24  # float32 holds every integer up to 2^24
 
-    def __init__(self, code: Code, cap: int | None = None):
+    def __init__(self, code: Code):
         sys = code.system
         self.sys = sys
         self.K = code.K
@@ -371,10 +371,10 @@ class _SupportScan:
         else:
             if (code.clique is not None and code.clique.layout.modulus == 2
                     and sys.total_dim <= self.SIGN_TABLE_MAX_DIM):
-                B = np.float32((1, -1))[code._exponents(cap)[1]]
+                B = np.float32((1, -1))[code._exponents()[1]]
                 self.scale = 1 / sys.total_dim
             else:
-                B = code.basis(cap=cap)
+                B = code.basis()
                 if not B.imag.any():
                     B = B.real  # a view of the cached basis, not a copy
             self.Bt = B.reshape(self.flat + (self.K,))
@@ -530,13 +530,12 @@ def check_tol(tol: float) -> float:
     return tol
 
 
-def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
-                      cap: int | None = None) -> KLReport:
+def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9) -> KLReport:
     """Direct KL check: for every error of weight below d, the K x K
     matrix of inner products must be f times the identity within tol."""
     check_tol(tol)
     d = code.d if d is None else d
-    scan = _SupportScan(code, cap)
+    scan = _SupportScan(code)
     reducer = _KLReducer(code.system, tol)
     for supp in supports(code.n, d - 1):
         xs, f, dev = zip(*scan.fits(supp))
@@ -547,11 +546,10 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9,
     return reducer.report("numeric")
 
 
-def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9,
-                    cap: int | None = None) -> KLReport:
+def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9) -> KLReport:
     """KL check for an explicit word list instead of a weight ball."""
     check_tol(tol)
-    B = code.basis(cap=cap)
+    B = code.basis()
     reducer = _KLReducer(code.system, tol)
     pairs = np.arange(code.K ** 2)
     for e in words:
@@ -561,7 +559,7 @@ def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9,
 
 
 def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
-                  cap: int | None = None, w_min: int = 1) -> int:
+                  w_min: int = 1) -> int:
     """Smallest error weight at which KL fails; w_cap + 1 if none found
     up to w_cap.  Supports come by size, so the first failing shift
     settles it.  A shift's row also holds the words that leave part of S
@@ -570,7 +568,7 @@ def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
     Weights below w_min are taken as passing (``kl_verify_numeric`` at d = w_min)."""
     check_tol(tol)
     w_cap = code.n if w_cap is None else w_cap
-    scan = _SupportScan(code, cap)
+    scan = _SupportScan(code)
     for supp in supports(code.n, w_cap):
         if len(supp) >= w_min and any((dev[x == 0:] > tol).any()
                                       for x, _, dev in scan.fits(supp)):
@@ -780,7 +778,7 @@ class StabilizerReport:
 
 
 def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
-                      tol: float = 1e-9, cap: int | None = None) -> StabilizerReport:
+                      tol: float = 1e-9) -> StabilizerReport:
     """Check rows pairwise commute, close cyclically, and stabilize
     exactly the code space once each row's free phase is fixed.
 
@@ -797,7 +795,7 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
         return StabilizerReport(False, False, orders, (PHASE_ONE,) * len(words),
                                 float("nan"), None, {"noncommuting_pair": list(pair)})
 
-    B = code.basis(cap=cap)
+    B = code.basis()
     pairs = np.arange(code.K ** 2)
     witness: dict | None = None
     chosen: list[Phase] = []
@@ -831,8 +829,7 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
 
 
 def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
-                          phases: Sequence[Phase] | None = None,
-                          cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                          phases: Sequence[Phase] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the joint +1 eigenspace, in the monomial form
     ``(col, val)`` that ``Code.from_monomial`` takes, from one walk over
     the standard basis in exact integers.
@@ -848,7 +845,7 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
     scalar.  The surviving orbits, in ascending order of s, are the
     columns, each entry w_N^e / sqrt(|H|); rows of no such orbit get
     column -1."""
-    _check_cap(sys.total_dim, cap)
+    _check_cap(sys.total_dim)
     words = list(r.word for r in rows)
     if phases is not None:
         words = [ErrorWord(w.x, w.z, phase_mul(w.phase, p))

@@ -55,9 +55,9 @@ def enumerate_errors(sys: MixedSystem, w_max: int) -> Iterator[ErrorWord]:
             yield word_from_row(sys, supp, row)
 
 
-def error_matrix(e: ErrorWord, sys: MixedSystem, cap: int | None = None) -> np.ndarray:
+def error_matrix(e: ErrorWord, sys: MixedSystem) -> np.ndarray:
     """Dense unitary of the word.  Columns each have one nonzero entry."""
-    _check_cap(sys.total_dim, cap)
+    _check_cap(sys.total_dim)
     return apply_error(e, sys, np.eye(sys.total_dim, dtype=complex))
 
 

@@ -289,9 +289,10 @@ class TestVerify:
         report = verify_certificate(cert_342(d=2), distance=True)
         assert report["verdict"] == "pass"
 
-    def test_numeric_skipped_over_cap(self):
+    def test_numeric_skipped_over_cap(self, monkeypatch):
         cert = cert_342()
-        report = verify_certificate(cert, cap=32)
+        monkeypatch.setenv("MIXEDQEC_DIM_CAP", "32")
+        report = verify_certificate(cert)
         assert "skipped" in report["checks"]["numeric"]
         assert report["verdict"] == "pass"
         assert cert.verification["numeric"] == "skipped"

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixedqec.certificates import Certificate, build_code, load_certificate
+from mixedqec.certificates import Certificate, build_code, content_hash, load_certificate
 from mixedqec.cli import _default_fixture_dir, main
 from mixedqec.compose import clique_stabilizer_rows, paste_distance2, product_code
-from mixedqec.errors import MixedSystem
+from mixedqec.errors import MixedSystem, dim_cap
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.projection import project_code
 from mixedqec.verifier import verify_stabilizer
@@ -119,6 +119,28 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", str(FIXTURES / "6_16_3_stab.json"),
                          "--dim-cap", "64")
         assert rc == 2 and "MIXEDQEC_DIM_CAP" in err
+
+    def test_dim_cap_covers_the_projected_ancilla(self, monkeypatch, capsys):
+        # a projection builds its ancilla's basis (D = 243) under the same
+        # cap as every other array the command builds
+        monkeypatch.setenv("MIXEDQEC_DIM_CAP", "100")
+        rc, out, _ = run(capsys, "verify", str(FIXTURES / "5_9_2_proj.json"),
+                         "--dim-cap", "1000")
+        assert rc == 0 and json.loads(out)["verdict"] == "pass"
+
+    def test_dim_cap_ends_with_the_command(self, monkeypatch, capsys):
+        # --dim-cap holds for its own run only, one that exits 2 included;
+        # afterwards dim_cap() and the next run read the environment again
+        monkeypatch.setenv("MIXEDQEC_DIM_CAP", "100")
+        proj = str(FIXTURES / "5_9_2_proj.json")
+        assert run(capsys, "verify", proj, "--dim-cap", "1000")[0] == 0
+        assert dim_cap() == 100
+        assert run(capsys, "verify", str(FIXTURES / "6_16_3_stab.json"),
+                   "--dim-cap", "1000")[0] == 2
+        assert dim_cap() == 100
+        rc, out, err = run(capsys, "verify", proj)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: total dimension 243 exceeds cap 100;")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tolerance_not_finite_positive_exit_2(self, tol, capsys):
@@ -480,6 +502,40 @@ class TestMalformedCertificates:
                          "--dim-cap", "100")
         assert rc == 0 and json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("fixture, path, value", [
+        ("3_4_2_q4", ("claimed", "K"), 4.7),
+        ("3_4_2_q4", ("claimed", "d"), True),
+        ("3_4_2_q4", ("construction", "graphs", 0, "n"), 3.0),
+        ("3_4_2_q4", ("construction", "graphs", 0, "mod"), 2.9),
+        ("3_4_2_q4", ("construction", "graphs", 1, "adj", 0, 1), 1.0),
+        ("5_16_2_paste", ("construction", "blocks"), True),
+        ("5_16_2_paste", ("construction", "block_dim"), 2.0),
+        ("6_16_3_stab", ("construction", "phases", 7, 0), 1.0),
+    ])
+    def test_integer_field_not_an_integer_exit_2(self, fixture, path, value, tmp_path,
+                                                 capsys):
+        # read by int(), each value stood for the fixture's own integer and
+        # the certificate verified; a construction field is re-hashed, and a
+        # claim, which is hashed as read, goes without a stored hash
+        obj = json.loads((FIXTURES / f"{fixture}.json").read_text())
+        cons = obj["construction"]
+        if "refs" in cons:
+            cons["refs"] = [str(FIXTURES / ref) for ref in cons["refs"]]
+        *parents, last = path
+        node = obj
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        if path[0] == "claimed":
+            del obj["content_hash"]
+        else:
+            obj["content_hash"] = content_hash(obj["system"], obj["claimed"], cons)
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "verify", str(target))
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and f"must be an integer, got {value!r}" in err
+
 
 class TestStabilizerPhases:
     """The rows of 3_4_2_q4 (D = 64) as a stabilizer-form certificate,
@@ -750,6 +806,12 @@ class TestRunFixtures:
         rc, _, err = run(capsys, "run-fixtures", "--dir",
                          str(tmp_path / "nowhere"))
         assert rc == 2 and "fixture" in err
+
+    def test_dim_cap_overrides_the_environment_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("MIXEDQEC_DIM_CAP", "100")
+        rc, out, _ = run(capsys, "run-fixtures", "--dim-cap", "65536")
+        assert rc == 0 and "SKIP" not in out
+        assert out.splitlines()[-1] == "15/15 fixtures behaved as expected"
 
     def test_dim_cap_skips_fixtures_and_carries_on(self, capsys):
         rc, out, err = run(capsys, "run-fixtures", "--dim-cap", "100")

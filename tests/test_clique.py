@@ -676,30 +676,48 @@ print("numpy.ma" in sys.modules)
 """
 
 
-SET_SEARCH_PROBE = """
+SEARCH_PROBE = """
 from mixedqec.clique import search_clique
 from mixedqec.graphs import loop_graph
-res = search_clique((loop_graph(9, 2),) * 2, 3, target_K=10 ** 6, budget=1000, mode="set")
+res = search_clique((loop_graph({n}, 2),) * 2, 3, target_K=10 ** 6, budget=1000, mode="{mode}")
 with open("/proc/self/status") as status:
     peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
 print(res.nodes_used, res.flag, peak)
 """
 
 
+def _search_peak_mb(n: int, mode: str) -> tuple[int, str, float]:
+    """(nodes, flag, peak MB) of a 1000-node search on two n-cycle layers
+    at d = 3 in a child process.  VmHWM is the peak resident memory of
+    the child's own image: its ru_maxrss would start from the forking
+    test process."""
+    src = os.path.dirname(os.path.dirname(mixedqec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    nodes, flag, peak = subprocess.run(
+        [sys.executable, "-c", SEARCH_PROBE.format(n=n, mode=mode)], env=env,
+        capture_output=True, text=True, check=True).stdout.split()
+    return int(nodes), flag, int(peak) / 1024
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_set_search_memory_stays_small():
     # a filtered int64 copy of the pool per level peaked at 2 GB on two
     # 9-cycle layers at d = 3; the alive mask and the undo log are one
-    # entry per label.  VmHWM is the peak resident memory of the child's
-    # own image: its ru_maxrss would start from the forking test process
-    src = os.path.dirname(os.path.dirname(mixedqec.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    nodes, flag, peak = subprocess.run([sys.executable, "-c", SET_SEARCH_PROBE], env=env,
-                                       capture_output=True, text=True,
-                                       check=True).stdout.split()
-    assert (int(nodes), flag) == (1000, "budget")
-    assert int(peak) / 1024 < 300
+    # entry per label
+    nodes, flag, peak = _search_peak_mb(9, "set")
+    assert (nodes, flag) == (1000, "budget")
+    assert peak < 300
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_group_search_memory_stays_small():
+    # every candidate key as a Python int peaked at 229-252 MB on two
+    # 11-cycle layers at d = 3 (4.2 M labels); only each window's run of
+    # candidates is converted, and the peak is about 100 MB
+    nodes, flag, peak = _search_peak_mb(11, "group")
+    assert (nodes, flag) == (1000, "budget")
+    assert peak < 160
 
 
 def test_label_engine_does_not_import_numpy_ma():

@@ -266,10 +266,11 @@ class TestMatrices:
             U = error_matrix(e, s)
             np.testing.assert_allclose(U.conj().T @ U, np.eye(s.total_dim), atol=1e-12)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         s = two_layer(2, 2, 1, 0)
+        monkeypatch.setenv("MIXEDQEC_DIM_CAP", "3")
         with pytest.raises(DimensionCapError):
-            error_matrix(ErrorWord.identity(s), s, cap=3)
+            error_matrix(ErrorWord.identity(s), s)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("MIXEDQEC_DIM_CAP", "7")
