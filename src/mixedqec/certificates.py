@@ -150,18 +150,14 @@ def load_certificate(path: str | Path) -> Certificate:
 def _clique_from_construction(cons: dict, d: int) -> CodingClique:
     try:
         graphs = tuple(WeightedGraph.from_json(g) for g in cons["graphs"])
+
+        def label(v) -> tuple[ModVec, ...]:
+            return tuple(ModVec(g.m, tuple(_json_int(a, "a label digit") for a in part))
+                         for g, part in zip(graphs, v, strict=True))
+
         raw = cons.get("vectors")
-        if raw is not None:
-            vectors = tuple(
-                tuple(ModVec(g.m, tuple(part))
-                      for g, part in zip(graphs, v, strict=True))
-                for v in raw)
-        else:
-            gens = [
-                tuple(ModVec(g.m, tuple(part))
-                      for g, part in zip(graphs, v, strict=True))
-                for v in cons["generators"]]
-            vectors = closure(gens)
+        vectors = (tuple(map(label, raw)) if raw is not None
+                   else closure([label(v) for v in cons["generators"]]))
         return CodingClique(graphs=graphs, d=d, vectors=vectors)
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad clique construction: {exc}") from exc

@@ -30,24 +30,20 @@ from .projection import ProjectorSpec
 from .verifier import check_tol
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+def _int_at_least(low: int):
+    """The argparse type of an integer option with floor ``low``."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {v}")
+        return v
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
-    return v
+_positive_int, _nonneg_int = _int_at_least(1), _int_at_least(0)
 
 
 def _tolerance(text: str) -> float:
@@ -79,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="numeric tolerance (default 1e-9)")
-    common.add_argument("--dim-cap", type=_positive_int, default=None,
+    common.add_argument("--dim-cap", type=_int_at_least(2), default=None,
                         help=f"state-vector dimension cap (default from "
                              f"{DIM_CAP_ENV} or 65536)")
 

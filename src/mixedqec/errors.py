@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .algebra import PHASE_ONE, Phase
+from .graphs import _json_int
 
 DEFAULT_DIM_CAP = 65536
 DIM_CAP_ENV = "MIXEDQEC_DIM_CAP"
@@ -169,7 +170,8 @@ class MixedSystem:
 
     @staticmethod
     def from_json(obj: dict) -> "MixedSystem":
-        return MixedSystem(tuple(tuple(f) for f in obj["factors"]))
+        return MixedSystem(tuple(tuple(_json_int(m, "a factor") for m in f)
+                                 for f in obj["factors"]))
 
 
 @dataclass(frozen=True)

@@ -326,9 +326,13 @@ class _SupportScan:
       column index and value, as for a stabilizer eigenbasis): G_x[u]_ij
       is nonzero only at the pairs (i, j) of the columns of rows u + x and
       u where both hold an entry, at most D pairs and, for a stabilizer
-      code, at most K.  One ``np.bincount`` sums them: O(dS D) work per
-      shift for the keys, pairs dS per error, and no D x K array or K x K
-      block;
+      code, at most K: its columns are orbits of the rows' shift group,
+      so a shift sends all of column j into one column i_of[j].  Each
+      shift gathers whole rows u + x of the support's (dS, R) copy; when
+      every column meets one partner its pairs are numbered by sorting
+      the at most K keys of the map, else by sorting every hit's key.
+      One ``np.bincount`` sums them: O(dS D) work per shift, pairs dS per
+      error, and no D x K array or K x K block;
     * ``grams`` for any other code: all K^2 pairs, formed through its
       dense basis by batched products of slabs.  The flat axes of S split
       into leading ones, flat index b, and the longest run of trailing
@@ -417,36 +421,50 @@ class _SupportScan:
         """Yield (x, pairs, T) for every flat shift x on S of a code in
         monomial form: the pairs i K + j, ascending, of the columns i of
         rows u + x and j of rows u where both are nonzero, and
-        T[u, p] = sum_r conj(A[u + x, r, i]) A[u, r, j] for pair p."""
+        T[u, p] = sum_r conj(A[u + x, r, i]) A[u, r, j] for pair p, summed
+        over the rows (u, r) in flat order whichever numbering is taken."""
         K = self.K
         axes, _, U, shifted = self._layout(supp)
         dS = U.shape[1]
-        col = np.moveaxis(self.col, axes, range(len(axes))).ravel()
-        val = np.moveaxis(self.val, axes, range(len(axes))).ravel()
-        R = len(col) // dS
-        # the nonzero rows as flat indices u R + r, in (u, r) order
-        nz = np.flatnonzero(col >= 0)
-        u, r = np.divmod(nz, R)
-        col_u, val_u = col[nz], val[nz]
+        # one contiguous (dS, R) copy per support, so that each shift
+        # gathers whole rows u + x; the rows (u, r) in flat order
+        col, val = (np.ascontiguousarray(np.moveaxis(a, axes, range(len(axes))).reshape(dS, -1))
+                    for a in (self.col, self.val))
+        # each row (u, r) binned by its column j and u, j dS + u; one row
+        # of each column, rep[j]; masks only when some row has no column
+        j = col.ravel()
+        by_col = j * dS + np.arange(dS).repeat(col.shape[1])
+        on = np.flatnonzero(j >= 0)
+        rep = np.empty(K, dtype=np.int64)
+        rep[j[on]] = on
+        nz = j >= 0 if len(on) < len(j) else None
         for x in range(dS):
-            to = shifted(x)[u] * R + r
-            i = col[to]
-            hit = i >= 0
-            keys = i[hit] * K + col_u[hit]
-            w = val[to[hit]].conj() * val_u[hit]
-            # number the pairs that occur: by a K^2 table while it is no
-            # more than four times the hits, else by sorting the keys
-            if K * K <= 4 * len(keys):
-                seen = np.zeros(K * K, dtype=bool)
-                seen[keys] = True
-                pairs, at = np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+            to = shifted(x)
+            i, w = col[to].ravel(), val[to].ravel()
+            np.conj(w, out=w)
+            w *= val.ravel()
+            i_of, ju, bins = i[rep], j, by_col
+            if nz is not None:
+                hit = nz & (i >= 0)
+                i, w, ju, bins = i[hit], w[hit], j[hit], by_col[hit]
+            # number the pairs that occur: through the partner map i_of[j],
+            # read off rep, when every row of column j meets column i_of[j]
+            # (every shift of a stabilizer eigenbasis): its at most K keys
+            # sorted, and the bins by column taken in pair order; else by
+            # sorting every hit's key
+            if np.array_equal(i_of[ju], i):
+                js = np.flatnonzero(i_of >= 0)
+                keys = i_of[js] * K + js
+                order = keys.argsort()
+                pairs, take, size = keys[order], js[order], K * dS
             else:
-                pairs, at = np.unique(keys, return_inverse=True)
-            bins, size = at * dS + u[hit], len(pairs) * dS
+                pairs, at = np.unique(i * K + ju, return_inverse=True)
+                take, size = np.arange(len(pairs)), len(pairs) * dS
+                bins = at * dS + bins % dS
             T = np.empty(size, dtype=complex)
             T.real = np.bincount(bins, w.real, size)
             T.imag = np.bincount(bins, w.imag, size)
-            yield x, pairs, T.reshape(-1, dS).T
+            yield x, pairs, T.reshape(-1, dS)[take].T
 
     def grams(self, supp: tuple[int, ...]):
         """Yield (x, pairs, T) for every flat shift x on S of a code with a

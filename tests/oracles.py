@@ -7,7 +7,10 @@ in plain Python over ``ModVec``, so the tests can compare the two.  The
 rest are dense or scalar forms of what the library never needs whole:
 the unitary of an error word, the expansion of one projected error, dot
 products and phases of single vectors, and the error words of a weight
-ball one ``ErrorWord`` at a time.  ``candidate_rows`` judges every
+ball one ``ErrorWord`` at a time.  ``pair_sums_reference`` is the
+monomial pair scan of ``verifier._SupportScan`` as an element-wise loop
+over the nonzero rows, its pairs numbered by a K^2 table or by sorting
+every key.  ``candidate_rows`` judges every
 label of the space as a row, ``group_search`` is the group-mode clique
 search taking its candidates one at a time, and ``set_search`` the
 set-mode search recursing on a filtered copy of its pool at every level.
@@ -73,6 +76,40 @@ def projected_error(e: ErrorWord, P: ProjectorSpec) -> list[tuple[complex, Error
         per_particle.append([(c[ab], ab) for ab in _digits(np.abs(c) > _COEFF_TOL)])
     return [(complex(np.prod([c for c, _ in combo])), _word([ab for _, ab in combo]))
             for combo in itertools.product(*per_particle)]
+
+
+def pair_sums_reference(scan, supp: tuple[int, ...]):
+    """(x, pairs, T) for every flat shift x on S, as
+    ``_SupportScan.pair_sums`` yields them, from one gather per nonzero
+    row: the pairs of a shift numbered by a K^2 table while it is no more
+    than four times the hits, else by sorting the keys."""
+    K = scan.K
+    axes, _, U, shifted = scan._layout(supp)
+    dS = U.shape[1]
+    col = np.moveaxis(scan.col, axes, range(len(axes))).ravel()
+    val = np.moveaxis(scan.val, axes, range(len(axes))).ravel()
+    R = len(col) // dS
+    # the nonzero rows as flat indices u R + r, in (u, r) order
+    nz = np.flatnonzero(col >= 0)
+    u, r = np.divmod(nz, R)
+    col_u, val_u = col[nz], val[nz]
+    for x in range(dS):
+        to = shifted(x)[u] * R + r
+        i = col[to]
+        hit = i >= 0
+        keys = i[hit] * K + col_u[hit]
+        w = val[to[hit]].conj() * val_u[hit]
+        if K * K <= 4 * len(keys):
+            seen = np.zeros(K * K, dtype=bool)
+            seen[keys] = True
+            pairs, at = np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+        else:
+            pairs, at = np.unique(keys, return_inverse=True)
+        bins, size = at * dS + u[hit], len(pairs) * dS
+        T = np.empty(size, dtype=complex)
+        T.real = np.bincount(bins, w.real, size)
+        T.imag = np.bincount(bins, w.imag, size)
+        yield x, pairs, T.reshape(-1, dS).T
 
 
 def graph_action(s: ModVec, G: WeightedGraph) -> ModVec:

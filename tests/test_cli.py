@@ -120,6 +120,15 @@ class TestVerify:
                          "--dim-cap", "64")
         assert rc == 2 and "MIXEDQEC_DIM_CAP" in err
 
+    @pytest.mark.parametrize("cap", ["1", "0"])
+    def test_dim_cap_below_2_exit_2(self, cap, capsys):
+        # the floor MIXEDQEC_DIM_CAP has: a cap of 1 skipped every numeric
+        # check with "dimension 64 exceeds cap 1" and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(FIXTURES / "3_4_2_q4.json"), "--dim-cap", cap])
+        assert exc.value.code == 2
+        assert f"argument --dim-cap: must be >= 2, got {cap}" in capsys.readouterr().err
+
     def test_dim_cap_covers_the_projected_ancilla(self, monkeypatch, capsys):
         # a projection builds its ancilla's basis (D = 243) under the same
         # cap as every other array the command builds
@@ -511,12 +520,16 @@ class TestMalformedCertificates:
         ("5_16_2_paste", ("construction", "blocks"), True),
         ("5_16_2_paste", ("construction", "block_dim"), 2.0),
         ("6_16_3_stab", ("construction", "phases", 7, 0), 1.0),
+        ("3_4_2_q4", ("system", "factors", 0, 0), 2.0),
+        ("3_4_2_q4", ("construction", "generators", 0, 0, 0), 1.0),
+        ("5_9_2_q3", ("construction", "vectors", 1, 0, 3), 2.0),
     ])
     def test_integer_field_not_an_integer_exit_2(self, fixture, path, value, tmp_path,
                                                  capsys):
         # read by int(), each value stood for the fixture's own integer and
         # the certificate verified; a construction field is re-hashed, and a
-        # claim, which is hashed as read, goes without a stored hash
+        # claim or a system factor, which is hashed as read, goes without a
+        # stored hash
         obj = json.loads((FIXTURES / f"{fixture}.json").read_text())
         cons = obj["construction"]
         if "refs" in cons:
@@ -526,7 +539,7 @@ class TestMalformedCertificates:
         for key in parents:
             node = node[key]
         node[last] = value
-        if path[0] == "claimed":
+        if path[0] in ("claimed", "system"):
             del obj["content_hash"]
         else:
             obj["content_hash"] = content_hash(obj["system"], obj["claimed"], cons)

@@ -34,7 +34,9 @@ from mixedqec.verifier import (
     code_distance, kl_verify_numeric, kl_verify_symbolic, kl_verify_words,
     parse_stabilizer_row, stabilizer_eigenbasis, verify_stabilizer,
 )
-from oracles import dot_mod, enumerate_errors, error_matrix, graph_action, omega
+from oracles import (
+    dot_mod, enumerate_errors, error_matrix, graph_action, omega, pair_sums_reference,
+)
 
 L3 = loop_graph(3, 2)
 L4 = loop_graph(4, 2)
@@ -754,8 +756,9 @@ class TestNumericOracle:
     @pytest.mark.parametrize("zero_rows", [False, True])
     def test_random_monomial_errors_match_dense_oracle(self, sys_index, zero_rows):
         # Z_3 and Z_4 factors: shifts with x != -x, and x = 2 on Z_4; at
-        # K = 12, K^2 exceeds four times the hits of most shifts, so their
-        # pairs, diagonal and not, are numbered by sorting the keys
+        # K > 1 the columns meet several partners on every shift but x = 0,
+        # so those shifts' pairs, diagonal and not, are numbered by sorting
+        # the keys
         sys = ORACLE_SYSTEMS[sys_index]
         rng = np.random.default_rng(700 + 10 * sys_index + zero_rows)
         for K in (1, 2, 5, 12):
@@ -832,19 +835,26 @@ class TestNumericOracle:
                                         np.array([0, 5, 10]), 4)
         assert got_f[0] == 0.75 and got_dev[0] == 0.75
 
-    @pytest.mark.parametrize("case, K, sorted_keys", [("6_16_3_stab", 16, False),
-                                                      ("3_4_2_q4_paste3", 256, True)])
-    def test_pair_keys_take_both_numberings(self, case, K, sorted_keys, monkeypatch):
-        # the pairs of a shift are numbered by a K^2 table while K^2 is at
-        # most four times the hits, else by sorting the keys: every shift
-        # of 6_16_3_stab (D 4096, K 16) takes the table, every shift of the
-        # three-block paste of 3_4_2_q4 (D 4096, K 256) sorts.  Per error,
-        # both agree with the dense-basis scan of the same code, run before
-        # the spies so that they count the pair scan's shifts only
-        sys, rows, phases = (stab_fixture_rows() if case == "6_16_3_stab"
-                             else pasted_rows(3))
-        code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
-        assert code.K == K
+    @pytest.mark.parametrize("case", ["6_16_3_stab", "3_4_2_q4_paste3", "random_monomial"])
+    def test_pair_keys_take_both_numberings(self, case, monkeypatch):
+        # a shift's pairs are numbered through the partner map i_of[j] when
+        # each column j of rows u meets one column i of rows u + x, else by
+        # sorting every hit's key.  A stabilizer eigenbasis's columns are
+        # orbits of the rows' shifts, so every shift of 6_16_3_stab (D 4096,
+        # K 16) and of the three-block paste of 3_4_2_q4 (D 4096, K 256)
+        # takes the map; the columns of a random monomial code (K 12, with
+        # rows of no column) meet several partners, and every shift of it
+        # but x = 0 sorts.  Per error, both agree with the dense-basis scan
+        # of the same code, run before the spies so that they count the pair
+        # scan's shifts only
+        if case == "random_monomial":
+            sys = ORACLE_SYSTEMS[3]
+            code = Code(sys, 12, 2, monomial=monomial_form(
+                random_monomial_basis(np.random.default_rng(731), sys, 12, True)))
+        else:
+            sys, rows, phases = (stab_fixture_rows() if case == "6_16_3_stab"
+                                 else pasted_rows(3))
+            code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
         dense = _SupportScan(Code.from_basis(sys, code.basis(), 2))
         supps = ((0,), (sys.n - 1,))
         wants = [{x: (f, dev) for x, f, dev in dense.fits(supp)} for supp in supps]
@@ -869,7 +879,33 @@ class TestNumericOracle:
                 assert np.abs(f - want[x][0]).max() < 1e-14
                 assert np.abs(dev - want[x][1]).max() < 1e-14
         assert len(shifts) > 0 and all(shifts)
-        assert len(sorts) == (len(shifts) if sorted_keys else 0)
+        assert len(sorts) == (len(shifts) - len(supps) if case == "random_monomial" else 0)
+
+    @pytest.mark.parametrize("case", ["6_16_3_stab", "3_4_2_q4_paste3", "orbits_to_zero",
+                                      "qutrit_x2", "random_monomial"])
+    def test_pair_sums_equal_reference_loop_bitwise(self, case):
+        # whole-row gathers, masks only for rows of no column, and either
+        # numbering give the same (x, pairs, T), bit for bit, as one masked
+        # gather per nonzero row numbered by a K^2 table or a sort: the
+        # same pairs, and each bin summed over the same rows in the same order
+        if case == "random_monomial":
+            sys = ORACLE_SYSTEMS[3]
+            code = Code(sys, 12, 2, monomial=monomial_form(
+                random_monomial_basis(np.random.default_rng(731), sys, 12, True)))
+        else:
+            sys, rows, phases = (pasted_rows(3) if case == "3_4_2_q4_paste3"
+                                 else EIGENBASIS_CASES[case]())
+            code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+        w_max = {"6_16_3_stab": 2, "3_4_2_q4_paste3": 1}.get(case, sys.n)
+        scan = _SupportScan(code)
+        checked = 0
+        for supp in supports(sys.n, w_max):
+            got, want = list(scan.pair_sums(supp)), list(pair_sums_reference(scan, supp))
+            assert len(got) == len(want) == math.prod(sys.dims[i] for i in supp)
+            for (x, pairs, T), (x0, pairs0, T0) in zip(got, want):
+                assert x == x0 and np.array_equal(pairs, pairs0) and np.array_equal(T, T0)
+                checked += 1
+        assert checked > 0
 
     @pytest.mark.parametrize("case", ["orbits_to_zero", "qutrit_x2"])
     def test_pair_scan_without_hits_or_diagonal_pairs(self, case, monkeypatch):
