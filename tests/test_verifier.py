@@ -598,6 +598,19 @@ def monomial_form(B):
     return col, B[np.arange(len(B)), col]
 
 
+def pair_scan_code(case):
+    """A monomial code of the pair-scan tests: an eigenbasis case, the
+    three-block paste of 3_4_2_q4 (D 4096, K 256), or a random monomial
+    code on Z_3 and Z_4 factors (K 12, with rows of no column)."""
+    if case == "random_monomial":
+        sys = ORACLE_SYSTEMS[3]
+        B = random_monomial_basis(np.random.default_rng(731), sys, 12, True)
+        return Code(sys, 12, 2, monomial=monomial_form(B))
+    sys, rows, phases = (pasted_rows(3) if case == "3_4_2_q4_paste3"
+                         else EIGENBASIS_CASES[case]())
+    return Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+
+
 def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
     """The Gram blocks G_x[u] = A[u + x]^dag A[u] of every support of at
     most w_max particles, from the basis gathered as A[u, r, k]; and,
@@ -835,8 +848,10 @@ class TestNumericOracle:
                                         np.array([0, 5, 10]), 4)
         assert got_f[0] == 0.75 and got_dev[0] == 0.75
 
-    @pytest.mark.parametrize("case", ["6_16_3_stab", "3_4_2_q4_paste3", "random_monomial"])
-    def test_pair_keys_take_both_numberings(self, case, monkeypatch):
+    @pytest.mark.parametrize("case, K, sorted_keys", [("6_16_3_stab", 16, False),
+                                                      ("3_4_2_q4_paste3", 256, False),
+                                                      ("random_monomial", 12, True)])
+    def test_pair_keys_take_both_numberings(self, case, K, sorted_keys, monkeypatch):
         # a shift's pairs are numbered through the partner map i_of[j] when
         # each column j of rows u meets one column i of rows u + x, else by
         # sorting every hit's key.  A stabilizer eigenbasis's columns are
@@ -847,14 +862,9 @@ class TestNumericOracle:
         # but x = 0 sorts.  Per error, both agree with the dense-basis scan
         # of the same code, run before the spies so that they count the pair
         # scan's shifts only
-        if case == "random_monomial":
-            sys = ORACLE_SYSTEMS[3]
-            code = Code(sys, 12, 2, monomial=monomial_form(
-                random_monomial_basis(np.random.default_rng(731), sys, 12, True)))
-        else:
-            sys, rows, phases = (stab_fixture_rows() if case == "6_16_3_stab"
-                                 else pasted_rows(3))
-            code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+        code = pair_scan_code(case)
+        sys = code.system
+        assert code.K == K
         dense = _SupportScan(Code.from_basis(sys, code.basis(), 2))
         supps = ((0,), (sys.n - 1,))
         wants = [{x: (f, dev) for x, f, dev in dense.fits(supp)} for supp in supps]
@@ -879,7 +889,7 @@ class TestNumericOracle:
                 assert np.abs(f - want[x][0]).max() < 1e-14
                 assert np.abs(dev - want[x][1]).max() < 1e-14
         assert len(shifts) > 0 and all(shifts)
-        assert len(sorts) == (len(shifts) - len(supps) if case == "random_monomial" else 0)
+        assert len(sorts) == (len(shifts) - len(supps) if sorted_keys else 0)
 
     @pytest.mark.parametrize("case", ["6_16_3_stab", "3_4_2_q4_paste3", "orbits_to_zero",
                                       "qutrit_x2", "random_monomial"])
@@ -888,14 +898,8 @@ class TestNumericOracle:
         # numbering give the same (x, pairs, T), bit for bit, as one masked
         # gather per nonzero row numbered by a K^2 table or a sort: the
         # same pairs, and each bin summed over the same rows in the same order
-        if case == "random_monomial":
-            sys = ORACLE_SYSTEMS[3]
-            code = Code(sys, 12, 2, monomial=monomial_form(
-                random_monomial_basis(np.random.default_rng(731), sys, 12, True)))
-        else:
-            sys, rows, phases = (pasted_rows(3) if case == "3_4_2_q4_paste3"
-                                 else EIGENBASIS_CASES[case]())
-            code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+        code = pair_scan_code(case)
+        sys = code.system
         w_max = {"6_16_3_stab": 2, "3_4_2_q4_paste3": 1}.get(case, sys.n)
         scan = _SupportScan(code)
         checked = 0
