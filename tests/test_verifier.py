@@ -897,7 +897,8 @@ class TestNumericOracle:
         # whole-row gathers, masks only for rows of no column, and either
         # numbering give the same (x, pairs, T), bit for bit, as one masked
         # gather per nonzero row numbered by a K^2 table or a sort: the
-        # same pairs, and each bin summed over the same rows in the same order
+        # same pairs, and each entry of T summed over the same rows in the
+        # same order
         code = pair_scan_code(case)
         sys = code.system
         w_max = {"6_16_3_stab": 2, "3_4_2_q4_paste3": 1}.get(case, sys.n)
