@@ -13,11 +13,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .algebra import ModVec, Phase, phase_mul
+from .algebra import PHASE_ONE, ModVec, Phase
 from .bounds import bound_report
 from .clique import CodingClique, check_clique, closure
 from .compose import clique_stabilizer_rows, paste_distance2, pasted_code, product_code
-from .errors import ConstructionInputError, ErrorWord, MixedSystem, dim_cap
+from .errors import ConstructionInputError, MixedSystem, dim_cap
 from .graphs import WeightedGraph, _json_int
 from .projection import ProjectorSpec, project_code, required_detectable_set
 from .verifier import (
@@ -63,21 +63,16 @@ class Certificate:
     verification: dict = field(default_factory=dict)
     toolkit_version: str = TOOLKIT_VERSION
 
-    def system_json(self) -> dict:
-        js = self.system.to_json()
-        js["dims"] = list(self.system.dims)
-        return js
-
     @property
     def hash(self) -> str:
-        return content_hash(self.system_json(), {"K": self.K, "d": self.d},
+        return content_hash(self.system.to_json(), {"K": self.K, "d": self.d},
                             self.construction)
 
     def to_json(self) -> dict:
         out = {
             "schema": SCHEMA,
             "name": self.name,
-            "system": self.system_json(),
+            "system": self.system.to_json(),
             "claimed": {"K": self.K, "d": self.d},
             "construction": self.construction,
             "toolkit_version": self.toolkit_version,
@@ -100,9 +95,11 @@ class Certificate:
             system = MixedSystem.from_json(obj["system"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad system block: {exc}") from exc
-        dims = obj["system"].get("dims")
-        if dims is not None and (not isinstance(dims, list) or tuple(dims) != system.dims):
-            raise CertificateError("system dims do not match factors")
+        # n and dims may be omitted, but must not differ from what is written
+        for key, want in system.to_json().items():
+            if key in obj["system"] and \
+                    canonical_json(got := obj["system"][key]) != canonical_json(want):
+                raise CertificateError(f"system {key} must be {want}, got {got!r}")
         claimed = obj["claimed"]
         if not isinstance(claimed, dict) or "K" not in claimed or "d" not in claimed:
             raise CertificateError("claimed block needs K and d")
@@ -163,19 +160,21 @@ def _clique_from_construction(cons: dict, d: int) -> CodingClique:
         raise CertificateError(f"bad clique construction: {exc}") from exc
 
 
-def _stabilizer_rows(cert: Certificate):
+def _stabilizer_rows(cert: Certificate) -> list[StabilizerRow]:
+    """The stored rows, each read with its stored phase (one when the
+    construction stores no phases)."""
     cons = cert.construction
     try:
-        rows = [parse_stabilizer_row(cert.system, tuple(t)) for t in cons["rows"]]
-        phases = cons.get("phases")
-        if phases is not None:
-            phases = [Phase(*(_json_int(a, "a phase") for a in p)) for p in phases]
+        texts, stored = cons["rows"], cons.get("phases")
+        phases = ([PHASE_ONE] * len(texts) if stored is None else
+                  [Phase(*(_json_int(a, "a phase") for a in p)) for p in stored])
+        if len(phases) != len(texts):
+            raise CertificateError(f"stabilizer construction has {len(phases)} phases "
+                                   f"for {len(texts)} rows")
+        return [parse_stabilizer_row(cert.system, tuple(t), p)
+                for t, p in zip(texts, phases)]
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad stabilizer construction: {exc}") from exc
-    if phases is not None and len(phases) != len(rows):
-        raise CertificateError(f"stabilizer construction has {len(phases)} phases "
-                               f"for {len(rows)} rows")
-    return rows, phases
 
 
 def _build(cert: Certificate, base_dir: Path, seen: frozenset,
@@ -201,8 +200,7 @@ def _build(cert: Certificate, base_dir: Path, seen: frozenset,
     if kind == "composite_clique":
         return Code.from_clique(_clique_from_construction(cons, cert.d)), None, None
     if kind == "stabilizer":
-        rows, phases = _stabilizer_rows(cert)
-        form = stabilizer_eigenbasis(cert.system, rows, phases=phases)
+        form = stabilizer_eigenbasis(cert.system, _stabilizer_rows(cert))
         return Code.from_monomial(cert.system, form, cert.d), None, None
     if kind == "projection":
         ref = cons.get("ancilla")
@@ -271,16 +269,10 @@ def build_code(cert: Certificate, base_dir: str | Path = ".") -> Code:
 
 
 def base_stabilizer_rows(cert: Certificate, code: Code) -> tuple[StabilizerRow, ...]:
-    """Stabilizer rows of a built code: stored rows (with their phase
-    multipliers folded in) for stabilizer form, the clique-vector kernel
-    otherwise."""
+    """Stabilizer rows of a built code: the stored rows, with their
+    phases, for stabilizer form, the clique-vector kernel otherwise."""
     if cert.construction["type"] == "stabilizer":
-        rows, phases = _stabilizer_rows(cert)
-        if phases is not None:
-            rows = [StabilizerRow(r.text, ErrorWord(r.word.x, r.word.z,
-                                                    phase_mul(r.word.phase, p)))
-                    for r, p in zip(rows, phases)]
-        return tuple(rows)
+        return tuple(_stabilizer_rows(cert))
     if code.clique is not None:
         return clique_stabilizer_rows(code.clique)
     raise CertificateError("pasting base must be clique or stabilizer form")

@@ -19,6 +19,7 @@ from .errors import ConstructionInputError, ErrorWord, MixedSystem, _check_cap, 
 from .verifier import (
     Code,
     StabilizerRow,
+    _row_text,
     _Tableau,
     kl_verify_numeric,
     stabilizer_eigenbasis,
@@ -123,23 +124,6 @@ def _nullspace_mod_prime(mat: Sequence[Sequence[int]], m: int,
             v[pc] = (-rows[ridx][fc]) % m
         basis.append(v)
     return basis, len(pivots)
-
-
-def _row_text(sys: MixedSystem, w: ErrorWord) -> tuple[str, ...]:
-    """Per-layer symbol strings for a word with digits in {0, 1}.  A
-    factor carrying both a shift and a phase prints as Y; the exact
-    phase lives in the word, not the text.  A larger digit has no
-    symbol, which makes the rows bad input to a pasting."""
-    out = []
-    for l, (_, nl) in enumerate(sys.layers):
-        syms = []
-        for i in range(nl):
-            a, b = w.x[i][l], w.z[i][l]
-            if a > 1 or b > 1:
-                raise ConstructionInputError("symbol notation only covers digits 0/1")
-            syms.append("IXZY"[a + 2 * b])
-        out.append("".join(syms))
-    return tuple(out)
 
 
 def clique_stabilizer_rows(clique: CodingClique) -> tuple[StabilizerRow, ...]:

@@ -166,7 +166,8 @@ class MixedSystem:
         return tuple(m for f in self.factors for m in f)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "factors": [list(f) for f in self.factors]}
+        return {"n": self.n, "factors": [list(f) for f in self.factors],
+                "dims": list(self.dims)}
 
     @staticmethod
     def from_json(obj: dict) -> "MixedSystem":

@@ -48,6 +48,7 @@ import numpy as np
 from .algebra import PHASE_I, PHASE_ONE, Phase, phase_as_complex, phase_mul, roots_of_unity
 from .clique import CodingClique
 from .errors import (
+    ConstructionInputError,
     ErrorWord,
     IntegerRangeError,
     MixedSystem,
@@ -597,10 +598,15 @@ def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
 # --- stabilizer rows ---------------------------------------------------
 
 
+# The row notation: on each factor the digits (x, z) in {0, 1} are the
+# symbol _SYMBOLS[x + 2 z], and Y stands for i X Z on a qubit factor.
+_SYMBOLS = tuple("IXZY")
+
+
 @dataclass(frozen=True)
 class StabilizerRow:
     """One generator, parsed from per-layer symbol strings such as
-    ("ZZXXZ", "III").  Y on a qubit factor means i X Z."""
+    ("ZZXXZ", "III"), with its exact phase in the word."""
 
     text: tuple[str, ...]
     word: ErrorWord
@@ -608,6 +614,7 @@ class StabilizerRow:
 
 def parse_stabilizer_row(sys: MixedSystem, layer_strings: Sequence[str],
                          phase: Phase = PHASE_ONE) -> StabilizerRow:
+    """The row the symbol strings name, times ``phase``."""
     layers = sys.layers
     if layers is None:
         raise ValueError("stabilizer rows require a layered system")
@@ -620,22 +627,34 @@ def parse_stabilizer_row(sys: MixedSystem, layer_strings: Sequence[str],
         if len(text) != nl:
             raise ValueError(f"layer {l} needs {nl} symbols, got {text!r}")
         for i, sym in enumerate(text):
-            if sym == "I":
-                continue
-            elif sym == "X":
-                x[i][l] = 1
-            elif sym == "Z":
-                z[i][l] = 1
-            elif sym == "Y":
+            try:
+                k = _SYMBOLS.index(sym)
+            except ValueError:
+                raise ValueError(f"unknown symbol {sym!r} in layer {l}") from None
+            if k == 3:
                 if m != 2:
                     raise ValueError("Y is only defined on qubit factors")
-                x[i][l] = 1
-                z[i][l] = 1
                 ph = phase_mul(ph, PHASE_I)
-            else:
-                raise ValueError(f"unknown symbol {sym!r} in layer {l}")
+            x[i][l], z[i][l] = k % 2, k // 2
     word = ErrorWord(tuple(tuple(r) for r in x), tuple(tuple(r) for r in z), ph)
     return StabilizerRow(tuple(layer_strings), word)
+
+
+def _row_text(sys: MixedSystem, w: ErrorWord) -> tuple[str, ...]:
+    """Per-layer symbol strings for a word with digits in {0, 1}.  A
+    factor carrying both a shift and a phase prints as Y; the exact
+    phase lives in the word, not the text.  A larger digit has no
+    symbol, which makes the rows bad input to a pasting."""
+    out = []
+    for l, (_, nl) in enumerate(sys.layers):
+        syms = []
+        for i in range(nl):
+            a, b = w.x[i][l], w.z[i][l]
+            if a > 1 or b > 1:
+                raise ConstructionInputError("symbol notation only covers digits 0/1")
+            syms.append(_SYMBOLS[a + 2 * b])
+        out.append("".join(syms))
+    return tuple(out)
 
 
 class _Tableau:
@@ -846,8 +865,8 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
     return StabilizerReport(ok, True, orders, tuple(chosen), dim, diff, witness)
 
 
-def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
-                          phases: Sequence[Phase] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def stabilizer_eigenbasis(sys: MixedSystem,
+                          rows: Sequence[StabilizerRow]) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the joint +1 eigenspace, in the monomial form
     ``(col, val)`` that ``Code.from_monomial`` takes, from one walk over
     the standard basis in exact integers.
@@ -864,11 +883,7 @@ def stabilizer_eigenbasis(sys: MixedSystem, rows: Sequence[StabilizerRow],
     columns, each entry w_N^e / sqrt(|H|); rows of no such orbit get
     column -1."""
     _check_cap(sys.total_dim)
-    words = list(r.word for r in rows)
-    if phases is not None:
-        words = [ErrorWord(w.x, w.z, phase_mul(w.phase, p))
-                 for w, p in zip(words, phases, strict=True)]
-    tab = _Tableau(sys, words)
+    tab = _Tableau(sys, [r.word for r in rows])
     for i, (ordw, c) in enumerate(zip(tab.orders.tolist(), tab.closing().tolist())):
         if c:
             raise ValueError(

@@ -7,7 +7,8 @@ in plain Python over ``ModVec``, so the tests can compare the two.  The
 rest are dense or scalar forms of what the library never needs whole:
 the unitary of an error word, the expansion of one projected error, dot
 products and phases of single vectors, and the error words of a weight
-ball one ``ErrorWord`` at a time.  ``pair_sums_reference`` is the
+ball one ``ErrorWord`` at a time.  ``with_phases`` folds phase
+multipliers into rows after reading them.  ``pair_sums_reference`` is the
 monomial pair scan of ``verifier._SupportScan`` as an element-wise loop
 over the nonzero rows, its pairs numbered by a K^2 table or by sorting
 every key.  ``candidate_rows`` judges every
@@ -32,6 +33,7 @@ from mixedqec.errors import (
 )
 from mixedqec.graphs import WeightedGraph
 from mixedqec.projection import _COEFF_TOL, ProjectorSpec, _digits, _particle_tables, _word
+from mixedqec.verifier import StabilizerRow
 
 
 def omega(order: int, power: int = 1) -> Phase:
@@ -168,6 +170,13 @@ def stabilizer_error_word(sys: MixedSystem, graphs: Sequence[WeightedGraph],
         xs.append(s)
         zs.append(graph_action(s, g))
     return word_from_layers(sys, xs, zs, phase)
+
+
+def with_phases(rows: Sequence[StabilizerRow], phases: Sequence[Phase]) -> list[StabilizerRow]:
+    """Each row times its phase multiplier, the fold the library once did
+    after reading a row: the reference for rows read with their phase."""
+    return [StabilizerRow(r.text, ErrorWord(r.word.x, r.word.z, phase_mul(r.word.phase, p)))
+            for r, p in zip(rows, phases, strict=True)]
 
 
 def candidate_rows(sp: LabelLayout, pure: np.ndarray, covered: np.ndarray) -> np.ndarray:

@@ -550,6 +550,32 @@ class TestMalformedCertificates:
         assert err.startswith("error: ") and f"must be an integer, got {value!r}" in err
 
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("dims", [4.0, 4, 4], "[4, 4, 4]"), ("n", 3.5, "3"), ("n", 7, "3"),
+    ])
+    def test_system_n_or_dims_unlike_factors_exit_2(self, key, value, want, tmp_path,
+                                                   capsys):
+        # the system block's n was never read, and its dims were compared
+        # as a tuple, where 4.0 == 4: each of these verified with exit 0
+        obj = json.loads((FIXTURES / "3_4_2_q4.json").read_text())
+        del obj["content_hash"]
+        obj["system"][key] = value
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "verify", str(target))
+        assert rc == 2 and out == ""
+        assert err == f"error: system {key} must be {want}, got {value!r}\n"
+
+    @pytest.mark.parametrize("key", ["n", "dims"])
+    def test_system_block_without_n_or_dims_verifies(self, key, tmp_path, capsys):
+        obj = json.loads((FIXTURES / "3_4_2_q4.json").read_text())
+        del obj["content_hash"], obj["system"][key]
+        target = tmp_path / "plain.json"
+        target.write_text(json.dumps(obj))
+        rc, out, _ = run(capsys, "verify", str(target))
+        assert rc == 0 and json.loads(out)["verdict"] == "pass"
+
+
 class TestStabilizerPhases:
     """The rows of 3_4_2_q4 (D = 64) as a stabilizer-form certificate,
     with one verified phase multiplier per row."""

@@ -10,7 +10,7 @@ import pytest
 
 from mixedqec import compose
 from mixedqec.algebra import PHASE_MINUS_ONE, PHASE_ONE, ModVec
-from mixedqec.certificates import build_code, load_certificate
+from mixedqec.certificates import base_stabilizer_rows, build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.clique import CodingClique, closure
 from mixedqec.compose import (
@@ -31,6 +31,7 @@ from mixedqec.verifier import (
     kl_verify_numeric,
     kl_verify_symbolic,
     _Tableau,
+    _row_text,
     parse_stabilizer_row,
     stabilizer_eigenbasis,
     verify_stabilizer,
@@ -219,6 +220,38 @@ class TestRowsMatchPerLayerOracle:
     def test_fixtures_cover_qubit_and_ragged_layers(self):
         names = [p.id for p in subgroup_fixtures()]
         assert {"3_4_2_q4", "6_4_3_mixed", "6_8_3_mixed"} <= set(names)
+
+
+PASTES = [("3_4_2_q4", 2, 3), ("3_4_2_q4", 4, 2), ("3_8_2_q8", 2, 2), ("6_8_3_mixed", 2, 1)]
+
+
+class TestRowNotationRoundTrip:
+    """Every qubit-layer row the package reads or emits prints back to its
+    text, and its printed text parses back to its x and z digits."""
+
+    def assert_round_trip(self, sys, rows):
+        assert rows
+        for row in rows:
+            assert _row_text(sys, parse_stabilizer_row(sys, row.text).word) == row.text
+            again = parse_stabilizer_row(sys, _row_text(sys, row.word)).word
+            assert (again.x, again.z) == (row.word.x, row.word.z)
+
+    def test_stored_rows(self):
+        cert = load_certificate(FIXTURES / "6_16_3_stab.json")
+        rows = base_stabilizer_rows(cert, build_code(cert, FIXTURES))
+        assert len(rows) == 8
+        self.assert_round_trip(cert.system, rows)
+
+    @pytest.mark.parametrize("name, block_dim, blocks", PASTES)
+    def test_pasted_rows(self, name, block_dim, blocks):
+        cert = load_certificate(FIXTURES / f"{name}.json")
+        code = build_code(cert, FIXTURES)
+        res = paste_distance2(base_stabilizer_rows(cert, code), code, blocks, block_dim)
+        self.assert_round_trip(res.system, res.rows)
+
+    @pytest.mark.parametrize("cl", subgroup_fixtures())
+    def test_clique_rows(self, cl):
+        self.assert_round_trip(cl.system(), clique_stabilizer_rows(cl))
 
 
 class TestProduct:

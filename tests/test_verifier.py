@@ -17,7 +17,8 @@ from mixedqec.algebra import (
     ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, phase_mul,
 )
 from mixedqec.certificates import (
-    base_stabilizer_rows, build_code, certify, load_certificate, verify_certificate,
+    _stabilizer_rows, base_stabilizer_rows, build_code, certify, load_certificate,
+    verify_certificate,
 )
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
@@ -36,6 +37,7 @@ from mixedqec.verifier import (
 )
 from oracles import (
     dot_mod, enumerate_errors, error_matrix, graph_action, omega, pair_sums_reference,
+    with_phases,
 )
 
 L3 = loop_graph(3, 2)
@@ -315,7 +317,7 @@ class TestStabilizer:
         code = Code.from_clique(clique_6163())
         rows = [parse_stabilizer_row(code.system, t) for t in STAB_ROWS_6163]
         rep = verify_stabilizer(rows, code)
-        basis = eigenbasis(code.system, rows, rep.chosen_phases)
+        basis = eigenbasis(code.system, with_phases(rows, rep.chosen_phases))
         assert basis.shape == (4096, 16)
         sv = np.linalg.svd(code.basis().conj().T @ basis, compute_uv=False)
         assert np.allclose(sv, 1.0, atol=1e-9)
@@ -347,13 +349,6 @@ class TestStabilizer:
         assert rep.witness == {"noncommuting_pair": [0, 1]}
         with pytest.raises(ValueError):
             stabilizer_eigenbasis(sys, rows)
-
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_eigenbasis_phase_count_must_match_rows(self, count):
-        sys = MixedSystem(((2,), (2,)))
-        rows = [parse_stabilizer_row(sys, ("ZZ",)), parse_stabilizer_row(sys, ("XX",))]
-        with pytest.raises(ValueError):
-            stabilizer_eigenbasis(sys, rows, phases=[PHASE_ONE] * count)
 
     def test_commuting_is_exact(self):
         sys = MixedSystem(((3,), (3,)))
@@ -606,9 +601,8 @@ def pair_scan_code(case):
         sys = ORACLE_SYSTEMS[3]
         B = random_monomial_basis(np.random.default_rng(731), sys, 12, True)
         return Code(sys, 12, 2, monomial=monomial_form(B))
-    sys, rows, phases = (pasted_rows(3) if case == "3_4_2_q4_paste3"
-                         else EIGENBASIS_CASES[case]())
-    return Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+    sys, rows = pasted_rows(3) if case == "3_4_2_q4_paste3" else EIGENBASIS_CASES[case]()
+    return Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows), 2)
 
 
 def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
@@ -760,8 +754,8 @@ class TestNumericOracle:
     def test_eigenbasis_errors_match_dense_oracle(self, case):
         # stabilizer eigenbases have monomial rows; the last two also
         # have all-zero rows, from orbits that project to zero
-        sys, rows, phases = EIGENBASIS_CASES[case]()
-        code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+        sys, rows = EIGENBASIS_CASES[case]()
+        code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows), 2)
         w_max = {"6_16_3_stab": 2, "3_4_2_q4_paste1": 3}.get(case, sys.n)
         assert_scan_matches_oracle(code, w_max)
 
@@ -917,8 +911,8 @@ class TestNumericOracle:
         # rows of no column leave shifts with no hit at all (f = 0 and
         # deviation 0, from no pairs) and shifts whose pairs miss part of
         # the diagonal, where the missing entries deviate by |f|
-        sys, rows, phases = EIGENBASIS_CASES[case]()
-        code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 2)
+        sys, rows = EIGENBASIS_CASES[case]()
+        code = Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows), 2)
         seen = []
         fit = _KLReducer.fit
 
@@ -1214,8 +1208,8 @@ def test_scatter_and_product_engines_agree(case):
 class TestMonomialCode:
     @staticmethod
     def form():
-        sys, rows, phases = stab_fixture_rows()
-        col, val = stabilizer_eigenbasis(sys, rows, phases)
+        sys, rows = stab_fixture_rows()
+        col, val = stabilizer_eigenbasis(sys, rows)
         return sys, col.copy(), val.copy()
 
     def test_eigenbasis_is_accepted(self):
@@ -1245,9 +1239,9 @@ class TestMonomialCode:
 # --- oracle for the stabilizer eigenbasis -----------------------------------
 
 
-def eigenbasis(sys, rows, phases=None):
+def eigenbasis(sys, rows):
     """The stabilizer eigenbasis as a dense array."""
-    return Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows, phases), 1).basis()
+    return Code.from_monomial(sys, stabilizer_eigenbasis(sys, rows), 1).basis()
 
 
 def assert_matches_oracle(got, want):
@@ -1258,14 +1252,11 @@ def assert_matches_oracle(got, want):
     assert np.abs(got - want).max() <= 1e-12
 
 
-def gram_schmidt_eigenbasis(sys, rows, phases=None):
+def gram_schmidt_eigenbasis(sys, rows):
     """The eigenbasis seed by seed: every standard basis vector in index
     order, projected in blocks of 64, orthogonalised against the columns
     kept so far and kept when its norm is above 1e-6."""
     words = [r.word for r in rows]
-    if phases is not None:
-        words = [ErrorWord(w.x, w.z, phase_mul(w.phase, p))
-                 for w, p in zip(words, phases)]
     orders = _Tableau(sys, words).orders.tolist()
     D = sys.total_dim
     basis = []
@@ -1318,14 +1309,16 @@ def pasted_rows(blocks, block_dim=2):
     cert = load_certificate(root / "3_4_2_q4.json")
     base = build_code(cert, root)
     res = paste_distance2(base_stabilizer_rows(cert, base), base, blocks, block_dim)
-    return res.system, res.rows, None
+    return res.system, res.rows
 
 
 def stab_fixture_rows():
+    """The rows of 6_16_3_stab, read at phase one and then folded with
+    the stored phases by the reference."""
     cert = load_certificate(_default_fixture_dir() / "6_16_3_stab.json")
     cons = cert.construction
     rows = [parse_stabilizer_row(cert.system, tuple(t)) for t in cons["rows"]]
-    return cert.system, rows, [Phase(k, L) for k, L in cons["phases"]]
+    return cert.system, with_phases(rows, [Phase(k, L) for k, L in cons["phases"]])
 
 
 QUTRITS = MixedSystem(((3,),) * 3)
@@ -1339,21 +1332,21 @@ EIGENBASIS_CASES = {
     "3_4_2_q4_paste1_dim4": lambda: pasted_rows(1, 4),
     # X X^2 I shifts by digits above 1; Z Z Z keeps the orbits with digit sum 0
     "qutrit_x2": lambda: (QUTRITS, [word_row(QUTRITS, (1, 2, 0), (0, 0, 0)),
-                                    word_row(QUTRITS, (0, 0, 0), (1, 1, 1))], None),
+                                    word_row(QUTRITS, (0, 0, 0), (1, 1, 1))]),
     # Z Z I I and I I Z Z project six of the eight X X X X orbits to zero
     "orbits_to_zero": lambda: (QUBITS4, [
         parse_stabilizer_row(QUBITS4, ("XXXX",), PHASE_MINUS_ONE),
         parse_stabilizer_row(QUBITS4, ("ZZII",)),
-        parse_stabilizer_row(QUBITS4, ("IIZZ",))], None),
+        parse_stabilizer_row(QUBITS4, ("IIZZ",))]),
 }
 
 
 class TestEigenbasisOracle:
     @pytest.mark.parametrize("case", sorted(EIGENBASIS_CASES))
     def test_matches_gram_schmidt(self, case):
-        sys, rows, phases = EIGENBASIS_CASES[case]()
-        got = eigenbasis(sys, rows, phases)
-        want = gram_schmidt_eigenbasis(sys, rows, phases)
+        sys, rows = EIGENBASIS_CASES[case]()
+        got = eigenbasis(sys, rows)
+        want = gram_schmidt_eigenbasis(sys, rows)
         assert_matches_oracle(got, want)
         if case == "orbits_to_zero":
             assert got.shape[1] == 2
@@ -1377,14 +1370,52 @@ class TestEigenbasisOracle:
         assert built >= 3
 
 
+def eigenbasis_or_error(sys, rows):
+    try:
+        return stabilizer_eigenbasis(sys, rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", ["6_16_3_stab", "neg_bad_row", "random"])
+def test_rows_read_with_phase_match_reference_fold(case):
+    # rows read with their phase against rows read at phase one and then
+    # folded with the same phases: the same words, and the same (col, val)
+    # arrays, or the same error where the rows have no eigenbasis
+    if case == "random":
+        pairs = []
+        for factors in (((2,),) * 4, ((3,),) * 3, ((4,), (4,), (2,))):
+            sys = MixedSystem(factors)
+            rows = commuting_rows(np.random.default_rng(sys.total_dim), sys, 3)
+            bare = [StabilizerRow(r.text, ErrorWord(r.word.x, r.word.z)) for r in rows]
+            pairs.append((sys, rows, with_phases(bare, [r.word.phase for r in rows])))
+    else:
+        root = _default_fixture_dir()
+        cert = load_certificate(root / f"{case}.json" if case != "neg_bad_row"
+                                else root / "negatives" / f"{case}.json")
+        cons = cert.construction
+        bare = [parse_stabilizer_row(cert.system, tuple(t)) for t in cons["rows"]]
+        pairs = [(cert.system, _stabilizer_rows(cert),
+                  with_phases(bare, [Phase(k, L) for k, L in cons["phases"]]))]
+    for sys, got, want in pairs:
+        assert [r.word for r in got] == [r.word for r in want]
+        assert [r.text for r in got] == [r.text for r in want]
+        a, b = eigenbasis_or_error(sys, got), eigenbasis_or_error(sys, want)
+        assert isinstance(b, str) == (case == "neg_bad_row")  # its rows do not commute
+        if isinstance(b, str):
+            assert a == b
+        else:
+            assert all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
+
+
 def test_eigenbasis_memory_stays_near_the_basis():
     # the walk's O(D) integer arrays, one step exponent array per row, and
     # the basis as one column index and one value per row: at most 256
     # bytes a row (D 4096, K 256: 1 MB, where a dense basis alone is 16 MB)
-    sys, rows, phases = pasted_rows(3)
+    sys, rows = pasted_rows(3)
     tracemalloc.start()
     try:
-        col, val = stabilizer_eigenbasis(sys, rows, phases)
+        col, val = stabilizer_eigenbasis(sys, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
