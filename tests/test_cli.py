@@ -549,7 +549,6 @@ class TestMalformedCertificates:
         assert rc == 2 and out == "" and "Traceback" not in err
         assert err.startswith("error: ") and f"must be an integer, got {value!r}" in err
 
-
     @pytest.mark.parametrize("key, value, want", [
         ("dims", [4.0, 4, 4], "[4, 4, 4]"), ("n", 3.5, "3"), ("n", 7, "3"),
     ])
