@@ -95,7 +95,9 @@ class Certificate:
             system = MixedSystem.from_json(obj["system"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad system block: {exc}") from exc
-        # n and dims may be omitted, but must not differ from what is written
+        # n and dims may be omitted, but must not differ from what is
+        # written; no other key may ride along unchecked and unhashed
+        _known_keys(obj["system"], "system", ("factors", "n", "dims"))
         for key, want in system.to_json().items():
             if key in obj["system"] and \
                     canonical_json(got := obj["system"][key]) != canonical_json(want):
@@ -103,6 +105,7 @@ class Certificate:
         claimed = obj["claimed"]
         if not isinstance(claimed, dict) or "K" not in claimed or "d" not in claimed:
             raise CertificateError("claimed block needs K and d")
+        _known_keys(claimed, "claimed", ("K", "d"))
         try:
             K, d = (_json_int(claimed[k], f"claimed {k}") for k in "Kd")
         except TypeError as exc:
@@ -128,6 +131,14 @@ class Certificate:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def _known_keys(block: dict, name: str, known: tuple[str, ...]) -> None:
+    """CertificateError naming the first key of block outside known."""
+    for key in block:
+        if key not in known:
+            raise CertificateError(f"unknown key {key!r} in the {name} block; "
+                                   f"it takes only {', '.join(known)}")
 
 
 def load_certificate(path: str | Path) -> Certificate:

@@ -34,9 +34,10 @@ _cli_cap: ContextVar[int | None] = ContextVar("_cli_cap", default=None)
 
 def dim_cap() -> int:
     """Largest total Hilbert-space dimension of a dense array (a basis,
-    sign table, eigenbasis or product): the running CLI command's cap, else
-    MIXEDQEC_DIM_CAP as read at this call, else 65536.  Library functions
-    take no cap argument; ``_check_cap`` enforces it where arrays are built."""
+    eigenbasis or product) or of a clique's numeric scan: the running CLI
+    command's cap, else MIXEDQEC_DIM_CAP as read at this call, else 65536.
+    Library functions take no cap argument; ``_check_cap`` enforces it
+    where arrays are built and scans start."""
     if (cli := _cli_cap.get()) is not None:
         return cli
     raw = os.environ.get(DIM_CAP_ENV)

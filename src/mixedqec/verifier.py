@@ -4,24 +4,28 @@ Two independent verifiers cover every code here.  The symbolic one works
 in the phase-label algebra: an error word reduces on each graph layer to
 an exact phase times a pure phase word, so the KL inner products are
 roots of unity that either cancel or match exactly.  The numeric one
-builds the basis (its signs, for a qubit clique) and measures
+evaluates inner products of state amplitudes, a clique's one graph layer
+at a time and any other code's through its basis, and measures
 max |<i|E|j> - f delta_ij| directly.  They must agree; tests enforce
 that.  They share only the order of the error words,
 ``errors.support_rows``: the symbolic one reads them as rows, the
 numeric one as (x, z) grids.  The symbolic check and the clique checks
 also read one label layout, ``clique.LabelLayout``, and a clique's
-``labels``: a shared data format, with no decision logic shared.
+``labels``: a shared data format, with no decision logic shared.  The
+numeric check and ``Code.basis`` read one formula, ``_layer_exponents``,
+the amplitudes of a layer's states that define a clique's code.
 
 The numeric side is one engine: ``_SupportScan`` yields the K x K
-matrices of every error on a support, one shift at a time, for
+matrices of every error on a support, a chunk of shifts at a time, for
 ``kl_verify_numeric`` and ``code_distance``; ``kl_verify_words`` applies
 each listed word instead.  Each matrix reaches ``_KLReducer.fit``, the
 only place f, the deviation, their summaries and the witness are
 computed, as its entries at a list of flat pairs i K + j: all K^2 of
 them for a dense block (a listed word, a row of ``verify_stabilizer``,
-the Gram blocks of a dense basis), and only the pairs of its nonzero
-entries for a code in monomial form (one column index and value per
-row, as ``stabilizer_eigenbasis`` returns and pastings, products and
+the products of a clique's layer matrices, the Gram blocks of a dense
+basis), and only the pairs of its nonzero entries for a code in
+monomial form (one column index and value per row, as
+``stabilizer_eigenbasis`` returns and pastings, products and
 projections of such codes keep).
 
 Stabilizer rows are judged in one integer tableau, ``_Tableau``: the x
@@ -136,7 +140,8 @@ class Code:
     def basis(self) -> np.ndarray:
         """The dense D x K basis: built afresh on each call for a monomial
         form, which ``dim_cap()`` bounded when it was built; cached for a
-        clique, bounded in ``_exponents`` (all a Z_2-layer scan reads)."""
+        clique, bounded in ``_exponents``.  The numeric scan of a clique
+        never calls it."""
         if self.monomial is not None:
             col, val = self.monomial
             B = np.zeros((self.system.total_dim, self.K), dtype=complex)
@@ -156,17 +161,27 @@ class Code:
         _check_cap(D)
         sp, V = self.clique.layout, self.clique.labels
         L = sp.modulus
-        # layer l adds (L/m_l)(Q_l(j_l) + c_l.j_l) mod L, Q_l(j) = j.Gamma_l.j / 2,
-        # over its digits in label column order; then the per-particle layout
+        # layer l adds (L/m_l) e_l(j_l, c_l) mod L over its digits in label
+        # column order; then the per-particle layout
         dtype = np.min_scalar_type(2 * (L - 1))
         expo = np.zeros((1, self.K), dtype=dtype)
         for (m, n), a in zip(sp.layers, sp.starts):
-            j = np.indices((m,) * n).reshape(n, -1)
-            q = (j * (sp.gamma[a:a + n, a:a + n] @ j)).sum(axis=0) // 2
-            e = ((q[:, None] + j.T @ V[:, a:a + n].T) * (L // m) % L).astype(dtype)
-            expo = (expo[:, None] + e).reshape(-1, self.K) % L
+            e = _layer_exponents(m, sp.gamma[a:a + n, a:a + n], V[:, a:a + n])
+            expo = (expo[:, None] + (e * (L // m)).astype(dtype)).reshape(-1, self.K) % L
         expo = expo.reshape(tuple(sp.mods) + (self.K,))
         return L, expo.transpose(sp.factor_columns.tolist() + [sp.width]).reshape(D, self.K)
+
+
+def _layer_exponents(m: int, gamma: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """e[j, c] = Q(j) + c.j mod m, Q(j) = j.gamma.j / 2, for every digit
+    row j of Z_m^n in row-major order and every label row c: the layer
+    state Z^c |G> of a graph with adjacency gamma is m^{-n/2} w_m^e[j, c]
+    on |j>.  The one formula of a clique's codewords, which ``Code.basis``
+    and the numeric scan both read."""
+    n = len(gamma)
+    j = np.indices((m,) * n).reshape(n, -1)
+    q = (j * (gamma @ j)).sum(axis=0) // 2
+    return (q[:, None] + j.T @ labels.T) % m
 
 
 @dataclass(frozen=True)
@@ -313,15 +328,35 @@ class _KLReducer:
 class _SupportScan:
     """Every error word of a code, one support S at a time.
 
-    With the basis gathered as A[u, r, k] (u the digits on S, r the rest)
-    an error X^x Z^z on S maps |u> to chi_z(u) |u + x>, so
-    <i|E|j> = sum_u chi_z(u) G_x[u]_ij with G_x[u] = A[u + x]^dag A[u].
-    Per shift x, ``blocks`` yields (x, pairs, T), T[u, p] the entry
-    pairs[p] = i K + j of G_x[u]; one product chi @ T with the character
-    table of S gives every phase z at once, for ``_KLReducer.fit``.
-    Stacked by x, its rows are the (x, z) grid of every word on S, and
-    ``errors.in_support_order`` reads the errors of weight |S| off it.
-    The code's form picks the source:
+    ``matrices`` yields (xs, pairs, M) for chunks of the flat shifts xs on
+    S: M[(x, z), p] is the entry pairs[p] = i K + j of <i|X^x Z^z|j> for
+    every flat phase z on S, ascending, and ``fits`` takes each row to f
+    and the deviation by ``_KLReducer.fit``.  Stacked by x, the rows are
+    the (x, z) grid of every word on S, and ``errors.in_support_order``
+    reads the errors of weight |S| off it.  The code's form picks the
+    source:
+
+    * ``layer_products`` for a clique.  Its codeword k is one graph state
+      per layer, Z^c_k1 |G_1> (x) ... (x) Z^c_kL |G_L>, and every error
+      splits over the same layers, so <k|E|k'> = prod_l <c_kl|E_l|c_k'l>,
+      each factor an inner product of states of one layer, m_l^n_l
+      amplitudes.  Each layer keeps the table of the states of its
+      distinct labels (``_layer_exponents``, unnormalised: +-1 integers on
+      a Z_2 layer), and per support its ``grid`` of every word on S_l, the
+      particles of S in layer l, from the Gram blocks of that table below.
+      A chunk of shifts takes, per layer, the rows of its words and the
+      entries of each codeword pair's labels, and multiplies them, the
+      first layer's times 1/D.  Over Z_2 layers every factor is an integer
+      and 1/D a power of two, so M is exact, bit for bit what a dense
+      basis of integers over D gives.  A chunk holds at most D entries,
+      and at least one shift; no array has D rows.
+
+    Every other source starts from the basis gathered as A[u, r, k] (u the
+    digits on S, r the rest): an error X^x Z^z on S maps |u> to
+    chi_z(u) |u + x>, so <i|E|j> = sum_u chi_z(u) G_x[u]_ij with
+    G_x[u] = A[u + x]^dag A[u].  Per shift x, ``blocks`` yields
+    (x, pairs, T), T[u, p] the entry pairs[p] of G_x[u], and one product
+    chi @ T with the character table of S gives every phase z at once:
 
     * ``pair_sums`` for a monomial form (``Code.monomial``: each row's
       column index and value, as for a stabilizer eigenbasis): G_x[u]_ij
@@ -334,13 +369,13 @@ class _SupportScan:
       the at most K keys of the map, else by sorting every hit's key.
       One ``np.bincount`` sums them: O(dS D) work per shift, pairs dS per
       error, and no D x K array or K x K block;
-    * ``grams`` for any other code: all K^2 pairs, formed through its
-      dense basis by batched products of slabs.  The flat axes of S split
-      into leading ones, flat index b, and the longest run of trailing
-      ones, of dimension product h, with h K <= R = D / dS: a slab no
-      wider than it is long (h = 1 when the last axis alone is wider).
-      Slab A[b] is the R x hK matrix of the rows r and the pairs (t, k),
-      and one product P_y[b] = A[b + y]^dag A[b] holds the blocks
+    * ``grams`` for a dense basis, and for the table of a clique's layer:
+      all K^2 pairs, formed by batched products of slabs.  The flat axes
+      of S split into leading ones, flat index b, and the longest run of
+      trailing ones, of dimension product h, with h K <= R = D / dS: a
+      slab no wider than it is long (h = 1 when the last axis alone is
+      wider).  Slab A[b] is the R x hK matrix of the rows r and the pairs
+      (t, k), and one product P_y[b] = A[b + y]^dag A[b] holds the blocks
       G_x[(b, t)] = P_y[b][(t + s, .), (t, .)] of all h shifts x = (y, s),
       each stack taken out by one gather; at h = 1, P_y is G_y itself.
       When dS K <= R, the whole of S is one slab and its one product, for
@@ -351,39 +386,56 @@ class _SupportScan:
       y = 0 is one product of A with its own conjugate, A^dag A, which
       for a real A numpy forms by a symmetric rank-k update (syrk).  The
       bound on h keeps each product, dS h K^2 entries, within the size
-      of the basis, D K.  A clique over Z_2 layers is held as its sign
-      table, the float32 signs +-1 of sqrt(D) B (``Code._exponents``),
-      and no basis is built: a Gram entry sums at most R products +-1 and
-      an entry of chi @ T at most dS R = D, integers exact in float32 for
-      D <= 2^24, and M is scaled by 1/D, a power of two, in float64 for
-      the fit.  Any other basis with no imaginary part is held as a
-      float64 view of it.  chi, +-1 on qubit factors, takes T's dtype.
+      of the basis, D K.  A basis with no imaginary part is held as a
+      float64 view of it, and chi, real on qubit factors, keeps the
+      products real.
     """
 
-    SIGN_TABLE_MAX_DIM = 2 ** 24  # float32 holds every integer up to 2^24
-
     def __init__(self, code: Code):
-        sys = code.system
-        self.sys = sys
-        self.K = code.K
-        self.flat = sys.flat_dims()
-        self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
-        self.radices = word_radices(sys)
-        self.scale = None
+        self._frame(code.system, code.K)
         if code.monomial is not None:
             self.col, self.val = (a.reshape(self.flat) for a in code.monomial)
             self.blocks = self.pair_sums
+        elif code.clique is not None:
+            _check_cap(self.sys.total_dim)  # the work still grows with D
+            self._layer_tables(code.clique)
+            self.matrices = self.layer_products
         else:
-            if (code.clique is not None and code.clique.layout.modulus == 2
-                    and sys.total_dim <= self.SIGN_TABLE_MAX_DIM):
-                B = np.float32((1, -1))[code._exponents()[1]]
-                self.scale = 1 / sys.total_dim
-            else:
-                B = code.basis()
-                if not B.imag.any():
-                    B = B.real  # a view of the cached basis, not a copy
-            self.Bt = B.reshape(self.flat + (self.K,))
-            self.blocks = self.grams
+            B = code.basis()
+            self._hold(B.real if not B.imag.any() else B)  # a view, not a copy
+
+    def _frame(self, sys: MixedSystem, K: int) -> None:
+        self.sys = sys
+        self.K = K
+        self.flat = sys.flat_dims()
+        self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
+        self.radices = word_radices(sys)
+
+    def _hold(self, B: np.ndarray) -> None:
+        """Take the D x K array B as the dense source."""
+        self.Bt = B.reshape(self.flat + (self.K,))
+        self.blocks = self.grams
+
+    def _layer_tables(self, clique: CodingClique) -> None:
+        """Per layer l: the scan of its table, the states w_m^e[j, c] of
+        its distinct labels c (m^n_l rows, unnormalised: +-1 integers on a
+        Z_2 layer), its particle count, and the index of each codeword's
+        label among them.  Layers with one graph and one label set share
+        one table."""
+        sp, V = clique.layout, clique.labels
+        self.layers, tables = [], {}
+        for (m, n), a in zip(sp.layers, sp.starts):
+            gamma = sp.gamma[a:a + n, a:a + n]
+            keys = V[:, a:a + n] @ m ** np.arange(n - 1, -1, -1)
+            distinct, first, index = np.unique(keys, return_index=True, return_inverse=True)
+            key = (m, n, gamma.tobytes(), distinct.tobytes())
+            if key not in tables:
+                w = roots_of_unity(m)
+                table = (w.real if m == 2 else w)[_layer_exponents(m, gamma, V[first, a:a + n])]
+                tables[key] = scan = _SupportScan.__new__(_SupportScan)
+                scan._frame(MixedSystem(((m,),) * n), len(distinct))
+                scan._hold(table)
+            self.layers.append((tables[key], n, index))
 
     def _layout(self, supp: tuple[int, ...]):
         """The flat tensor axes of S, their dimensions, the digits U[:, u]
@@ -400,9 +452,10 @@ class _SupportScan:
 
         return axes, dimsS, U, shifted
 
-    def fits(self, supp: tuple[int, ...]):
-        """Yield (x, f, deviation) for every flat shift x on S: f and the
-        deviation of X^x Z^z for every flat phase z on S, ascending."""
+    def matrices(self, supp: tuple[int, ...]):
+        """Yield (xs, pairs, M) for the flat shifts xs on S, one at a time:
+        M[z, p] the entry pairs[p] of X^x Z^z for every flat phase z on S,
+        ascending, from one product chi @ T with the character table."""
         _, dimsS, U, _ = self._layout(supp)
         # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod
         # L; real when the roots are (L <= 2, a support of qubit factors
@@ -410,13 +463,65 @@ class _SupportScan:
         L = math.lcm(*dimsS)
         roots = roots_of_unity(L)
         if not roots.imag.any():
-            roots = roots.real.astype(np.float32 if self.scale else np.float64)
+            roots = roots.real
         chi = roots[(U.T * (L // np.array(dimsS))) @ U % L]
         for x, pairs, T in self.blocks(supp):
-            M = chi @ T
-            if self.scale:  # the sign table's integer sums, times 1/D exactly
-                M = np.multiply(M, self.scale, dtype=np.float64)
-            yield (x, *_KLReducer.fit(M, pairs, self.K))
+            yield (x,), pairs, chi @ T
+
+    def fits(self, supp: tuple[int, ...]):
+        """Yield (x, f, deviation) for every flat shift x on S: f and the
+        deviation of X^x Z^z for every flat phase z on S, ascending."""
+        for xs, pairs, M in self.matrices(supp):
+            f, dev = _KLReducer.fit(M, pairs, self.K)
+            yield from zip(xs, f.reshape(len(xs), -1), dev.reshape(len(xs), -1))
+
+    def grid(self, supp: tuple[int, ...]) -> np.ndarray:
+        """G[x dS + z, i K + j] = <i|X^x Z^z|j> of the dense source over the
+        flat shifts and phases on S; at S empty, the one row of the
+        identity."""
+        if not supp:
+            B = self.Bt.reshape(-1, self.K)
+            return (B.conj().T @ B).reshape(1, -1)
+        rows = {x: M for (x,), _, M in self.matrices(supp)}
+        return np.concatenate([rows[x] for x in range(len(rows))])
+
+    def layer_products(self, supp: tuple[int, ...]):
+        """Yield (xs, pairs, M) for chunks of the flat shifts xs on S of a
+        clique: all K^2 pairs, and M[(x, z), i K + j] the product over the
+        layers l of <c_i,l|E_l|c_j,l>, read off the grid of S_l, the
+        particles of S in layer l, at each codeword's label, times 1/D.  A
+        chunk holds at most D entries, and at least one shift."""
+        K, D = self.K, self.sys.total_dim
+        _, _, U, _ = self._layout(supp)
+        dS = U.shape[1]
+        # the layer of each flat axis on S: its place among its particle's
+        # factors, which nest layer by layer
+        layer_of = np.array([l for i in supp for l in range(len(self.sys.factors[i]))])
+        grids, entries, on_S = {}, [], []
+        for l, (scan, n, index) in enumerate(self.layers):
+            Sl = tuple(i for i in supp if i < n)
+            if (scan, Sl) not in grids:
+                grids[scan, Sl] = scan.grid(Sl)
+            # every codeword pair's entry, one row per word on S_l
+            entries.append(grids[scan, Sl][:, (index[:, None] * scan.K + index).ravel()])
+            # the flat index on S_l of every flat index on S, and dS_l
+            digits, m = U[layer_of == l], scan.flat[0]
+            on_S.append((m ** np.arange(len(digits) - 1, -1, -1) @ digits, m ** len(digits)))
+        # 1/D joins the first layer: exactly, over Z_2 layers, where D is a
+        # power of two
+        entries[0] = entries[0].astype(np.result_type(*entries)) / D
+        pairs = np.arange(K * K)
+        step = max(1, D // (dS * K * K))
+        for x0 in range(0, dS, step):
+            xs = range(x0, min(x0 + step, dS))
+            M = None
+            for P, (on_l, dl) in zip(entries, on_S):
+                F = P.take((on_l[x0:xs.stop, None] * dl + on_l).ravel(), axis=0)
+                if M is None:
+                    M = F
+                else:
+                    M *= F
+            yield xs, pairs, M
 
     def pair_sums(self, supp: tuple[int, ...]):
         """Yield (x, pairs, T) for every flat shift x on S of a code in

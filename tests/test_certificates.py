@@ -16,10 +16,12 @@ from mixedqec.certificates import (
     load_certificate,
     verify_certificate,
 )
+from mixedqec.cli import _default_fixture_dir
 from mixedqec.clique import CodingClique, closure
 from mixedqec.errors import MixedSystem
 from mixedqec.graphs import loop_graph
 
+FIXTURES = _default_fixture_dir()
 L3 = loop_graph(3, 2)
 L6 = loop_graph(6, 2)
 SYS66 = MixedSystem.layered([(2, 6), (2, 6)])
@@ -125,6 +127,19 @@ class TestRejection:
         obj["system"]["dims"] = [4, 4, 2]
         with pytest.raises(CertificateError, match="dims"):
             Certificate.from_json(obj)
+
+    @pytest.mark.parametrize("block, key, value", [("claimed", "distance", 3),
+                                                   ("system", "dim", [4, 4, 2])])
+    def test_unknown_key_rejected_under_stored_hash(self, block, key, value):
+        # the hash covers only K and d, and the system as written, so a
+        # stray claim or system key kept the fixture's stored hash valid
+        # and verified, neither checked nor hashed
+        obj = json.loads((FIXTURES / "3_4_2_q4.json").read_text())
+        obj[block][key] = value
+        with pytest.raises(CertificateError, match=f"unknown key '{key}' in the {block}"):
+            Certificate.from_json(obj)
+        del obj[block][key]
+        assert Certificate.from_json(obj).hash == obj["content_hash"]
 
     def test_unknown_construction(self):
         obj = cert_342().to_json()

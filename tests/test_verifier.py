@@ -29,7 +29,7 @@ from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
     CodingClique, check_clique, closure, covered_differences, search_clique,
 )
-from mixedqec.compose import clique_stabilizer_rows, paste_distance2
+from mixedqec.compose import clique_stabilizer_rows, paste_distance2, product_code
 from mixedqec.verifier import (
     Code, StabilizerRow, _KLReducer, _SupportScan, _Tableau, _project_columns,
     code_distance, kl_verify_numeric, kl_verify_symbolic, kl_verify_words,
@@ -615,27 +615,18 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
     every other entry 0.  The scan must take the source the code's form
     says: pair sums from a monomial form, whose pairs are the only
     nonzero entries of the blocks, and all K^2 pairs of the Gram blocks
-    from a dense basis.  A clique over Z_2 layers is held as its sign
-    table, the signs +-1 of ``code.basis()`` in float32, whose blocks are
-    integers, compared here times 1/D; any other dense basis as a view
-    of ``code.basis()``, in float64 exactly when it has no imaginary
-    part."""
+    from a dense basis, held as a view of ``code.basis()``, in float64
+    exactly when it has no imaginary part.  A clique takes neither source:
+    ``TestLayerSource`` compares it with its dense twin."""
     sys, B, K = code.system, code.basis(), code.K
+    assert code.clique is None
     scan = _SupportScan(code)
     dense = code.monomial is None
     assert scan.blocks == (scan.grams if dense else scan.pair_sums)
-    scale = 1.0
     if dense:
         assert B.dtype == complex
-        if code.clique is not None and code.clique.layout.modulus == 2:
-            scale = 1 / sys.total_dim
-            assert scan.Bt.dtype == np.float32 and scan.scale == scale
-            assert not B.imag.any()
-            assert np.array_equal(scan.Bt.reshape(B.shape), np.sign(B.real))
-        else:
-            assert scan.scale is None
-            assert scan.Bt.dtype == (complex if B.imag.any() else np.float64)
-            assert np.shares_memory(scan.Bt, B)
+        assert scan.Bt.dtype == (complex if B.imag.any() else np.float64)
+        assert np.shares_memory(scan.Bt, B)
     flat = sys.flat_dims()
     first = np.cumsum([0] + [len(f) for f in sys.factors])
     for k in range(1, w_max + 1):
@@ -651,7 +642,7 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
                 assert np.all(np.diff(pairs) > 0) and T.shape == (dS, len(pairs))
                 assert len(pairs) == K * K or not dense
                 G = np.zeros((dS, K * K), dtype=complex)
-                G[:, pairs] = T * scale
+                G[:, pairs] = T
                 G = G.reshape(-1, K, K)
                 shift = np.unravel_index(x, dims)
                 for u in itertools.product(*map(range, dims)):
@@ -717,11 +708,11 @@ class TestNumericOracle:
         # slab stack the products get, in units of K columns, tells which
         # split was taken
         if case == "product_weight1":
-            # the product's weight-1 supports, dS = 32 and R = 1024 at
-            # K = 32, are one real slab: one syrk per support.  Its D of
-            # 32768 is too large for the per-error oracle
-            code = build_code(load_certificate(FIXTURE_DIR / "3_32_2_product.json"),
-                              FIXTURE_DIR)
+            # the dense twin of the product clique: its weight-1 supports,
+            # dS = 32 and R = 1024 at K = 32, are one real slab, h = dS: one
+            # syrk per support.  Its D of 32768 is too large for the
+            # per-error oracle
+            code = float64_twin(fixture_code("3_32_2_product"))
             w_max, want = 1, (1, 1024, 32)
         else:
             sys, K, w_max, want = {
@@ -1043,21 +1034,36 @@ def float64_twin(code):
     return twin
 
 
-def random_qubit_cliques(rng, count):
-    """Sets of up to six distinct labels, zero first, over two layers of
-    loop_graph(4, 2), claimed at d = 2 or 3."""
-    zero = (ModVec.zeros(2, 4),) * 2
+def random_graph(rng, n, m):
+    """The complete graph on n vertices with random nonzero edge weights
+    in Z_m."""
+    upper = np.triu(rng.integers(1, m, size=(n, n)), 1)
+    return WeightedGraph(n, m, tuple(map(tuple, (upper + upper.T).tolist())))
+
+
+def random_label_sets(rng, graphs, count):
+    """Sets of up to six distinct labels over graphs, zero first, claimed
+    at d = 2 or 3."""
+    zero = tuple(ModVec.zeros(g.m, g.n) for g in graphs)
     for i in range(count):
-        labels = [tuple(ModVec.of(2, rng.integers(2, size=4).tolist()) for _ in range(2))
+        labels = [tuple(ModVec.of(g.m, rng.integers(g.m, size=g.n).tolist()) for g in graphs)
                   for _ in range(6)]
         vecs = tuple(dict.fromkeys([zero] + labels))[:int(rng.integers(2, 7))]
-        yield CodingClique((L4, L4), 2 + i % 2, vecs)
+        yield CodingClique(tuple(graphs), 2 + i % 2, vecs)
+
+
+def random_qubit_cliques(rng, count):
+    """Random cliques over two layers of loop_graph(4, 2)."""
+    return random_label_sets(rng, (L4, L4), count)
 
 
 class TestSignTable:
-    """A clique over Z_2 layers is scanned on its float32 signs +-1, in
-    integers, and scaled by 1/D before the fit; the float64 scan of the
-    same basis is the oracle."""
+    """A clique is scanned through its layers: each layer's table holds
+    the states of its distinct labels, +-1 integers on a Z_2 layer, and
+    the K x K matrix of an error is the entrywise product of the layers'
+    matrices at each codeword's labels, scaled by 1/D, a power of two
+    over Z_2 layers.  The scan of the same basis held dense, in float64,
+    is the oracle."""
 
     @pytest.mark.parametrize("name", QUBIT_CLIQUES)
     def test_fits_match_float64_scan(self, name):
@@ -1067,10 +1073,12 @@ class TestSignTable:
         # of weight below d of an impure code, 6_4_3_mixed)
         code = fixture_code(name)
         scan, oracle = _SupportScan(code), _SupportScan(float64_twin(code))
-        assert scan.scale == 1 / code.system.total_dim and oracle.scale is None
+        assert scan.matrices == scan.layer_products and not hasattr(scan, "Bt")
         for supp in supports(code.n, code.d - 1):
             want = {x: (f, dev) for x, f, dev in oracle.fits(supp)}
-            for x, f, dev in scan.fits(supp):
+            got = list(scan.fits(supp))
+            assert [x for x, *_ in got] == list(range(len(want)))
+            for x, f, dev in got:
                 assert np.abs(f - want[x][0]).max() <= 1e-12
                 assert np.abs(dev - want[x][1]).max() <= 1e-12
                 assert not dev.any()
@@ -1078,16 +1086,25 @@ class TestSignTable:
         assert kl_verify_numeric(code).max_deviation == 0.0
 
     def test_product_gram_blocks_match_float64_scan(self):
-        # 3_32_2_product (D 32768): its weight-1 blocks, integers of at
-        # most R = 1024 in float32, are the float64 blocks times D
+        # 3_32_2_product (D 32768, K 32, five Z_2 layers): on its weight-1
+        # supports each chunk holds at most D entries, here one shift, and
+        # its matrices are integers over D, within 1e-12 of the products of
+        # the float64 scan's Gram blocks with the character table
         code = fixture_code("3_32_2_product")
+        D = code.system.total_dim
         scan, oracle = _SupportScan(code), _SupportScan(float64_twin(code))
         for supp in supports(code.n, 1):
-            want = {x: T for x, _, T in oracle.blocks(supp)}
+            want = {x: M for (x,), _, M in oracle.matrices(supp)}
             assert len(want) == 32
-            for x, pairs, T in scan.blocks(supp):
-                assert T.dtype == np.float32 and np.array_equal(T, np.round(T))
-                assert np.abs(T * scan.scale - want[x]).max() <= 1e-12
+            seen = []
+            for xs, pairs, M in scan.matrices(supp):
+                assert M.size <= D and M.dtype == np.float64
+                assert np.array_equal(pairs, np.arange(code.K ** 2))
+                assert np.array_equal(M * D, np.round(M * D))
+                for x, Mx in zip(xs, M.reshape(len(xs), -1, len(pairs))):
+                    assert np.abs(Mx - want[x]).max() <= 1e-12
+                    seen.append(x)
+            assert seen == list(range(32))
 
     @pytest.mark.parametrize("name", ["negatives/neg_bad_vector",
                                       "negatives/neg_wrong_d", "random"])
@@ -1128,17 +1145,55 @@ class TestSignTable:
         assert not calls and code._basis is None
         assert code._exponents()[1].dtype == np.uint8
 
-    def test_dimension_past_float32_takes_float64(self, monkeypatch):
-        # above the bound the sign table's sums would not all be exact in
-        # float32: the scan holds a float64 view of the basis instead
-        code = fixture_code("3_4_2_q4")
-        want = kl_verify_numeric(code).to_json()
-        monkeypatch.setattr(_SupportScan, "SIGN_TABLE_MAX_DIM", 32)
-        scan = _SupportScan(code)
-        assert scan.scale is None and scan.Bt.dtype == np.float64
-        assert np.shares_memory(scan.Bt, code.basis())
-        assert kl_verify_numeric(code).to_json() == want
-        assert code_distance(code) == code.d
+    def test_layers_of_one_graph_and_label_set_share_a_table(self):
+        # the product of 3_4_2_q4 with itself (D 4096, K 16) has every
+        # layer twice: two tables, each of the 8 states of its layer's 4
+        # distinct labels, +-1 in float64
+        base = fixture_code("3_4_2_q4")
+        scan = _SupportScan(product_code(base, base))
+        tables = [t for t, *_ in scan.layers]
+        assert tables[0] is tables[2] and tables[1] is tables[3]
+        assert tables[0] is not tables[1]
+        for t, n, index in scan.layers:
+            assert n == 3 and t.Bt.shape == (2, 2, 2, 4)
+            assert t.Bt.dtype == np.float64 and np.isin(t.Bt, (-1.0, 1.0)).all()
+            assert sorted(set(index.tolist())) == [0, 1, 2, 3]
+
+    def test_product_scan_allocates_nothing_of_D_rows(self):
+        # 3_32_2_product's numeric check stays under D K 4 bytes, the size
+        # of a float32 table of D rows, at a traced peak near 1 MB
+        code = fixture_code("3_32_2_product")
+        tracemalloc.start()
+        try:
+            assert kl_verify_numeric(code).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < code.system.total_dim * code.K * 4
+
+    @pytest.mark.parametrize("layers", ["z3_z3", "z2_z3", "z4_z2_ragged"])
+    def test_random_cliques_match_dense_oracle(self, layers):
+        # random weights on Z_3 layers, a Z_2 and a Z_3 layer, and a Z_4
+        # layer on three particles over a Z_2 layer on one; random labels,
+        # which fail, and the clique set mode finds at d = 2 (K 3, 2 and
+        # 2), which passes there: the report of every word, at d and
+        # d + 1, as the dense matrices of the words give it, and the
+        # distance the dense scan measures
+        rng = np.random.default_rng(sum(map(ord, layers)))
+        shapes = {"z3_z3": ((3, 3), (1, 3)), "z2_z3": ((3, 2), (2, 3)),
+                  "z4_z2_ragged": ((3, 4), (1, 2))}[layers]
+        graphs = tuple(random_graph(rng, n, m) for n, m in shapes)
+        found = search_clique(graphs, 2, 10 ** 6, budget=200, mode="set").clique
+        assert found.K > 1 and kl_verify_numeric(Code.from_clique(found)).ok
+        for cl in [found, *random_label_sets(rng, graphs, 3)]:
+            code = Code.from_clique(cl)
+            for d in (2, 3):
+                got = kl_verify_numeric(code, d).to_json()
+                want = oracle_report(code, list(enumerate_errors(code.system, d - 1)),
+                                     "numeric")
+                assert_same_report(got, want)
+            assert code_distance(code) == code_distance(Code.from_basis(
+                code.system, code.basis(), code.d))
 
 
 @pytest.mark.parametrize("name", ["3_4_2_q4", "5_16_2_paste", "negatives/neg_bad_vector",
