@@ -482,8 +482,13 @@ class _SupportScan:
         if not supp:
             B = self.Bt.reshape(-1, self.K)
             return (B.conj().T @ B).reshape(1, -1)
-        rows = {x: M for (x,), _, M in self.matrices(supp)}
-        return np.concatenate([rows[x] for x in range(len(rows))])
+        dS = math.prod(self.sys.dims[i] for i in supp)
+        G = None
+        for (x,), _, M in self.matrices(supp):
+            if G is None:
+                G = np.empty((dS, dS, self.K ** 2), dtype=M.dtype)
+            G[x] = M
+        return G.reshape(dS * dS, -1)
 
     def layer_products(self, supp: tuple[int, ...]):
         """Yield (xs, pairs, M) for chunks of the flat shifts xs on S of a
@@ -503,24 +508,23 @@ class _SupportScan:
             if (scan, Sl) not in grids:
                 grids[scan, Sl] = scan.grid(Sl)
             # every codeword pair's entry, one row per word on S_l
-            entries.append(grids[scan, Sl][:, (index[:, None] * scan.K + index).ravel()])
+            entries.append(grids[scan, Sl].take((index[:, None] * scan.K + index).ravel(), axis=1))
             # the flat index on S_l of every flat index on S, and dS_l
             digits, m = U[layer_of == l], scan.flat[0]
             on_S.append((m ** np.arange(len(digits) - 1, -1, -1) @ digits, m ** len(digits)))
+        del grids  # only the pair entries are read from here on
         # 1/D joins the first layer: exactly, over Z_2 layers, where D is a
         # power of two
-        entries[0] = entries[0].astype(np.result_type(*entries)) / D
+        entries[0] = entries[0].astype(np.result_type(*entries), copy=False)
+        entries[0] /= D
         pairs = np.arange(K * K)
         step = max(1, D // (dS * K * K))
         for x0 in range(0, dS, step):
             xs = range(x0, min(x0 + step, dS))
-            M = None
-            for P, (on_l, dl) in zip(entries, on_S):
-                F = P.take((on_l[x0:xs.stop, None] * dl + on_l).ravel(), axis=0)
-                if M is None:
-                    M = F
-                else:
-                    M *= F
+            rows = [(on_l[x0:xs.stop, None] * dl + on_l).ravel() for on_l, dl in on_S]
+            M = entries[0].take(rows[0], axis=0)
+            for P, r in zip(entries[1:], rows[1:]):
+                M *= P.take(r, axis=0)
             yield xs, pairs, M
 
     def pair_sums(self, supp: tuple[int, ...]):
