@@ -617,7 +617,7 @@ def assert_scan_matches_oracle(code, w_max, tol=1e-12, errors=True):
     nonzero entries of the blocks, and all K^2 pairs of the Gram blocks
     from a dense basis, held as a view of ``code.basis()``, in float64
     exactly when it has no imaginary part.  A clique takes neither source:
-    ``TestLayerSource`` compares it with its dense twin."""
+    ``TestSignTable`` compares its layer products with its dense twin."""
     sys, B, K = code.system, code.basis(), code.K
     assert code.clique is None
     scan = _SupportScan(code)
