@@ -7,7 +7,6 @@ accident.  Floats only appear when bridging to a numeric oracle, through
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable
@@ -42,15 +41,16 @@ def phase_mul(a: Phase, b: Phase) -> Phase:
 
 
 def phase_as_complex(a: Phase) -> complex:
-    return cmath.exp(2j * cmath.pi * a.k / a.L)
+    """The root as ``roots_of_unity(a.L)[a.k]`` gives it, quarter turns exact."""
+    return complex(roots_of_unity(a.L, [a.k])[0])
 
 
-def roots_of_unity(L: int) -> np.ndarray:
-    """exp(2 pi i k / L) for k = 0 .. L - 1, with the quarter turns
-    (4 k = 0 mod L) exactly 1, i, -1 and -i: no rounding noise in the
-    imaginary part of a real root, so a basis or character table built
-    from +-1 and +-i alone is exactly real or imaginary."""
-    k = np.arange(L)
+def roots_of_unity(L: int, k=None) -> np.ndarray:
+    """exp(2 pi i k / L) for k = 0 .. L - 1, or the given k in [0, L), with
+    the quarter turns (4 k = 0 mod L) exactly 1, i, -1 and -i: no rounding
+    noise in the imaginary part of a real root, so a basis or character
+    table built from +-1 and +-i alone is exactly real or imaginary."""
+    k = np.arange(L) if k is None else np.asarray(k)
     w = np.exp(2j * np.pi * k / L)
     quarter = 4 * k % L == 0
     w[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // L]

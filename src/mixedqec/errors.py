@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import PHASE_ONE, Phase
+from .algebra import PHASE_ONE, Phase, phase_as_complex, roots_of_unity
 from .graphs import _json_int
 
 DEFAULT_DIM_CAP = 65536
@@ -308,7 +308,7 @@ def apply_error(e: ErrorWord, sys: MixedSystem, vec: np.ndarray) -> np.ndarray:
         for l, m in enumerate(f):
             a, b = e.x[i][l], e.z[i][l]
             if b % m:
-                ph = np.exp(2j * np.pi * (b % m) * np.arange(m) / m)
+                ph = roots_of_unity(m)[b * np.arange(m) % m]
                 sh = [1] * out.ndim
                 sh[axis] = m
                 out *= ph.reshape(sh)
@@ -316,7 +316,7 @@ def apply_error(e: ErrorWord, sys: MixedSystem, vec: np.ndarray) -> np.ndarray:
                 out = np.roll(out, a % m, axis=axis)
             axis += 1
     if e.phase != PHASE_ONE:
-        out = out * complex(np.exp(2j * np.pi * e.phase.k / e.phase.L))
+        out = out * phase_as_complex(e.phase)
     return out.reshape(shape)
 
 

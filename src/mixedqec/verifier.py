@@ -15,18 +15,16 @@ also read one label layout, ``clique.LabelLayout``, and a clique's
 numeric check and ``Code.basis`` read one formula, ``_layer_exponents``,
 the amplitudes of a layer's states that define a clique's code.
 
-The numeric side is one engine: ``_SupportScan`` yields the K x K
-matrices of every error on a support, a chunk of shifts at a time, for
-``kl_verify_numeric`` and ``code_distance``; ``kl_verify_words`` applies
-each listed word instead.  Each matrix reaches ``_KLReducer.fit``, the
-only place f, the deviation, their summaries and the witness are
-computed, as its entries at a list of flat pairs i K + j: all K^2 of
-them for a dense block (a listed word, a row of ``verify_stabilizer``,
-the products of a clique's layer matrices, the Gram blocks of a dense
-basis), and only the pairs of its nonzero entries for a code in
-monomial form (one column index and value per row, as
-``stabilizer_eigenbasis`` returns and pastings, products and
-projections of such codes keep).
+The numeric side is one engine of Gram blocks B[u + x]^dag B[u]:
+``_SupportScan`` yields the K x K matrices of every error on a support,
+a chunk of shifts at a time, for ``kl_verify_numeric`` and
+``code_distance``, and ``kl_verify_words`` reads a word list through the
+blocks of each distinct shift over the whole system.  Each matrix
+reaches ``_KLReducer.fit``, the only place f, the deviation, their
+summaries and the witness are computed, as its entries at a list of
+flat pairs i K + j: all K^2 of them for a dense block, and only the
+pairs of its nonzero entries for a code in monomial form (one column
+index and value per row, as ``stabilizer_eigenbasis`` returns).
 
 Stabilizer rows are judged in one integer tableau, ``_Tableau``: the x
 and z digits of every row per flat factor and one phase exponent per
@@ -45,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -294,7 +293,8 @@ class _KLReducer:
         """f and the deviation of n K x K matrices given by their entries
         M[:, p] (shape (n, len(pairs))) at the flat positions pairs[p] = i K + j,
         every other entry 0; a missing diagonal entry deviates by |f|."""
-        on = np.flatnonzero(pairs // K == pairs % K)
+        on = (np.arange(0, K * K, K + 1) if len(pairs) == K * K
+              else np.flatnonzero(pairs // K == pairs % K))
         diag = M.take(on, axis=1)  # one row per error, summed in np.trace's order
         f = diag.sum(axis=1) / K
         dev = np.abs(M)
@@ -310,7 +310,7 @@ class _KLReducer:
         if nonzero.any():
             self.nonzero_f += int(nonzero.sum())
             self.max_abs_f = max(self.max_abs_f, float(abs_f[nonzero].max()))
-        self.max_deviation = max(self.max_deviation, float(dev.max()))
+        self.max_deviation = max(self.max_deviation, float(dev.max(initial=0.0)))
         if self.witness is None:
             failing = np.flatnonzero(dev > self.tol)
             if failing.size:
@@ -325,70 +325,80 @@ class _KLReducer:
                         self.witness)
 
 
+def _real(a: np.ndarray) -> np.ndarray:
+    """The real part of a, a view, when a has no imaginary part; else a."""
+    return a.real if not a.imag.any() else a
+
+
+class _Shape:
+    """The geometry of the supports of one shape, their particles' factor
+    tuples: the digits U[:, u] of the size flat indices u on S, their
+    moduli, the index of -u and ``shifted(x)``, that of u + x for every u;
+    formed when first read, the character table chi and the positions in
+    the (x, z) grid of the words of weight |S| in ``support_rows`` order."""
+
+    def __init__(self, factors: tuple[tuple[int, ...], ...]):
+        self.factors, self.dims = factors, tuple(m for f in factors for m in f)
+        self.U = np.indices(self.dims).reshape(len(self.dims), -1)
+        self.size, self.moduli = self.U.shape[1], np.array(self.dims)[:, None]
+        self.negate = np.ravel_multi_index(-self.U % self.moduli, self.dims)
+        self.roots = _real(roots_of_unity(math.lcm(*self.dims)))
+
+    def shifted(self, x: int) -> np.ndarray:
+        return np.ravel_multi_index((self.U + self.U[:, x:x + 1]) % self.moduli, self.dims)
+
+    def characters(self, z: np.ndarray) -> np.ndarray:
+        """chi_z(u) = exp(2 pi i sum_a z_a u_a / m_a) for each digit row z
+        and every u, exact mod L; real on qubit factors, as a basis may be."""
+        L = len(self.roots)
+        return self.roots[(z * (L // self.moduli.T)) @ self.U % L]
+
+    chi = cached_property(lambda self: self.characters(self.U.T))
+    positions = cached_property(lambda self: in_support_order(
+        word_radices(MixedSystem(self.factors)), range(len(self.factors)),
+        np.arange(self.size ** 2)))
+
+
 class _SupportScan:
     """Every error word of a code, one support S at a time.
 
     ``matrices`` yields (xs, pairs, M) for chunks of the flat shifts xs on
     S: M[(x, z), p] is the entry pairs[p] = i K + j of <i|X^x Z^z|j> for
-    every flat phase z on S, ascending, and ``fits`` takes each row to f
-    and the deviation by ``_KLReducer.fit``.  Stacked by x, the rows are
-    the (x, z) grid of every word on S, and ``errors.in_support_order``
-    reads the errors of weight |S| off it.  The code's form picks the
-    source:
+    every flat phase z on S, ascending: together the (x, z) grid of every
+    word on S.  ``fits`` takes each row to f and the deviation by
+    ``_KLReducer.fit``.  The geometry of S, a ``_Shape``, is formed once
+    per shape of support and held for the scan.  The code's form picks:
 
     * ``layer_products`` for a clique.  Its codeword k is one graph state
       per layer, Z^c_k1 |G_1> (x) ... (x) Z^c_kL |G_L>, and every error
-      splits over the same layers, so <k|E|k'> = prod_l <c_kl|E_l|c_k'l>,
-      each factor an inner product of states of one layer, m_l^n_l
-      amplitudes.  Each layer keeps the table of the states of its
-      distinct labels (``_layer_exponents``, unnormalised: +-1 integers on
-      a Z_2 layer), and per support its ``grid`` of every word on S_l, the
-      particles of S in layer l, from the Gram blocks of that table below.
-      A chunk of shifts takes, per layer, the rows of its words and the
-      entries of each codeword pair's labels, and multiplies them, the
-      first layer's times 1/D.  Over Z_2 layers every factor is an integer
-      and 1/D a power of two, so M is exact, bit for bit what a dense
-      basis of integers over D gives.  A chunk holds at most D entries,
-      and at least one shift; no array has D rows.
+      splits over the same layers, so <k|E|k'> = prod_l <c_kl|E_l|c_k'l>.
+      Each layer keeps the table of the states of its distinct labels
+      (``_layer_exponents``, unnormalised: +-1 integers on a Z_2 layer),
+      and per support the ``grid`` of every word on S_l, the particles of
+      S in layer l.  A chunk multiplies, per layer, the rows of its words
+      at each codeword pair's labels, the first layer's times 1/D: exact
+      over Z_2 layers, where 1/D is a power of two.  A chunk holds at most
+      D entries, and at least one shift; no array has D rows.
 
     Every other source starts from the basis gathered as A[u, r, k] (u the
-    digits on S, r the rest): an error X^x Z^z on S maps |u> to
-    chi_z(u) |u + x>, so <i|E|j> = sum_u chi_z(u) G_x[u]_ij with
-    G_x[u] = A[u + x]^dag A[u].  Per shift x, ``blocks`` yields
-    (x, pairs, T), T[u, p] the entry pairs[p] of G_x[u], and one product
-    chi @ T with the character table of S gives every phase z at once:
+    digits on S, r the rest): X^x Z^z maps |u> to chi_z(u) |u + x>, so
+    <i|E|j> = sum_u chi_z(u) G_x[u]_ij with G_x[u] = A[u + x]^dag A[u].
+    Per shift x, ``blocks`` yields (x, pairs, T), T[u, p] the entry
+    pairs[p] of G_x[u], and one product chi @ T gives every phase z:
 
-    * ``pair_sums`` for a monomial form (``Code.monomial``: each row's
-      column index and value, as for a stabilizer eigenbasis): G_x[u]_ij
-      is nonzero only at the pairs (i, j) of the columns of rows u + x and
-      u where both hold an entry, at most D pairs and, for a stabilizer
-      code, at most K: its columns are orbits of the rows' shift group,
-      so a shift sends all of column j into one column i_of[j].  Each
-      shift gathers whole rows u + x of the support's (dS, R) copy; when
-      every column meets one partner its pairs are numbered by sorting
-      the at most K keys of the map, else by sorting every hit's key.
-      One ``np.bincount`` sums them: O(dS D) work per shift, pairs dS per
-      error, and no D x K array or K x K block;
-    * ``grams`` for a dense basis, and for the table of a clique's layer:
-      all K^2 pairs, formed by batched products of slabs.  The flat axes
-      of S split into leading ones, flat index b, and the longest run of
-      trailing ones, of dimension product h, with h K <= R = D / dS: a
-      slab no wider than it is long (h = 1 when the last axis alone is
-      wider).  Slab A[b] is the R x hK matrix of the rows r and the pairs
-      (t, k), and one product P_y[b] = A[b + y]^dag A[b] holds the blocks
-      G_x[(b, t)] = P_y[b][(t + s, .), (t, .)] of all h shifts x = (y, s),
-      each stack taken out by one gather; at h = 1, P_y is G_y itself.
-      When dS K <= R, the whole of S is one slab and its one product, for
-      y = 0, is the (dS K)^2 Gram matrix of every shift.  Otherwise
-      leading shifts come in adjoint pairs, P_{-y}[b + y] = P_y[b]^dag, so
-      one batched product serves both y and -y; a shift with y = -y != 0
-      forms only the b with b < b + y and fills in the rest the same way.
-      y = 0 is one product of A with its own conjugate, A^dag A, which
-      for a real A numpy forms by a symmetric rank-k update (syrk).  The
-      bound on h keeps each product, dS h K^2 entries, within the size
-      of the basis, D K.  A basis with no imaginary part is held as a
-      float64 view of it, and chi, real on qubit factors, keeps the
-      products real.
+    * ``pair_sums`` for a monomial form (each row's column index and
+      value, as for a stabilizer eigenbasis): G_x[u]_ij is nonzero only at
+      the pairs of the columns of rows u + x and u where both hold an
+      entry, at most K for a stabilizer code, whose shifts send each
+      column j into one column i_of[j].  Each shift gathers whole rows of
+      the support's (dS, R) copy and sums them by one ``np.bincount``;
+    * ``grams`` for a dense basis, and for a clique layer's table: all K^2
+      pairs, from batched products of slabs, P_y[b] = A[b + y]^dag A[b]
+      over the leading axes of S, while the trailing ones, of dimension
+      product h with h K <= R = D / dS, join K in each slab's columns.
+      Leading shifts come in adjoint pairs, y = 0 of a real basis is a
+      symmetric rank-k update (syrk), and a real basis is held as a
+      float64 view, which chi, real on qubit factors, keeps real.
     """
 
     def __init__(self, code: Code):
@@ -401,15 +411,13 @@ class _SupportScan:
             self._layer_tables(code.clique)
             self.matrices = self.layer_products
         else:
-            B = code.basis()
-            self._hold(B.real if not B.imag.any() else B)  # a view, not a copy
+            self._hold(_real(code.basis()))
 
     def _frame(self, sys: MixedSystem, K: int) -> None:
-        self.sys = sys
-        self.K = K
+        self.sys, self.K = sys, K
         self.flat = sys.flat_dims()
         self.first_axis = np.cumsum([0] + [len(f) for f in sys.factors])
-        self.radices = word_radices(sys)
+        self.shapes: dict[tuple, _Shape] = {}
 
     def _hold(self, B: np.ndarray) -> None:
         """Take the D x K array B as the dense source."""
@@ -430,43 +438,28 @@ class _SupportScan:
             distinct, first, index = np.unique(keys, return_index=True, return_inverse=True)
             key = (m, n, gamma.tobytes(), distinct.tobytes())
             if key not in tables:
-                w = roots_of_unity(m)
-                table = (w.real if m == 2 else w)[_layer_exponents(m, gamma, V[first, a:a + n])]
+                table = _real(roots_of_unity(m))[_layer_exponents(m, gamma, V[first, a:a + n])]
                 tables[key] = scan = _SupportScan.__new__(_SupportScan)
                 scan._frame(MixedSystem(((m,),) * n), len(distinct))
                 scan._hold(table)
             self.layers.append((tables[key], n, index))
 
-    def _layout(self, supp: tuple[int, ...]):
-        """The flat tensor axes of S, their dimensions, the digits U[:, u]
-        of every flat index u on S, and ``shifted(x)``: the flat index of
-        u + x for every u."""
-        axes = [a for i in supp
-                for a in range(self.first_axis[i], self.first_axis[i + 1])]
-        dimsS = tuple(self.flat[a] for a in axes)
-        U = np.indices(dimsS).reshape(len(axes), -1)
-        moduli = np.array(dimsS)[:, None]
+    def shape(self, supp: tuple[int, ...]) -> _Shape:
+        """The geometry of S, formed once per shape for this scan."""
+        key = tuple(self.sys.factors[i] for i in supp)
+        return self.shapes.get(key) or self.shapes.setdefault(key, _Shape(key))
 
-        def shifted(x: int) -> np.ndarray:
-            return np.ravel_multi_index((U + U[:, x:x + 1]) % moduli, dimsS)
-
-        return axes, dimsS, U, shifted
+    def axes(self, supp: tuple[int, ...]) -> list[int]:
+        """The flat tensor axes of S."""
+        return [a for i in supp for a in range(self.first_axis[i], self.first_axis[i + 1])]
 
     def matrices(self, supp: tuple[int, ...]):
         """Yield (xs, pairs, M) for the flat shifts xs on S, one at a time:
         M[z, p] the entry pairs[p] of X^x Z^z for every flat phase z on S,
         ascending, from one product chi @ T with the character table."""
-        _, dimsS, U, _ = self._layout(supp)
-        # chi[z, u] = exp(2 pi i sum_a z_a u_a / m_a), exact in integers mod
-        # L; real when the roots are (L <= 2, a support of qubit factors
-        # only), so that the products below stay real on a real basis
-        L = math.lcm(*dimsS)
-        roots = roots_of_unity(L)
-        if not roots.imag.any():
-            roots = roots.real
-        chi = roots[(U.T * (L // np.array(dimsS))) @ U % L]
+        chi = self.shape(supp).chi
         for x, pairs, T in self.blocks(supp):
-            yield (x,), pairs, chi @ T
+            yield range(x, x + 1), pairs, chi @ T
 
     def fits(self, supp: tuple[int, ...]):
         """Yield (x, f, deviation) for every flat shift x on S: f and the
@@ -482,12 +475,10 @@ class _SupportScan:
         if not supp:
             B = self.Bt.reshape(-1, self.K)
             return (B.conj().T @ B).reshape(1, -1)
-        dS = math.prod(self.sys.dims[i] for i in supp)
-        G = None
+        dS, chi = self.shape(supp).size, self.shape(supp).chi
+        G = np.empty((dS, dS * self.K ** 2), np.result_type(chi, self.Bt))
         for (x,), _, M in self.matrices(supp):
-            if G is None:
-                G = np.empty((dS, dS, self.K ** 2), dtype=M.dtype)
-            G[x] = M
+            G[x] = M.ravel()
         return G.reshape(dS * dS, -1)
 
     def layer_products(self, supp: tuple[int, ...]):
@@ -497,10 +488,8 @@ class _SupportScan:
         particles of S in layer l, at each codeword's label, times 1/D.  A
         chunk holds at most D entries, and at least one shift."""
         K, D = self.K, self.sys.total_dim
-        _, _, U, _ = self._layout(supp)
-        dS = U.shape[1]
-        # the layer of each flat axis on S: its place among its particle's
-        # factors, which nest layer by layer
+        U, dS = self.shape(supp).U, self.shape(supp).size
+        # the layer of each flat axis on S: its place in its particle's factors
         layer_of = np.array([l for i in supp for l in range(len(self.sys.factors[i]))])
         grids, entries, on_S = {}, [], []
         for l, (scan, n, index) in enumerate(self.layers):
@@ -533,9 +522,8 @@ class _SupportScan:
         rows u + x and j of rows u where both are nonzero, and
         T[u, p] = sum_r conj(A[u + x, r, i]) A[u, r, j] for pair p, summed
         over the rows (u, r) in flat order whichever numbering is taken."""
-        K = self.K
-        axes, _, U, shifted = self._layout(supp)
-        dS = U.shape[1]
+        K, axes, shape = self.K, self.axes(supp), self.shape(supp)
+        dS = shape.size
         # one contiguous (dS, R) copy per support, so that each shift
         # gathers whole rows u + x; the rows (u, r) in flat order
         col, val = (np.ascontiguousarray(np.moveaxis(a, axes, range(len(axes))).reshape(dS, -1))
@@ -549,7 +537,7 @@ class _SupportScan:
         rep[j[on]] = on
         nz = j >= 0 if len(on) < len(j) else None
         for x in range(dS):
-            to = shifted(x)
+            to = shape.shifted(x)
             i, w = col[to].ravel(), val[to].ravel()
             np.conj(w, out=w)
             w *= val.ravel()
@@ -580,10 +568,8 @@ class _SupportScan:
         """Yield (x, pairs, T) for every flat shift x on S of a code with a
         dense basis: all K^2 pairs i K + j, and T[u, i K + j] the entries of
         G_x[u] = A[u + x]^dag A[u] over the flat index u."""
-        axes, dimsS, U, shifted = self._layout(supp)
-        moduli = np.array(dimsS)[:, None]
-        dS = U.shape[1]
-        negate = np.ravel_multi_index(-U % moduli, dimsS)
+        axes, shape = self.axes(supp), self.shape(supp)
+        dimsS, dS = shape.dims, shape.size
         # the last axes of S, of dimension product h, join K in each
         # slab's columns while h K <= R: a slab no wider than it is long
         K, R = self.K, math.prod(self.flat) // dS
@@ -595,8 +581,8 @@ class _SupportScan:
         A = self.Bt.transpose(axes[:cut] + rest + axes[cut:] + [len(self.flat)])
         # one contiguous copy per support, as BLAS and numpy's syrk test need
         A = np.ascontiguousarray(A.reshape(dS // h, R, h * K))
-        stacks = (self._product_grams(A, shifted, negate) if h == 1
-                  else self._slab_grams(A, h, shifted, negate))
+        stacks = (self._product_grams(A, shape.shifted, shape.negate) if h == 1
+                  else self._slab_grams(A, h, shape.shifted, shape.negate))
         pairs = np.arange(K * K)
         return ((x, pairs, G.reshape(dS, K * K)) for x, G in stacks)
 
@@ -643,11 +629,6 @@ class _SupportScan:
             for s in range(h):
                 yield y * h + s, P[b, shifted(s)[:h], :, t, :].reshape(dB * h, K, K)
 
-    def word(self, supp: tuple[int, ...], j: int) -> ErrorWord:
-        """The j-th error of weight |S| on S, in ``support_rows`` order."""
-        return word_from_row(self.sys, supp,
-                             support_rows(self.radices, supp, j, j + 1)[0].tolist())
-
 
 def check_tol(tol: float) -> float:
     """``tol`` itself if it is a finite number > 0, else ValueError: no
@@ -663,26 +644,45 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9) -> KL
     matrix of inner products must be f times the identity within tol."""
     check_tol(tol)
     d = code.d if d is None else d
-    scan = _SupportScan(code)
+    scan, radices = _SupportScan(code), word_radices(code.system)
     reducer = _KLReducer(code.system, tol)
     for supp in supports(code.n, d - 1):
-        xs, f, dev = zip(*scan.fits(supp))
-        order = np.argsort(xs)
-        # the (x, z) grids, read as the errors of weight |S| in enumeration order
-        f, dev = (in_support_order(scan.radices, supp, np.stack(a)[order]) for a in (f, dev))
-        reducer.add(f, dev, lambda j: scan.word(supp, j))
+        shape = scan.shape(supp)
+        grids = np.empty((2, shape.size ** 2), complex)  # f and the deviation over (x, z)
+        for xs, pairs, M in scan.matrices(supp):
+            at = slice(xs.start * shape.size, xs.stop * shape.size)
+            grids[0, at], grids[1, at] = _KLReducer.fit(M, pairs, code.K)
+        f, dev = grids[:, shape.positions]  # the words of weight |S|, in order
+        reducer.add(f, dev.real, lambda j: word_from_row(  # the j-th word of weight |S|
+            code.system, supp, support_rows(radices, supp, j, j + 1)[0].tolist()))
     return reducer.report("numeric")
 
 
 def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9) -> KLReport:
-    """KL check for an explicit word list instead of a weight ball."""
+    """KL check for an explicit word list instead of a weight ball.  The
+    words are grouped by shift x, and a group's K x K matrices are its
+    character rows (their z digits and exact phases) times the stack
+    G_x[u] = B[u + x]^dag B[u] over the whole system, formed once per
+    distinct x in slabs of rows of at most D K entries, the size of the
+    basis.  The fits are folded in list order."""
     check_tol(tol)
-    B = code.basis()
+    K, B, whole = code.K, _real(code.basis()), _Shape(code.system.factors)
+    digits = np.array([[a for part in (e.x, e.z) for p in part for a in p] for e in words],
+                      dtype=np.int64).reshape(len(words), 2, len(whole.dims)) % whole.moduli.T
+    shifts = np.ravel_multi_index(digits[:, 0].T, whole.dims)
+    turns = {p: phase_as_complex(p) for p in {e.phase for e in words}}
+    phases = _real(np.array([turns[e.phase] for e in words]))
+    fits = np.empty((2, len(words)), complex)  # f and the deviation, in list order
+    step = max(1, whole.size // K)
+    for x in dict.fromkeys(shifts.tolist()):
+        at, to = np.flatnonzero(shifts == x), whole.shifted(x)
+        C, M = whole.characters(digits[at, 1]) * phases[at, None], 0
+        for u in (slice(r, r + step) for r in range(0, whole.size, step)):
+            G = np.matmul(B[to[u]].conj()[:, :, None], B[u, None, :])
+            M += C[:, u] @ G.reshape(-1, K * K)
+        fits[:, at] = _KLReducer.fit(M, np.arange(K * K), K)
     reducer = _KLReducer(code.system, tol)
-    pairs = np.arange(code.K ** 2)
-    for e in words:
-        M = B.conj().T @ apply_error(e, code.system, B)
-        reducer.add(*_KLReducer.fit(M.reshape(1, -1), pairs, code.K), lambda j: e)
+    reducer.add(fits[0], fits[1].real, words.__getitem__)
     return reducer.report("words")
 
 

@@ -86,8 +86,8 @@ def pair_sums_reference(scan, supp: tuple[int, ...]):
     row: the pairs of a shift numbered by a K^2 table while it is no more
     than four times the hits, else by sorting the keys."""
     K = scan.K
-    axes, _, U, shifted = scan._layout(supp)
-    dS = U.shape[1]
+    axes, shifted = scan.axes(supp), scan.shape(supp).shifted
+    dS = scan.shape(supp).size
     col = np.moveaxis(scan.col, axes, range(len(axes))).ravel()
     val = np.moveaxis(scan.val, axes, range(len(axes))).ravel()
     R = len(col) // dS

@@ -71,6 +71,19 @@ def test_roots_of_unity_match_exp_and_are_exact_at_quarter_turns():
     assert not roots_of_unity(4)[[1, 3]].real.any()
 
 
+def test_phase_as_complex_reads_roots_of_unity():
+    # bit for bit the entry of roots_of_unity, so quarter turns are exact
+    assert phase_as_complex(PHASE_I) == 1j and phase_as_complex(Phase(3, 4)) == -1j
+    assert phase_as_complex(PHASE_MINUS_ONE) == -1 and phase_as_complex(PHASE_I).real == 0
+    for L in range(1, 25):
+        w = roots_of_unity(L)
+        for k in range(L):
+            a = Phase(k, L)  # in lowest terms, which the entry is read at
+            got = phase_as_complex(a)
+            assert type(got) is complex and got == roots_of_unity(a.L)[a.k]
+        assert np.array_equal(roots_of_unity(L, np.arange(L)[::-1]), w[::-1])
+
+
 @given(phases, phases)
 def test_complex_homomorphism(a, b):
     want = phase_as_complex(a) * phase_as_complex(b)

@@ -278,6 +278,21 @@ class TestMatrices:
         monkeypatch.delenv("MIXEDQEC_DIM_CAP")
         assert dim_cap() == 65536
 
+    @pytest.mark.parametrize("phase, scalar", [(Phase(1, 2), -1), (Phase(1, 4), 1j),
+                                               (Phase(3, 4), -1j)])
+    def test_quarter_turn_phase_is_exact(self, phase, scalar):
+        # the identity word times -1, i or -i multiplies a vector by exactly
+        # that scalar, with no rounding residue in the other part, and a
+        # phase digit of a Z_4 factor reaches the same exact roots
+        s = MixedSystem(((4,), (2,)))
+        v = np.random.default_rng(41).normal(size=(s.total_dim, 3))
+        I = ErrorWord.identity(s)
+        assert np.array_equal(apply_error(ErrorWord(I.x, I.z, phase), s, v), scalar * v)
+        z = 4 * phase.k // phase.L
+        got = apply_error(ErrorWord(I.x, ((z,), (0,)), phase), s, v).reshape(4, 2, 3)
+        for j in range(4):
+            assert np.array_equal(got[j], scalar * 1j ** (z * j % 4) * v.reshape(4, 2, 3)[j])
+
     def test_apply_matches_matrix(self):
         s = MixedSystem.layered([(2, 3), (3, 2)])
         rng = np.random.default_rng(7)

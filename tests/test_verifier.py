@@ -22,8 +22,8 @@ from mixedqec.certificates import (
 )
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
-    ErrorWord, MixedSystem, apply_error, count_errors, format_word, support_rows, supports,
-    weight, word_from_row,
+    ErrorWord, MixedSystem, apply_error, count_errors, format_word, in_support_order,
+    support_rows, supports, weight, word_from_row, word_radices,
 )
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
@@ -1194,6 +1194,114 @@ class TestSignTable:
                 assert_same_report(got, want)
             assert code_distance(code) == code_distance(Code.from_basis(
                 code.system, code.basis(), code.d))
+
+
+def fresh_scan_grids(code, supp):
+    """f and the deviation of every word on S as (dS, dS) grids over the
+    flat shift x and phase z, from a scan made for this support alone."""
+    fits = sorted(_SupportScan(code).fits(supp), key=lambda fit: fit[0])
+    return tuple(np.stack([fit[i] for fit in fits]) for i in (1, 2))
+
+
+def fresh_scan_report(code, d, tol=1e-9):
+    """The report of kl_verify_numeric, each support's grids taken from a
+    fresh scan and read through errors.in_support_order."""
+    sys, radices = code.system, word_radices(code.system)
+    reducer = _KLReducer(sys, tol)
+    for supp in supports(code.n, d - 1):
+        f, dev = (in_support_order(radices, supp, g) for g in fresh_scan_grids(code, supp))
+        reducer.add(f, dev, lambda j: word_from_row(
+            sys, supp, support_rows(radices, supp, j, j + 1)[0].tolist()))
+    return reducer.report("numeric").to_json()
+
+
+class TestShapeGeometry:
+    """One scan forms the geometry of each support shape once and keeps it
+    for the whole check: the digits, the negation map, the character table
+    and the positions of the words of weight |S| in the (x, z) grid.
+    Supports {0} and {4, 5} of 6_4_3_mixed have the same flat dims (2, 2),
+    but 15 and 9 words of weight |S|, so the shape is the particles'
+    factor tuples."""
+
+    @pytest.mark.parametrize("name", ["6_4_3_mixed", "6_8_3_mixed"])
+    def test_shared_geometry_matches_a_fresh_scan_per_support(self, name):
+        # every support's grids, read at the shared positions, the report at
+        # d and d + 1 and the measured distance, bit for bit those of a
+        # fresh scan per support
+        code = fixture_code(name)
+        shared, radices = _SupportScan(code), word_radices(code.system)
+        scanned = list(supports(code.n, code.d))
+        for supp in scanned:
+            got = fresh_scan_grids(code, supp)
+            fits = sorted(shared.fits(supp), key=lambda fit: fit[0])
+            for i, want in enumerate(got):
+                grid = np.stack([fit[i + 1] for fit in fits])
+                assert grid.dtype == want.dtype and np.array_equal(grid, want)
+                assert np.array_equal(grid.ravel()[shared.shape(supp).positions],
+                                      in_support_order(radices, supp, want))
+        assert len(shared.shapes) < len(scanned)
+        flat = {}
+        for supp in scanned:
+            flat.setdefault(tuple(m for i in supp for m in code.system.factors[i]), set()).add(
+                tuple(code.system.factors[i] for i in supp))
+        assert any(len(shapes) > 1 for shapes in flat.values()) == (name == "6_4_3_mixed")
+        for d in (code.d, code.d + 1):
+            got = json.dumps(kl_verify_numeric(code, d).to_json())
+            assert got == json.dumps(fresh_scan_report(code, d))
+        want = next((len(supp) for supp in supports(code.n, code.n)
+                     if any((dev[x == 0:] > 1e-9).any()
+                            for x, _, dev in _SupportScan(code).fits(supp))), code.n + 1)
+        assert code_distance(code) == want == code.d
+
+
+def shift_key(sys, e):
+    """The flat index of a word's shift digits."""
+    return int(np.ravel_multi_index([a for xi in e.x for a in xi], sys.flat_dims()))
+
+
+class TestWordList:
+    """kl_verify_words groups the words by shift and reads each group
+    through one Gram stack of the whole system; the report follows the
+    list order all the same."""
+
+    QUARTER_AND_OTHER_TURNS = (PHASE_ONE, Phase(1, 4), PHASE_MINUS_ONE, Phase(3, 4),
+                               Phase(1, 3), Phase(5, 6))
+
+    @pytest.mark.parametrize("case", ["dense", "dense_real", "monomial", "5_9_2_q3"])
+    def test_grouped_words_match_dense_oracle_in_list_order(self, case):
+        # words that interleave shifts and carry phases, quarter turns
+        # included, a repeated word, the identity, and two failing words of
+        # which the first in list order sorts later by shift: the witness
+        # is that first one, and every count is the dense oracle's
+        rng = np.random.default_rng(sum(map(ord, case)))
+        if case == "5_9_2_q3":
+            code = fixture_code(case)
+        elif case == "monomial":
+            code = pair_scan_code("random_monomial")
+        else:
+            sys = ORACLE_SYSTEMS[0 if case == "dense" else 4]
+            code = Code.from_basis(sys, random_basis(rng, sys, 3, False, case == "dense_real"), 2)
+        sys = code.system
+        pool = list(enumerate_errors(sys, 2))
+        pool = [pool[i] for i in rng.choice(len(pool), size=min(len(pool), 150), replace=False)]
+        failing = [e for e in pool if oracle_report(code, [e], "words")["verdict"] == "fail"]
+        passing = [e for e in pool if e not in failing]
+        late = max(failing, key=lambda e: shift_key(sys, e))
+        early = next(e for e in failing if shift_key(sys, e) < shift_key(sys, late))
+        turns = self.QUARTER_AND_OTHER_TURNS[:3:2] if case == "dense_real" else \
+            self.QUARTER_AND_OTHER_TURNS
+        head, tail = ([ErrorWord(e.x, e.z, turns[i % len(turns)]) for i, e in enumerate(part)]
+                      for part in (passing[:6], pool[:12]))
+        identity = ErrorWord.identity(sys)
+        # only words that pass come before the first failing one, late
+        words = ([ErrorWord(identity.x, identity.z, turns[-1])] + head + [late] + tail[:6]
+                 + [ErrorWord(early.x, early.z, turns[1]), late] + tail[6:] + [identity])
+        keys = [shift_key(sys, e) for e in words]
+        assert keys != sorted(keys) and len(set(keys)) > 2
+        got = kl_verify_words(code, words).to_json()
+        assert_same_report(got, oracle_report(code, words, "words"))
+        assert got["witness"]["error"] == error_json(sys, late)
+        assert got["checked_errors"] == len(words)
 
 
 @pytest.mark.parametrize("name", ["3_4_2_q4", "5_16_2_paste", "negatives/neg_bad_vector",
