@@ -349,7 +349,7 @@ class _Shape:
 
     def characters(self, z: np.ndarray) -> np.ndarray:
         """chi_z(u) = exp(2 pi i sum_a z_a u_a / m_a) for each digit row z
-        and every u, exact mod L; real on qubit factors, as a basis may be."""
+        and every u, exact mod L; real on qubit factors, as a real basis."""
         L = len(self.roots)
         return self.roots[(z * (L // self.moduli.T)) @ self.U % L]
 
