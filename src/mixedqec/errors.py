@@ -9,8 +9,8 @@ a per-layer vector view, which is what the clique machinery works in.
 
 ``support_rows`` defines the one order of error words, support by
 support: ``error_blocks`` yields them as int64 digit rows to the label
-engine and the symbolic check, and ``in_support_order`` reads a
-support's (x, z) grid in it for the numeric one.
+engine and the symbolic check, and ``_Shape`` holds the positions of a
+support's words in its (x, z) grid for the numeric one.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ import itertools
 import os
 from contextvars import ContextVar
 from dataclasses import dataclass
-from math import log10, prod
+from functools import cached_property
+from math import lcm, log10, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -264,6 +265,40 @@ def in_support_order(radices: Sequence[Sequence[int]], supp: Sequence[int],
     order = np.arange(2 * len(dims)).reshape(2, -1).T.ravel()
     g = grid.reshape(dims * 2).transpose(order).reshape([prod(radices[i]) for i in supp])
     return g[(slice(1, None),) * len(supp)].ravel()
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """The real part of a, a view, when a has no imaginary part; else a."""
+    return a.real if not a.imag.any() else a
+
+
+class _Shape:
+    """The numeric checks' geometry of the supports of one shape (their
+    particles' factor tuples): the digits U[:, u] of the size flat indices
+    u on S, their moduli, the index of -u and ``shifted(x)``, that of u + x
+    for every u; formed when first read, the character table chi and the
+    (x, z) grid positions of the words of weight |S|, in order."""
+
+    def __init__(self, factors: tuple[tuple[int, ...], ...]):
+        self.factors, self.dims = factors, tuple(m for f in factors for m in f)
+        self.U = np.indices(self.dims).reshape(len(self.dims), -1)
+        self.size, self.moduli = self.U.shape[1], np.array(self.dims)[:, None]
+        self.negate = np.ravel_multi_index(-self.U % self.moduli, self.dims)
+        self.roots = _real(roots_of_unity(lcm(*self.dims)))
+
+    def shifted(self, x: int) -> np.ndarray:
+        return np.ravel_multi_index((self.U + self.U[:, x:x + 1]) % self.moduli, self.dims)
+
+    def characters(self, z: np.ndarray) -> np.ndarray:
+        """chi_z(u) = exp(2 pi i sum_a z_a u_a / m_a) for each digit row z
+        and every u, exact mod L; real on qubit factors, as a real basis."""
+        L = len(self.roots)
+        return self.roots[(z * (L // self.moduli.T)) @ self.U % L]
+
+    chi = cached_property(lambda self: self.characters(self.U.T))
+    positions = cached_property(lambda self: in_support_order(
+        word_radices(MixedSystem(self.factors)), range(len(self.factors)),
+        np.arange(self.size ** 2)))
 
 
 def error_blocks(radices: Sequence[Sequence[int]],

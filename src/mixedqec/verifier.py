@@ -18,13 +18,12 @@ the amplitudes of a layer's states that define a clique's code.
 The numeric side is one engine of Gram blocks B[u + x]^dag B[u]:
 ``_SupportScan`` yields the K x K matrices of every error on a support,
 a chunk of shifts at a time, for ``kl_verify_numeric`` and
-``code_distance``, and ``kl_verify_words`` reads a word list through the
-blocks of each distinct shift over the whole system.  Each matrix
-reaches ``_KLReducer.fit``, the only place f, the deviation, their
-summaries and the witness are computed, as its entries at a list of
-flat pairs i K + j: all K^2 of them for a dense block, and only the
-pairs of its nonzero entries for a code in monomial form (one column
-index and value per row, as ``stabilizer_eigenbasis`` returns).
+``code_distance``; ``kl_verify_words`` reads a word list through those
+of each distinct shift over the whole system.  ``_KLReducer.fit`` is
+the only place f, the deviation, their summaries and the witness are
+computed, from each matrix's entries at a list of flat pairs i K + j:
+all K^2 for a dense block, only the nonzero ones for a code in monomial
+form (a column index and value per row, as ``stabilizer_eigenbasis``).
 
 Stabilizer rows are judged in one integer tableau, ``_Tableau``: the x
 and z digits of every row per flat factor and one phase exponent per
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,11 +53,12 @@ from .errors import (
     ErrorWord,
     IntegerRangeError,
     MixedSystem,
+    _Shape,
     _check_cap,
+    _real,
     apply_error,
     error_blocks,
     format_word,
-    in_support_order,
     support_rows,
     supports,
     word_from_row,
@@ -325,40 +324,6 @@ class _KLReducer:
                         self.witness)
 
 
-def _real(a: np.ndarray) -> np.ndarray:
-    """The real part of a, a view, when a has no imaginary part; else a."""
-    return a.real if not a.imag.any() else a
-
-
-class _Shape:
-    """The geometry of the supports of one shape, their particles' factor
-    tuples: the digits U[:, u] of the size flat indices u on S, their
-    moduli, the index of -u and ``shifted(x)``, that of u + x for every u;
-    formed when first read, the character table chi and the positions in
-    the (x, z) grid of the words of weight |S| in ``support_rows`` order."""
-
-    def __init__(self, factors: tuple[tuple[int, ...], ...]):
-        self.factors, self.dims = factors, tuple(m for f in factors for m in f)
-        self.U = np.indices(self.dims).reshape(len(self.dims), -1)
-        self.size, self.moduli = self.U.shape[1], np.array(self.dims)[:, None]
-        self.negate = np.ravel_multi_index(-self.U % self.moduli, self.dims)
-        self.roots = _real(roots_of_unity(math.lcm(*self.dims)))
-
-    def shifted(self, x: int) -> np.ndarray:
-        return np.ravel_multi_index((self.U + self.U[:, x:x + 1]) % self.moduli, self.dims)
-
-    def characters(self, z: np.ndarray) -> np.ndarray:
-        """chi_z(u) = exp(2 pi i sum_a z_a u_a / m_a) for each digit row z
-        and every u, exact mod L; real on qubit factors, as a real basis."""
-        L = len(self.roots)
-        return self.roots[(z * (L // self.moduli.T)) @ self.U % L]
-
-    chi = cached_property(lambda self: self.characters(self.U.T))
-    positions = cached_property(lambda self: in_support_order(
-        word_radices(MixedSystem(self.factors)), range(len(self.factors)),
-        np.arange(self.size ** 2)))
-
-
 class _SupportScan:
     """Every error word of a code, one support S at a time.
 
@@ -366,8 +331,8 @@ class _SupportScan:
     S: M[(x, z), p] is the entry pairs[p] = i K + j of <i|X^x Z^z|j> for
     every flat phase z on S, ascending: together the (x, z) grid of every
     word on S.  ``fits`` takes each row to f and the deviation by
-    ``_KLReducer.fit``.  The geometry of S, a ``_Shape``, is formed once
-    per shape of support and held for the scan.  The code's form picks:
+    ``_KLReducer.fit``.  The geometry of S, an ``errors._Shape``, is formed
+    once per shape of support and held for the scan.  The code's form picks:
 
     * ``layer_products`` for a clique.  Its codeword k is one graph state
       per layer, Z^c_k1 |G_1> (x) ... (x) Z^c_kL |G_L>, and every error

@@ -279,7 +279,7 @@ class TestMatrices:
         assert dim_cap() == 65536
 
     @pytest.mark.parametrize("phase, scalar", [(Phase(1, 2), -1), (Phase(1, 4), 1j),
-                                               (Phase(3, 4), -1j)])
+                                               (Phase(3, 4), -1j)], ids=["-1", "i", "-i"])
     def test_quarter_turn_phase_is_exact(self, phase, scalar):
         # the identity word times -1, i or -i multiplies a vector by exactly
         # that scalar, with no rounding residue in the other part, and a

@@ -1272,7 +1272,8 @@ class TestWordList:
         # words that interleave shifts and carry phases, quarter turns
         # included, a repeated word, the identity, and two failing words of
         # which the first in list order sorts later by shift: the witness
-        # is that first one, and every count is the dense oracle's
+        # is that first one, and every count is the dense oracle's.  A real
+        # basis on qubit factors with phases +-1 keeps the products real
         rng = np.random.default_rng(sum(map(ord, case)))
         if case == "5_9_2_q3":
             code = fixture_code(case)
