@@ -275,15 +275,14 @@ def _real(a: np.ndarray) -> np.ndarray:
 class _Shape:
     """The numeric checks' geometry of the supports of one shape (their
     particles' factor tuples): the digits U[:, u] of the size flat indices
-    u on S, their moduli, the index of -u and ``shifted(x)``, that of u + x
-    for every u; formed when first read, the character table chi and the
-    (x, z) grid positions of the words of weight |S|, in order."""
+    u on S, their moduli and ``shifted(x)``, the index of u + x for every
+    u; formed when first read, the character table chi and the (x, z) grid
+    positions of the words of weight |S|, in order."""
 
     def __init__(self, factors: tuple[tuple[int, ...], ...]):
         self.factors, self.dims = factors, tuple(m for f in factors for m in f)
         self.U = np.indices(self.dims).reshape(len(self.dims), -1)
         self.size, self.moduli = self.U.shape[1], np.array(self.dims)[:, None]
-        self.negate = np.ravel_multi_index(-self.U % self.moduli, self.dims)
         self.roots = _real(roots_of_unity(lcm(*self.dims)))
 
     def shifted(self, x: int) -> np.ndarray:

@@ -358,12 +358,10 @@ class _SupportScan:
       column j into one column i_of[j].  Each shift gathers whole rows of
       the support's (dS, R) copy and sums them by one ``np.bincount``;
     * ``grams`` for a dense basis, and for a clique layer's table: all K^2
-      pairs, from batched products of slabs, P_y[b] = A[b + y]^dag A[b]
-      over the leading axes of S, while the trailing ones, of dimension
-      product h with h K <= R = D / dS, join K in each slab's columns.
-      Leading shifts come in adjoint pairs, y = 0 of a real basis is a
-      symmetric rank-k update (syrk), and a real basis is held as a
-      float64 view, which chi, real on qubit factors, keeps real.
+      pairs, from one batched product per shift over the support's
+      contiguous (dS, R, K) stack, dS K^2 entries a shift.  x = 0 of a
+      real basis is a symmetric rank-k update (syrk), and a real basis is
+      held as a float64 view, which chi, real on qubit factors, keeps real.
     """
 
     def __init__(self, code: Code):
@@ -532,67 +530,21 @@ class _SupportScan:
     def grams(self, supp: tuple[int, ...]):
         """Yield (x, pairs, T) for every flat shift x on S of a code with a
         dense basis: all K^2 pairs i K + j, and T[u, i K + j] the entries of
-        G_x[u] = A[u + x]^dag A[u] over the flat index u."""
-        axes, shape = self.axes(supp), self.shape(supp)
-        dimsS, dS = shape.dims, shape.size
-        # the last axes of S, of dimension product h, join K in each
-        # slab's columns while h K <= R: a slab no wider than it is long
-        K, R = self.K, math.prod(self.flat) // dS
-        cut = len(axes)
-        while cut and math.prod(dimsS[cut - 1:]) * K <= R:
-            cut -= 1
-        h = math.prod(dimsS[cut:])
+        G_x[u] = A[u + x]^dag A[u] over the flat index u, one batched
+        product per shift."""
+        axes, shape, K = self.axes(supp), self.shape(supp), self.K
         rest = [a for a in range(len(self.flat)) if a not in axes]
-        A = self.Bt.transpose(axes[:cut] + rest + axes[cut:] + [len(self.flat)])
-        # one contiguous copy per support, as BLAS and numpy's syrk test need
-        A = np.ascontiguousarray(A.reshape(dS // h, R, h * K))
-        stacks = (self._product_grams(A, shape.shifted, shape.negate) if h == 1
-                  else self._slab_grams(A, h, shape.shifted, shape.negate))
-        pairs = np.arange(K * K)
-        return ((x, pairs, G.reshape(dS, K * K)) for x, G in stacks)
-
-    @staticmethod
-    def _product_grams(A, shifted, negate):
-        """The products A[u + x]^dag A[u] over the first axis of A, batched,
-        one batch per pair {x, -x}."""
-        dS, _, K = A.shape
-        # A itself when real: then Ac^T @ A reads one buffer, and numpy's
+        # one contiguous (dS, R, K) copy per support, as BLAS and numpy's
+        # syrk test need
+        A = np.ascontiguousarray(self.Bt.transpose(axes + rest + [len(self.flat)])
+                                 .reshape(shape.size, -1, K))
+        # A itself when real: then x = 0 reads one buffer, and numpy's
         # matmul forms it by a symmetric rank-k update (syrk)
-        Ac = A.conj()
-        for x in range(dS):
-            if x == 0:
-                yield x, Ac.transpose(0, 2, 1) @ A
-                continue
-            minus = int(negate[x])
-            if minus < x:
-                continue  # yielded with its partner
-            plus_x = shifted(x)
-            if minus == x:
-                half = np.flatnonzero(np.arange(dS) < plus_x)
-                G = np.empty((dS, K, K), dtype=A.dtype)
-                G[half] = Ac[plus_x[half]].transpose(0, 2, 1) @ A[half]
-                G[plus_x[half]] = G[half].conj().transpose(0, 2, 1)
-                yield x, G
-                continue
-            G = Ac[plus_x].transpose(0, 2, 1) @ A
-            yield x, G
-            G_minus = np.empty_like(G)
-            G_minus[plus_x] = G.conj().transpose(0, 2, 1)
-            yield minus, G_minus
-
-    def _slab_grams(self, A, h, shifted, negate):
-        """G_x from the slab products P_y[b] = A[b + y]^dag A[b] over the
-        leading flat index b: x = (y, s) with s on the last axes, of
-        dimension product h, and G_x[(b, t)] = P_y[b][(t + s, .), (t, .)]."""
-        K = self.K
-        dB = len(A)
-        b, t = np.arange(dB)[:, None], np.arange(h)
-        # shifts and indices whose trailing digits are 0 move only b
-        lead = lambda y: shifted(y * h)[::h] // h
-        for y, P in self._product_grams(A, lead, negate[::h] // h):
-            P = P.reshape(dB, h, K, h, K)
-            for s in range(h):
-                yield y * h + s, P[b, shifted(s)[:h], :, t, :].reshape(dB * h, K, K)
+        AcT = A.conj().transpose(0, 2, 1)
+        pairs = np.arange(K * K)
+        for x in range(shape.size):
+            G = (AcT if x == 0 else AcT[shape.shifted(x)]) @ A
+            yield x, pairs, G.reshape(shape.size, K * K)
 
 
 def check_tol(tol: float) -> float:
@@ -716,16 +668,19 @@ def parse_stabilizer_row(sys: MixedSystem, layer_strings: Sequence[str],
 
 def _row_text(sys: MixedSystem, w: ErrorWord) -> tuple[str, ...]:
     """Per-layer symbol strings for a word with digits in {0, 1}.  A
-    factor carrying both a shift and a phase prints as Y; the exact
-    phase lives in the word, not the text.  A larger digit has no
-    symbol, which makes the rows bad input to a pasting."""
+    qubit factor carrying both a shift and a phase prints as Y; the exact
+    phase lives in the word, not the text.  A larger digit, or both
+    digits 1 on a factor of modulus above 2, has no symbol that
+    ``parse_stabilizer_row`` reads back, which makes the rows bad input
+    to a pasting."""
     out = []
-    for l, (_, nl) in enumerate(sys.layers):
+    for l, (m, nl) in enumerate(sys.layers):
         syms = []
         for i in range(nl):
             a, b = w.x[i][l], w.z[i][l]
-            if a > 1 or b > 1:
-                raise ConstructionInputError("symbol notation only covers digits 0/1")
+            if a > 1 or b > 1 or a == b == 1 and m != 2:
+                raise ConstructionInputError(
+                    "symbol notation only covers digits 0/1, and Y only on qubit factors")
             syms.append(_SYMBOLS[a + 2 * b])
         out.append("".join(syms))
     return tuple(out)

@@ -133,7 +133,8 @@ def oracle_rows(cl: CodingClique):
     kernel of the per-layer flattening of the vectors, each kernel
     vector cut into per-layer labels and turned into a word by
     ``oracles.stabilizer_error_word``; the text as "IXZY"[x + 2z] per
-    layer and particle, None where a digit exceeds 1."""
+    layer and particle, None where a digit exceeds 1 or, off Z_2, where
+    both digits of a factor are 1: Y is read back on qubit factors only."""
     m = cl.graphs[0].m
     flat = [[a for part in v for a in part.entries] for v in cl.vectors]
     kernel, _ = _nullspace_mod_prime(flat, m, sum(g.n for g in cl.graphs))
@@ -147,7 +148,7 @@ def oracle_rows(cl: CodingClique):
         w = stabilizer_error_word(sys, cl.graphs, ss)
         digits = [(w.x[i][l], w.z[i][l]) for l, g in enumerate(cl.graphs) for i in range(g.n)]
         text = None
-        if max(max(d) for d in digits) <= 1:
+        if max(max(d) for d in digits) <= 1 and (m == 2 or (1, 1) not in digits):
             it = iter("IXZY"[a + 2 * b] for a, b in digits)
             text = tuple("".join(next(it) for _ in range(g.n)) for g in cl.graphs)
         out.append((w.x, w.z, w.phase, text))
@@ -252,6 +253,19 @@ class TestRowNotationRoundTrip:
     @pytest.mark.parametrize("cl", subgroup_fixtures())
     def test_clique_rows(self, cl):
         self.assert_round_trip(cl.system(), clique_stabilizer_rows(cl))
+
+    def test_qutrit_y_has_no_text(self):
+        # x = z = 1 prints as Y on the qubit layer, where the parser reads
+        # Y back; on the qutrit layer the parser refuses Y, so the printer
+        # must refuse it too
+        sys = MixedSystem.layered([(2, 2), (3, 2)])
+        qubit_y = ErrorWord(((1, 0), (0, 0)), ((1, 0), (0, 0)), PHASE_ONE)
+        assert _row_text(sys, qubit_y) == ("YI", "II")
+        qutrit_y = ErrorWord(((0, 1), (0, 0)), ((0, 1), (0, 0)), PHASE_ONE)
+        with pytest.raises(ConstructionInputError, match="only covers digits 0/1"):
+            _row_text(sys, qutrit_y)
+        with pytest.raises(ValueError, match="only defined on qubit factors"):
+            parse_stabilizer_row(sys, ("II", "YI"))
 
 
 class TestProduct:
