@@ -704,7 +704,7 @@ class TestNumericOracle:
                                       "product_weight1"])
     def test_gram_products_match_dense_oracle(self, case):
         # one product per shift over each support's (dS, R, K) stack, on
-        # supports whose dS K is small, equal to or larger than R
+        # supports whose dS K is below, equal to or above R
         if case == "product_weight1":
             # the dense twin of the product clique: its weight-1 supports,
             # dS = 32 and R = 1024 at K = 32, real, x = 0 by syrk.  Its D
