@@ -1,7 +1,6 @@
 """Singleton and Hamming bounds over mixed alphabets."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 from typing import Sequence
@@ -33,11 +32,13 @@ def hamming_bound(dims: Sequence[int], d: int) -> int:
     if d < 1:
         raise ValueError("d must be >= 1")
     t = (d - 1) // 2
-    sphere = 0
-    for k in range(t + 1):
-        for subset in itertools.combinations(dims, k):
-            sphere += prod(x * x - 1 for x in subset)
-    return prod(dims) // sphere
+    # e[k]: the words on exactly k of the particles so far, the elementary
+    # symmetric sum of degree k of their dims_i^2 - 1
+    e = [1] + [0] * t
+    for x in dims:
+        for k in range(t, 0, -1):
+            e[k] += (x * x - 1) * e[k - 1]
+    return prod(dims) // sum(e)
 
 
 def _checked(dims: Sequence[int]) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Mixed-radix Pauli error words: systems, weights, enumeration, matrices.
+"""Mixed-radix Pauli error words: systems, weights, enumeration, geometry.
 
 A particle of composite dimension q = r*p is modelled as a pair of
 factors (a p-level and an r-level subsystem), so an error word carries
@@ -10,7 +10,8 @@ a per-layer vector view, which is what the clique machinery works in.
 ``support_rows`` defines the one order of error words, support by
 support: ``error_blocks`` yields them as int64 digit rows to the label
 engine and the symbolic check, and ``_Shape`` holds the positions of a
-support's words in its (x, z) grid for the numeric one.
+support's words in its (x, z) grid for the numeric one.  Its shift map
+and character rows are the one way the package applies a word.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import PHASE_ONE, Phase, phase_as_complex, roots_of_unity
+from .algebra import PHASE_ONE, Phase, roots_of_unity
 from .graphs import _json_int
 
 DEFAULT_DIM_CAP = 65536
@@ -330,28 +331,6 @@ def count_errors(sys: MixedSystem, w_max: int) -> int:
     the product of per-particle non-identity operator counts."""
     dims = sys.dims
     return sum(prod(dims[i] ** 2 - 1 for i in supp) for supp in supports(sys.n, w_max))
-
-
-def apply_error(e: ErrorWord, sys: MixedSystem, vec: np.ndarray) -> np.ndarray:
-    """Apply the word to state columns: vec has shape (total_dim, ...) and
-    the word acts as a monomial matrix (one nonzero per column)."""
-    shape = vec.shape
-    out = vec.reshape(sys.flat_dims() + shape[1:]).astype(complex)
-    axis = 0
-    for i, f in enumerate(sys.factors):
-        for l, m in enumerate(f):
-            a, b = e.x[i][l], e.z[i][l]
-            if b % m:
-                ph = roots_of_unity(m)[b * np.arange(m) % m]
-                sh = [1] * out.ndim
-                sh[axis] = m
-                out *= ph.reshape(sh)
-            if a % m:
-                out = np.roll(out, a % m, axis=axis)
-            axis += 1
-    if e.phase != PHASE_ONE:
-        out = out * phase_as_complex(e.phase)
-    return out.reshape(shape)
 
 
 def format_word(sys: MixedSystem, e: ErrorWord) -> str:

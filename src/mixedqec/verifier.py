@@ -18,8 +18,9 @@ the amplitudes of a layer's states that define a clique's code.
 The numeric side is one engine of Gram blocks B[u + x]^dag B[u]:
 ``_SupportScan`` yields the K x K matrices of every error on a support,
 a chunk of shifts at a time, for ``kl_verify_numeric`` and
-``code_distance``; ``kl_verify_words`` reads a word list through those
-of each distinct shift over the whole system.  ``_KLReducer.fit`` is
+``code_distance``; ``_word_fits`` those of a list of whole-system words,
+the ancilla words of ``kl_verify_words`` and the rows of
+``verify_stabilizer``, one product per word.  ``_KLReducer.fit`` is
 the only place f, the deviation, their summaries and the witness are
 computed, from each matrix's entries at a list of flat pairs i K + j:
 all K^2 for a dense block, only the nonzero ones for a code in monomial
@@ -32,11 +33,12 @@ and closing exponent a closed form, and the dimension of the joint +1
 eigenspace comes from growing the group the rows generate, coset by
 coset.  ``verify_stabilizer``, ``stabilizer_eigenbasis`` and
 ``compose.paste_distance2`` all use it; ``ErrorWord`` appears only where
-rows come in and go out, and where the projector applies them.
+rows come in and go out.
 
 ``stabilizer_eigenbasis`` builds its columns by one integer walk over the
 orbits of the rows' shifts; ``verify_stabilizer`` applies its own float
-projector instead, so the check does not share that construction.
+projector instead, so the check does not share that construction; it
+applies each row by the shift map and character row of ``errors._Shape``.
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ from .errors import (
     _Shape,
     _check_cap,
     _real,
-    apply_error,
     error_blocks,
     format_word,
     support_rows,
@@ -576,31 +577,39 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9) -> KL
 
 
 def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9) -> KLReport:
-    """KL check for an explicit word list instead of a weight ball.  The
-    words are grouped by shift x, and a group's K x K matrices are its
-    character rows (their z digits and exact phases) times the stack
-    G_x[u] = B[u + x]^dag B[u] over the whole system, formed once per
-    distinct x in slabs of rows of at most D K entries, the size of the
-    basis.  The fits are folded in list order."""
+    """KL check for an explicit word list instead of a weight ball: each
+    word's K x K matrix by ``_word_fits``, folded in list order."""
     check_tol(tol)
-    K, B, whole = code.K, _real(code.basis()), _Shape(code.system.factors)
-    digits = np.array([[a for part in (e.x, e.z) for p in part for a in p] for e in words],
-                      dtype=np.int64).reshape(len(words), 2, len(whole.dims)) % whole.moduli.T
-    shifts = np.ravel_multi_index(digits[:, 0].T, whole.dims)
-    turns = {p: phase_as_complex(p) for p in {e.phase for e in words}}
-    phases = _real(np.array([turns[e.phase] for e in words]))
-    fits = np.empty((2, len(words)), complex)  # f and the deviation, in list order
-    step = max(1, whole.size // K)
-    for x in dict.fromkeys(shifts.tolist()):
-        at, to = np.flatnonzero(shifts == x), whole.shifted(x)
-        C, M = whole.characters(digits[at, 1]) * phases[at, None], 0
-        for u in (slice(r, r + step) for r in range(0, whole.size, step)):
-            G = np.matmul(B[to[u]].conj()[:, :, None], B[u, None, :])
-            M += C[:, u] @ G.reshape(-1, K * K)
-        fits[:, at] = _KLReducer.fit(M, np.arange(K * K), K)
+    fits = _word_fits(code.system, _real(code.basis()), words)
     reducer = _KLReducer(code.system, tol)
     reducer.add(fits[0], fits[1].real, words.__getitem__)
     return reducer.report("words")
+
+
+def _word_rows(whole: _Shape, words: Sequence[ErrorWord]):
+    """Per word over the whole system: the flat index of its shift, its z
+    digits and its exact phase as a number."""
+    digits = np.array([[a for part in (e.x, e.z) for p in part for a in p] for e in words],
+                      dtype=np.int64).reshape(len(words), 2, len(whole.dims)) % whole.moduli.T
+    turns = {p: phase_as_complex(p) for p in {e.phase for e in words}}
+    return (np.ravel_multi_index(digits[:, 0].T, whole.dims), digits[:, 1],
+            _real(np.array([turns[e.phase] for e in words])))
+
+
+def _word_fits(sys: MixedSystem, B: np.ndarray, words: Sequence[ErrorWord]) -> np.ndarray:
+    """f and the deviation (rows 0 and 1, in list order) of the matrices
+    B^dag E B of the words E = phase X^x Z^z, which map |u> to
+    phase chi_z(u) |u + x>: grouped by shift x, B[u + x] is gathered once
+    per group, and each word's matrix is one product
+    B[u + x]^dag (phase chi_z(u) B[u]), D K^2 work and D K memory."""
+    K, whole = B.shape[1], _Shape(sys.factors)
+    shifts, z, phases = _word_rows(whole, words)
+    fits = np.empty((2, len(words)), complex)
+    for x in dict.fromkeys(shifts.tolist()):
+        at, BxH = np.flatnonzero(shifts == x), B[whole.shifted(x)].conj().T
+        M = [BxH @ (c[:, None] * B) for c in whole.characters(z[at]) * phases[at, None]]
+        fits[:, at] = _KLReducer.fit(np.reshape(M, (len(at), K * K)), np.arange(K * K), K)
+    return fits
 
 
 def code_distance(code: Code, w_cap: int | None = None, tol: float = 1e-9,
@@ -807,12 +816,13 @@ def _project_columns(sys: MixedSystem, words: Sequence[ErrorWord],
                      orders: Sequence[int], mat: np.ndarray) -> np.ndarray:
     """Apply the joint projector as the product of per-row cyclic
     averages (each exact because the adjusted phase closes the order)."""
-    out = mat.astype(complex)
-    for w, ordw in zip(words, orders):
-        acc = out
-        cur = out
+    whole, out = _Shape(sys.factors), mat.astype(complex)
+    for x, z, phase, ordw in zip(*_word_rows(whole, words), orders):
+        # the u of each row u + x, and phase chi_z(u) as a column: O(D) a row
+        back, c = np.argsort(whole.shifted(x)), (whole.characters(z[None]) * phase).T
+        acc = cur = out
         for _ in range(ordw - 1):
-            cur = apply_error(w, sys, cur)
+            cur = (c * cur)[back]
             acc = acc + cur
         out = acc / ordw
     return out
@@ -862,13 +872,12 @@ def verify_stabilizer(rows: Sequence[StabilizerRow], code: Code,
                                 float("nan"), None, {"noncommuting_pair": list(pair)})
 
     B = code.basis()
-    pairs = np.arange(code.K ** 2)
     witness: dict | None = None
     chosen: list[Phase] = []
     adjusted: list[ErrorWord] = []
-    for idx, (w, o, e) in enumerate(zip(words, orders, tab.closing().tolist())):
-        M = B.conj().T @ apply_error(w, sys, B)
-        (c,), (dev,) = _KLReducer.fit(M.reshape(1, -1), pairs, code.K)
+    fits = _word_fits(sys, _real(B), words)
+    for idx, (w, o, e, c, dev) in enumerate(zip(words, orders, tab.closing().tolist(),
+                                                 fits[0], fits[1].real)):
         if dev > tol or abs(abs(c) - 1) > tol:
             if witness is None:
                 witness = {"row_not_scalar_on_code": idx}
@@ -951,5 +960,5 @@ def stabilizer_eigenbasis(sys: MixedSystem,
     col = np.where(seed, np.cumsum(seed) - 1, -1)[low]
     i = np.flatnonzero(col >= 0)
     val = np.zeros(D, dtype=complex)
-    val[i] = np.exp(2j * np.pi / N * e[i]) / np.sqrt(np.bincount(low)[low[i]])
+    val[i] = roots_of_unity(N, e[i]) / np.sqrt(np.bincount(low)[low[i]])
     return col, val

@@ -5,9 +5,10 @@ words of a clique on whole label arrays (``clique.LabelLayout``).  The
 per-layer functions here do the same one layer and one vector at a time,
 in plain Python over ``ModVec``, so the tests can compare the two.  The
 rest are dense or scalar forms of what the library never needs whole:
-the unitary of an error word, the expansion of one projected error, dot
-products and phases of single vectors, and the error words of a weight
-ball one ``ErrorWord`` at a time.  ``with_phases`` folds phase
+an error word applied to state columns (``apply_error``) and its
+unitary, the expansion of one projected error, dot products and phases
+of single vectors, and the error words of a weight ball one
+``ErrorWord`` at a time.  ``with_phases`` folds phase
 multipliers into rows after reading them.  ``pair_sums_reference`` is the
 monomial pair scan of ``verifier._SupportScan`` as an element-wise loop
 over the nonzero rows, its pairs numbered by a K^2 table or by sorting
@@ -24,12 +25,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from mixedqec.algebra import PHASE_ONE, ModVec, Phase, phase_mul
+from mixedqec.algebra import PHASE_ONE, ModVec, Phase, phase_as_complex, phase_mul, roots_of_unity
 from mixedqec.clique import (
     _CHUNK, LabelLayout, _covered_keys, _graph_layout, _member, _phase_exponents, _purity_rows,
 )
 from mixedqec.errors import (
-    ErrorWord, MixedSystem, _check_cap, apply_error, error_blocks, word_from_row, word_radices,
+    ErrorWord, MixedSystem, _check_cap, error_blocks, word_from_row, word_radices,
 )
 from mixedqec.graphs import WeightedGraph
 from mixedqec.projection import _COEFF_TOL, ProjectorSpec, _digits, _particle_tables, _word
@@ -58,6 +59,28 @@ def enumerate_errors(sys: MixedSystem, w_max: int) -> Iterator[ErrorWord]:
     for supp, block in error_blocks(word_radices(sys), w_max):
         for row in block.tolist():
             yield word_from_row(sys, supp, row)
+
+
+def apply_error(e: ErrorWord, sys: MixedSystem, vec: np.ndarray) -> np.ndarray:
+    """Apply the word to state columns: vec has shape (total_dim, ...) and
+    the word acts as a monomial matrix (one nonzero per column)."""
+    shape = vec.shape
+    out = vec.reshape(sys.flat_dims() + shape[1:]).astype(complex)
+    axis = 0
+    for i, f in enumerate(sys.factors):
+        for l, m in enumerate(f):
+            a, b = e.x[i][l], e.z[i][l]
+            if b % m:
+                ph = roots_of_unity(m)[b * np.arange(m) % m]
+                sh = [1] * out.ndim
+                sh[axis] = m
+                out *= ph.reshape(sh)
+            if a % m:
+                out = np.roll(out, a % m, axis=axis)
+            axis += 1
+    if e.phase != PHASE_ONE:
+        out = out * phase_as_complex(e.phase)
+    return out.reshape(shape)
 
 
 def error_matrix(e: ErrorWord, sys: MixedSystem) -> np.ndarray:

@@ -3,7 +3,7 @@ agreement with brute-force definitional scans."""
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +126,25 @@ class TestHamming:
         t = (d - 1) // 2
         sphere = sphere_count_oracle(dims, t)
         assert hamming_bound(dims, d) == prod(dims) // sphere
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=10),
+        st.integers(min_value=1, max_value=11),
+    )
+    def test_matches_subset_enumeration(self, dims, d):
+        # the sphere summed subset by subset of the touched particles
+        t = (d - 1) // 2
+        sphere = sum(prod(x * x - 1 for x in subset)
+                     for k in range(t + 1) for subset in itertools.combinations(dims, k))
+        assert hamming_bound(dims, d) == prod(dims) // sphere
+
+    def test_many_uniform_particles(self):
+        # 72 qutrits at d = 13: about 1.7e8 subsets of at most 6 particles,
+        # against the closed form sum_k C(n, k) (q^2 - 1)^k
+        n, q, d = 72, 3, 13
+        sphere = sum(comb(n, k) * (q * q - 1) ** k for k in range((d - 1) // 2 + 1))
+        assert hamming_bound((q,) * n, d) == q ** n // sphere
 
 
 class TestClassify:

@@ -22,7 +22,7 @@ import numpy as np
 import mixedqec
 from mixedqec.algebra import ModVec, PHASE_ONE, phase_as_complex, phase_mul
 from mixedqec.bounds import singleton_bound
-from mixedqec.errors import IntegerRangeError, MixedSystem, apply_error, weight
+from mixedqec.errors import IntegerRangeError, MixedSystem, weight
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.clique import (
     CliqueReport, CodingClique, check_clique, closure,
@@ -30,7 +30,7 @@ from mixedqec.clique import (
 )
 from mixedqec.verifier import Code
 from oracles import (
-    dot_mod, enumerate_errors, graph_action, group_search, label_is_identity, omega,
+    apply_error, dot_mod, enumerate_errors, graph_action, group_search, label_is_identity, omega,
     set_search, stabilizer_error_word,
 )
 

@@ -9,7 +9,6 @@ from mixedqec.errors import (
     DimensionCapError,
     ErrorWord,
     MixedSystem,
-    apply_error,
     count_errors,
     dim_cap,
     error_blocks,
@@ -22,7 +21,7 @@ from mixedqec.errors import (
     word_radices,
 )
 from mixedqec.verifier import _Tableau
-from oracles import enumerate_errors, error_matrix, label_is_identity, word_from_layers
+from oracles import apply_error, enumerate_errors, error_matrix, label_is_identity, word_from_layers
 
 
 def two_layer(n, p, r, n1):

@@ -11,11 +11,11 @@ from mixedqec.algebra import PHASE_ONE, ModVec, phase_as_complex, phase_mul
 from mixedqec.certificates import build_code, load_certificate
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.clique import CodingClique
-from mixedqec.errors import MixedSystem, apply_error
+from mixedqec.errors import MixedSystem
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.verifier import Code
 from oracles import (
-    dot_mod, graph_action, label_is_identity, omega, quadratic_form, stabilizer_error_word,
+    apply_error, dot_mod, graph_action, label_is_identity, omega, quadratic_form, stabilizer_error_word,
     word_from_layers,
 )
 

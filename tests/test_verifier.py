@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedqec.algebra import (
-    ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, phase_mul,
+    ModVec, PHASE_MINUS_ONE, PHASE_ONE, Phase, phase_as_complex, phase_mul,
 )
 from mixedqec.certificates import (
     _stabilizer_rows, base_stabilizer_rows, build_code, certify, load_certificate,
@@ -22,7 +22,7 @@ from mixedqec.certificates import (
 )
 from mixedqec.cli import _default_fixture_dir
 from mixedqec.errors import (
-    ErrorWord, MixedSystem, apply_error, count_errors, format_word, in_support_order,
+    ErrorWord, MixedSystem, count_errors, format_word, in_support_order,
     support_rows, supports, weight, word_from_row, word_radices,
 )
 from mixedqec.graphs import WeightedGraph, loop_graph
@@ -36,7 +36,7 @@ from mixedqec.verifier import (
     parse_stabilizer_row, stabilizer_eigenbasis, verify_stabilizer,
 )
 from oracles import (
-    dot_mod, enumerate_errors, error_matrix, graph_action, omega, pair_sums_reference,
+    apply_error, dot_mod, enumerate_errors, error_matrix, graph_action, omega, pair_sums_reference,
     with_phases,
 )
 
@@ -1572,6 +1572,18 @@ def test_eigenbasis_memory_stays_near_the_basis():
     assert peak <= 256 * len(col)
 
 
+def test_eigenbasis_entries_are_exact_quarter_turns():
+    # w_N^e / sqrt(|orbit|), the orbit a column's rows: read off the exact
+    # roots, each entry of 6_16_3_stab times sqrt(|orbit|) is exactly 1,
+    # i, -1 or -i, and its code fits the identity with no deviation
+    sys, rows = stab_fixture_rows()
+    col, val = stabilizer_eigenbasis(sys, rows)
+    on = col >= 0
+    scaled = val[on] * np.sqrt(np.bincount(col[on])[col[on]])
+    assert np.isin(scaled, [1, 1j, -1, -1j]).all()
+    assert kl_verify_numeric(fixture_code("6_16_3_stab")).max_deviation == 0.0
+
+
 systems = st.lists(st.lists(st.integers(2, 5), min_size=1, max_size=2),
                    min_size=1, max_size=3)
 
@@ -1684,3 +1696,83 @@ def test_eigenspace_dim_hinges_on_the_phase_of_a_product(phase, dim):
     for w in rows:
         proj = proj @ dense_projector(error_matrix(w, sys))
     assert _Tableau(sys, rows).eigenspace_dim() == round(np.trace(proj).real) == dim
+
+
+def stabilizer_oracle(rows, code, tol=1e-9):
+    """The fields of ``verify_stabilizer``'s report from dense matrices:
+    commutation from products, each row's scalar on the code from
+    B^dag E B, its order and closing phase from its powers, and the
+    eigenspace and projector from the product of the dense projectors of
+    the rows times their chosen phases."""
+    sys, B, K = code.system, code.basis(), code.K
+    words = [r.word for r in rows]
+    mats = [error_matrix(w, sys) for w in words]
+    for a, b in itertools.combinations(range(len(mats)), 2):
+        if not np.allclose(mats[a] @ mats[b], mats[b] @ mats[a], atol=1e-9):
+            return {"ok": False, "commuting": False, "witness": {"noncommuting_pair": [a, b]}}
+    N = math.lcm(*sys.flat_dims(), *(w.phase.L for w in words))
+    witness, chosen, proj = None, [], np.eye(sys.total_dim, dtype=complex)
+    for idx, E in enumerate(mats):
+        M = B.conj().T @ E @ B
+        c = np.trace(M) / K
+        if witness is None and (np.abs(M - c * np.eye(K)).max() > tol or abs(abs(c) - 1) > tol):
+            witness = {"row_not_scalar_on_code": idx}
+        # E^o = w_N^e I at the order o; lam E closes for lam = w_{N o}^(jN - e)
+        o = next(k for k in itertools.count(1) if is_scalar(dense_power(E, k)))
+        e = round(np.angle(dense_power(E, o)[0, 0]) / (2 * np.pi) * N) % N
+        lam = min((Phase(j * N - e, N * o) for j in range(o)),
+                  key=lambda p: abs(phase_as_complex(p) - np.conj(c)))
+        if witness is None and abs(phase_as_complex(lam) - np.conj(c)) > tol:
+            witness = {"row_phase_outside_cyclic_group": idx}
+        chosen.append(lam)
+        proj = proj @ dense_projector(phase_as_complex(lam) * E)
+    dim = float(round(np.trace(proj).real))
+    diff = float(np.linalg.norm(proj - B @ B.conj().T))
+    ok = witness is None and abs(dim - K) < tol and diff < np.sqrt(tol)
+    if not ok and witness is None:
+        witness = {"eigenspace_dim": dim, "projector_diff": diff}
+    return {"ok": ok, "commuting": True, "chosen_phases": tuple(chosen),
+            "eigenspace_dim": dim, "projector_diff": diff, "witness": witness}
+
+
+def random_unitary(rng, K):
+    Q, R = np.linalg.qr(rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@pytest.mark.parametrize("factors", [((2, 3), (4,), (3,)), ((2, 2), (3,), (4,)),
+                                     ((4,), (3,), (2, 2))])
+def test_verify_stabilizer_matches_dense_oracle(factors):
+    # random commuting rows and a dense basis of their eigenspace: checked
+    # as they are, with one extra column (each row not scalar on it), and
+    # without their last row (the eigenspace too large).  The checked rows
+    # carry phases w_12^k besides those that close them, which the check
+    # takes back.  The projector differences are compared squared: each
+    # side reads a difference near 0 as the root of a rounding error
+    sys = MixedSystem(factors)
+    rng = np.random.default_rng(sys.total_dim + len(factors[0]))
+    seen = set()
+    for count in (1, 2, 2, 3, 3, 3, 4):
+        rows = commuting_rows(rng, sys, count)
+        try:
+            B = eigenbasis(sys, rows)
+        except ValueError:  # phases with an empty joint eigenspace
+            continue
+        checked = [StabilizerRow(r.text, ErrorWord(r.word.x, r.word.z, phase_mul(
+            r.word.phase, Phase(int(rng.integers(12)), 12)))) for r in rows]
+        extra = rng.normal(size=sys.total_dim) + 1j * rng.normal(size=sys.total_dim)
+        extra -= B @ (B.conj().T @ extra)
+        for rs, basis in ((checked, B), (checked, np.column_stack([B, extra / np.linalg.norm(extra)])),
+                          (checked[:-1], B)):
+            code = Code.from_basis(sys, basis @ random_unitary(rng, basis.shape[1]), 1)
+            got, want = verify_stabilizer(rs, code), stabilizer_oracle(rs, code)
+            assert (got.ok, got.commuting, got.chosen_phases, got.eigenspace_dim) == \
+                (want["ok"], want["commuting"], want["chosen_phases"], want["eigenspace_dim"])
+            assert abs(got.projector_diff ** 2 - want["projector_diff"] ** 2) <= 1e-9
+            witness = dict(got.witness or {})
+            if "projector_diff" in witness:
+                assert abs(witness.pop("projector_diff") ** 2
+                           - want["witness"].pop("projector_diff") ** 2) <= 1e-9
+            assert witness == (want["witness"] or {})
+            seen.add(next(iter(witness), "pass"))
+    assert seen == {"pass", "row_not_scalar_on_code", "eigenspace_dim"}
