@@ -51,7 +51,8 @@ def roots_of_unity(L: int, k=None) -> np.ndarray:
     noise in the imaginary part of a real root, so a basis or character
     table built from +-1 and +-i alone is exactly real or imaginary."""
     k = np.arange(L) if k is None else np.asarray(k)
-    w = np.exp(2j * np.pi * k / L)
+    w = 2j * np.pi * k  # exp(2j pi k / L) in place: one array of len(k) at a time
+    np.exp(np.divide(w, L, out=w), out=w)
     quarter = 4 * k % L == 0
     w[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // L]
     return w

@@ -597,11 +597,10 @@ def _word_rows(whole: _Shape, words: Sequence[ErrorWord]):
 
 
 def _word_fits(sys: MixedSystem, B: np.ndarray, words: Sequence[ErrorWord]) -> np.ndarray:
-    """f and the deviation (rows 0 and 1, in list order) of the matrices
-    B^dag E B of the words E = phase X^x Z^z, which map |u> to
-    phase chi_z(u) |u + x>: grouped by shift x, B[u + x] is gathered once
-    per group, and each word's matrix is one product
-    B[u + x]^dag (phase chi_z(u) B[u]), D K^2 work and D K memory."""
+    """f and the deviation (rows 0 and 1, in list order) of B^dag E B for
+    the words E = phase X^x Z^z, |u> -> phase chi_z(u) |u + x>: grouped by
+    shift x, B[u + x] is gathered once per group, and each word's matrix is
+    one product B[u + x]^dag (phase chi_z(u) B[u]), D K^2 work and D K memory."""
     K, whole = B.shape[1], _Shape(sys.factors)
     shifts, z, phases = _word_rows(whole, words)
     fits = np.empty((2, len(words)), complex)

@@ -21,7 +21,9 @@ from mixedqec.errors import (
     word_radices,
 )
 from mixedqec.verifier import _Tableau
-from oracles import apply_error, enumerate_errors, error_matrix, label_is_identity, word_from_layers
+from oracles import (
+    apply_error, enumerate_errors, error_matrix, label_is_identity, word_from_layers,
+)
 
 
 def two_layer(n, p, r, n1):

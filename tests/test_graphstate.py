@@ -15,8 +15,8 @@ from mixedqec.errors import MixedSystem
 from mixedqec.graphs import WeightedGraph, loop_graph
 from mixedqec.verifier import Code
 from oracles import (
-    apply_error, dot_mod, graph_action, label_is_identity, omega, quadratic_form, stabilizer_error_word,
-    word_from_layers,
+    apply_error, dot_mod, graph_action, label_is_identity, omega, quadratic_form,
+    stabilizer_error_word, word_from_layers,
 )
 
 FIXTURES = _default_fixture_dir()

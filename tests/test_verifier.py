@@ -1762,8 +1762,8 @@ def test_verify_stabilizer_matches_dense_oracle(factors):
             r.word.phase, Phase(int(rng.integers(12)), 12)))) for r in rows]
         extra = rng.normal(size=sys.total_dim) + 1j * rng.normal(size=sys.total_dim)
         extra -= B @ (B.conj().T @ extra)
-        for rs, basis in ((checked, B), (checked, np.column_stack([B, extra / np.linalg.norm(extra)])),
-                          (checked[:-1], B)):
+        wider = np.column_stack([B, extra / np.linalg.norm(extra)])
+        for rs, basis in ((checked, B), (checked, wider), (checked[:-1], B)):
             code = Code.from_basis(sys, basis @ random_unitary(rng, basis.shape[1]), 1)
             got, want = verify_stabilizer(rs, code), stabilizer_oracle(rs, code)
             assert (got.ok, got.commuting, got.chosen_phases, got.eigenspace_dim) == \
