@@ -32,8 +32,7 @@ def hamming_bound(dims: Sequence[int], d: int) -> int:
     if d < 1:
         raise ValueError("d must be >= 1")
     t = (d - 1) // 2
-    # e[k]: the words on exactly k of the particles so far, the elementary
-    # symmetric sum of degree k of their dims_i^2 - 1
+    # e[k]: the elementary symmetric sum of degree k of the dims_i^2 - 1 so far
     e = [1] + [0] * t
     for x in dims:
         for k in range(t, 0, -1):

@@ -577,8 +577,7 @@ def kl_verify_numeric(code: Code, d: int | None = None, tol: float = 1e-9) -> KL
 
 
 def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9) -> KLReport:
-    """KL check for an explicit word list instead of a weight ball: each
-    word's K x K matrix by ``_word_fits``, folded in list order."""
+    """KL check for an explicit word list, fitted by ``_word_fits`` in list order."""
     check_tol(tol)
     fits = _word_fits(code.system, _real(code.basis()), words)
     reducer = _KLReducer(code.system, tol)
@@ -587,8 +586,7 @@ def kl_verify_words(code: Code, words: Sequence[ErrorWord], tol: float = 1e-9) -
 
 
 def _word_rows(whole: _Shape, words: Sequence[ErrorWord]):
-    """Per word over the whole system: the flat index of its shift, its z
-    digits and its exact phase as a number."""
+    """Per word: the flat index of its shift, its z digits and its phase."""
     digits = np.array([[a for part in (e.x, e.z) for p in part for a in p] for e in words],
                       dtype=np.int64).reshape(len(words), 2, len(whole.dims)) % whole.moduli.T
     turns = {p: phase_as_complex(p) for p in {e.phase for e in words}}
@@ -606,8 +604,11 @@ def _word_fits(sys: MixedSystem, B: np.ndarray, words: Sequence[ErrorWord]) -> n
     fits = np.empty((2, len(words)), complex)
     for x in dict.fromkeys(shifts.tolist()):
         at, BxH = np.flatnonzero(shifts == x), B[whole.shifted(x)].conj().T
-        M = [BxH @ (c[:, None] * B) for c in whole.characters(z[at]) * phases[at, None]]
-        fits[:, at] = _KLReducer.fit(np.reshape(M, (len(at), K * K)), np.arange(K * K), K)
+        C = whole.characters(z[at]) * phases[at, None]
+        M = np.empty((len(at), K, K), np.result_type(B, C))
+        for c, m in zip(C, M):
+            np.matmul(BxH, c[:, None] * B, out=m)
+        fits[:, at] = _KLReducer.fit(M.reshape(len(at), -1), np.arange(K * K), K)
     return fits
 
 
